@@ -117,22 +117,7 @@ PropellerClient::PropellerClient(NodeId id, net::Transport* transport,
       delegated_fallbacks_(&metrics_.GetCounter("client.resolve.fallback")),
       search_latency_(&metrics_.GetHistogram("client.search.latency_s")),
       update_latency_(&metrics_.GetHistogram("client.batch_update.latency_s")),
-      branch_latency_(&metrics_.GetHistogram("client.search.branch_latency_s")) {
-  MutexLock lock(cache_mu_);
-  search_shard_epochs_.assign(NumShards(), 0);
-  file_shard_epochs_.assign(NumShards(), 0);
-}
-
-std::vector<uint64_t> PropellerClient::EffectiveEpochs(
-    uint64_t scalar, const std::vector<uint64_t>& vec) const {
-  std::vector<uint64_t> out(NumShards(), 0);
-  if (!vec.empty()) {
-    for (size_t s = 0; s < out.size() && s < vec.size(); ++s) out[s] = vec[s];
-  } else if (scalar > 0) {
-    out[0] = scalar;
-  }
-  return out;
-}
+      branch_latency_(&metrics_.GetHistogram("client.search.branch_latency_s")) {}
 
 bool PropellerClient::LookupSearchTargets(const std::string& index_name,
                                           ResolveSearchResponse* targets,
@@ -148,12 +133,13 @@ bool PropellerClient::LookupSearchTargets(const std::string& index_name,
 
 void PropellerClient::StoreSearchTargets(const std::string& index_name,
                                          const ResolveSearchResponse& resp) {
-  const std::vector<uint64_t> eps =
-      EffectiveEpochs(resp.metadata_epoch, resp.shard_epochs);
-  bool published = false;
-  for (uint64_t e : eps) published = published || e != 0;
-  if (!published) return;  // master is not publishing epochs
+  const std::vector<uint64_t>& eps = resp.shard_epochs;
   MutexLock lock(cache_mu_);
+  if (search_shard_epochs_.size() != eps.size()) {
+    // First response: learn the master's shard count.
+    search_cache_.clear();
+    search_shard_epochs_.assign(eps.size(), 0);
+  }
   // Per-shard freshness: a response older than the cache on every shard it
   // covers is a raced older view; any strictly newer shard means placement
   // changed since the cached entries were resolved — they may name groups
@@ -192,13 +178,15 @@ void PropellerClient::LookupFilePlacements(
 }
 
 void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
-  const std::vector<uint64_t> eps =
-      EffectiveEpochs(resp.metadata_epoch, resp.shard_epochs);
-  const uint32_t n = NumShards();
-  bool published = false;
-  for (uint64_t e : eps) published = published || e != 0;
-  if (!published) return;  // master is not publishing epochs
+  const std::vector<uint64_t>& eps = resp.shard_epochs;
+  const uint32_t n = static_cast<uint32_t>(eps.size());
+  if (n == 0) return;  // malformed: names no shard the placements belong to
   MutexLock lock(cache_mu_);
+  if (file_shard_epochs_.size() != n) {
+    // First response: learn the master's shard count.
+    file_cache_.clear();
+    file_shard_epochs_.assign(n, 0);
+  }
   // Per-shard accept/evict: a shard whose published epoch moved past the
   // cache invalidates only that shard's entries; a shard the response is
   // older on keeps its cached entries and rejects the stale placements.
@@ -258,8 +246,8 @@ bool PropellerClient::ResolveUpdateDelegated(const std::vector<FileId>& files,
                                              ResolveUpdateResponse* out,
                                              sim::Cost* cost) {
   const std::vector<NodeId> holders = SnapshotLeaseHolders();
-  const uint32_t n = NumShards();
-  if (holders.size() != n) return false;  // no master response seen yet
+  const uint32_t n = static_cast<uint32_t>(holders.size());
+  if (n == 0) return false;  // no master response seen yet
   // Partition the batch by lease holder, preserving request order within
   // each sub-batch.  Any shard without a holder sends the whole batch to
   // the master: a split answer would still need the master RPC anyway.
@@ -291,9 +279,10 @@ bool PropellerClient::ResolveUpdateDelegated(const std::vector<FileId>& files,
       return false;
     }
     for (const auto& p : resolved->placements) got[p.file] = p;
-    const std::vector<uint64_t> branch_eps =
-        EffectiveEpochs(resolved->metadata_epoch, resolved->shard_epochs);
-    for (uint32_t s = 0; s < n; ++s) eps[s] = std::max(eps[s], branch_eps[s]);
+    const std::vector<uint64_t>& branch_eps = resolved->shard_epochs;
+    for (uint32_t s = 0; s < n && s < branch_eps.size(); ++s) {
+      eps[s] = std::max(eps[s], branch_eps[s]);
+    }
     for (const GroupReplicaSet& rs : resolved->replicas) rsets[rs.group] = rs;
   }
   *cost += slowest;
@@ -308,13 +297,7 @@ bool PropellerClient::ResolveUpdateDelegated(const std::vector<FileId>& files,
   }
   out->replicas.clear();
   for (auto& [g, rs] : rsets) out->replicas.push_back(std::move(rs));
-  if (n == 1) {
-    out->metadata_epoch = eps[0];
-    out->shard_epochs.clear();
-  } else {
-    out->metadata_epoch = 0;
-    out->shard_epochs = std::move(eps);
-  }
+  out->shard_epochs = std::move(eps);
   delegated_resolves_->Add(1);
   return true;
 }
@@ -323,8 +306,8 @@ bool PropellerClient::ResolveSearchDelegated(const std::string& index_name,
                                              ResolveSearchResponse* out,
                                              sim::Cost* cost) {
   const std::vector<NodeId> holders = SnapshotLeaseHolders();
-  const uint32_t n = NumShards();
-  if (holders.size() != n) return false;
+  const uint32_t n = static_cast<uint32_t>(holders.size());
+  if (n == 0) return false;  // no master response seen yet
   std::vector<NodeId> distinct;
   for (NodeId h : holders) {
     if (h == 0) return false;
@@ -361,9 +344,10 @@ bool PropellerClient::ResolveSearchDelegated(const std::string& index_name,
       auto& groups = by_node[t.node];
       groups.insert(groups.end(), t.groups.begin(), t.groups.end());
     }
-    const std::vector<uint64_t> branch_eps =
-        EffectiveEpochs(resolved->metadata_epoch, resolved->shard_epochs);
-    for (uint32_t s = 0; s < n; ++s) eps[s] = std::max(eps[s], branch_eps[s]);
+    const std::vector<uint64_t>& branch_eps = resolved->shard_epochs;
+    for (uint32_t s = 0; s < n && s < branch_eps.size(); ++s) {
+      eps[s] = std::max(eps[s], branch_eps[s]);
+    }
     for (const GroupReplicaSet& rs : resolved->replicas) rsets[rs.group] = rs;
   }
   *cost += slowest;
@@ -378,13 +362,7 @@ bool PropellerClient::ResolveSearchDelegated(const std::string& index_name,
   }
   out->replicas.clear();
   for (auto& [g, rs] : rsets) out->replicas.push_back(std::move(rs));
-  if (n == 1) {
-    out->metadata_epoch = eps[0];
-    out->shard_epochs.clear();
-  } else {
-    out->metadata_epoch = 0;
-    out->shard_epochs = std::move(eps);
-  }
+  out->shard_epochs = std::move(eps);
   delegated_resolves_->Add(1);
   return true;
 }
@@ -464,7 +442,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   // this degenerates to the original single batched resolve.
   std::unordered_map<FileId, FilePlacement> where;
   where.reserve(updates.size());
-  std::vector<uint64_t> epochs(NumShards(), 0);
+  std::vector<uint64_t> epochs;  // per shard; empty until known
   std::vector<FileId> need;
   if (caching) {
     LookupFilePlacements(updates, &where, &epochs, &need);
@@ -490,7 +468,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
       ResolveUpdateRequest rreq;
       rreq.files = std::move(files);
       // Open-loop traffic stamps the resolve's arrival so the master can
-      // model per-shard queueing; absent otherwise (wire unchanged).
+      // model per-shard queueing; 0 (unstamped) otherwise.
       rreq.arrival_s = admission ? now_s : 0;
       auto rcall = CallWithRetry(master_, "mn.resolve_update", Encode(rreq));
       if (!rcall.status.ok()) return rcall.status;
@@ -506,9 +484,9 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     if (config_.replicated) StoreReplicaSets(resolved.replicas);
     if (caching) StoreFilePlacements(resolved);
     if (caching || config_.replicated) {
-      const std::vector<uint64_t> eps =
-          EffectiveEpochs(resolved.metadata_epoch, resolved.shard_epochs);
-      for (size_t s = 0; s < epochs.size(); ++s) {
+      const std::vector<uint64_t>& eps = resolved.shard_epochs;
+      if (epochs.size() < eps.size()) epochs.resize(eps.size(), 0);
+      for (size_t s = 0; s < eps.size(); ++s) {
         epochs[s] = std::max(epochs[s], eps[s]);
       }
     }
@@ -599,9 +577,10 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
         sreq.now_s = now_s;
         // The group's placement was resolved at its owning shard's epoch (a
         // shard's groups carry its residue class, so the file's shard and
-        // the group's shard coincide); one shard index == legacy scalar.
-        sreq.epoch = (caching || config_.replicated)
-                         ? epochs[ShardOfGroup(bucket.group, NumShards())]
+        // the group's shard coincide).
+        const auto n = static_cast<uint32_t>(epochs.size());
+        sreq.epoch = (caching || config_.replicated) && n > 0
+                         ? epochs[ShardOfGroup(bucket.group, n)]
                          : 0;
         if (config_.replicated) sreq.replica_role = kReplicaRolePrimary;
         sreq.admission = admission ? 1 : 0;
@@ -874,7 +853,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       ResolveSearchRequest rreq;
       rreq.index_name = index_name;
       // Open-loop traffic stamps the resolve's arrival so the master can
-      // model per-shard queueing; absent otherwise (wire unchanged).
+      // model per-shard queueing; 0 (unstamped) otherwise.
       rreq.arrival_s = arrival_s;
       auto rcall = CallWithRetry(master_, "mn.resolve_search", Encode(rreq));
       if (!rcall.status.ok()) return rcall.status;
@@ -885,9 +864,9 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       if (config_.placement_leases) StoreLeaseHolders(targets.lease_holders);
     }
     // The stamped epoch is a staleness *flag* at the Index Nodes (>0 asks
-    // for kStaleLocation on moved groups), so the max across shards keeps
-    // the legacy scalar semantics at any shard count.
-    epoch = targets.metadata_epoch;
+    // for kStaleLocation on moved groups), so one scalar — the max across
+    // shards — serves every shard count.
+    epoch = 0;
     for (uint64_t e : targets.shard_epochs) epoch = std::max(epoch, e);
     if (replicated) StoreReplicaSets(targets.replicas);
     if (caching) StoreSearchTargets(index_name, targets);

@@ -54,12 +54,12 @@ struct ClientConfig {
   // failures listed per node, instead of failing the whole search.
   bool allow_partial_search = false;
   // Client-side placement caching (read_path_caching layer 1): memoize
-  // master resolve responses keyed by the metadata epoch they carry, skip
-  // the resolve RPC on repeat requests, stamp the epoch onto in.search /
-  // in.stage_updates, and recover from kStaleLocation — or a cached route
-  // to an unreachable node — with exactly one re-resolve + retry.
-  // Requires MasterConfig::publish_metadata_epoch on the master to have
-  // any effect; PropellerCluster wires both from its own flag.
+  // master resolve responses keyed by the per-shard metadata epochs they
+  // carry — one shard's churn evicts only that shard's cached placements —
+  // skip the resolve RPC on repeat requests, stamp the epoch onto
+  // in.search / in.stage_updates, and recover from kStaleLocation — or a
+  // cached route to an unreachable node — with exactly one re-resolve +
+  // retry.  PropellerCluster wires this from its own flag.
   bool read_path_caching = false;
   // Replication (tail-tolerant reads).  On, the client fans every write
   // shipment to the group's full replica set — the primary's journal
@@ -69,11 +69,6 @@ struct ClientConfig {
   // hedges slow or failed search branches to each group's first
   // secondary.  PropellerCluster wires this from replication_factor.
   bool replicated = false;
-  // Sharded master (mirrors ClusterConfig::master_shards): the client keys
-  // its placement caches by (shard, epoch) — resolve responses carry one
-  // epoch per metadata shard, and one shard's churn evicts only that
-  // shard's cached placements.  1 = the legacy scalar-epoch behaviour.
-  uint32_t master_shards = 1;
   // Placement delegation: resolves route to the lease-holding Index Nodes
   // named by the master's resolve responses ("in.resolve_update" /
   // "in.resolve_search"), falling back to the master when no holder is
@@ -137,8 +132,8 @@ class PropellerClient {
   // every stage request for the index nodes' bounded admission queues
   // (open-loop traffic): an overloaded node sheds the batch with
   // kOverloaded, which is NOT retried or repaired — the caller decides
-  // whether and when to re-offer the load.  Off (the default) the wire
-  // bytes are unchanged.
+  // whether and when to re-offer the load.  Off (the default) no node
+  // queues the batch.
   Result<sim::Cost> BatchUpdate(std::vector<FileUpdate> updates, double now_s,
                                 bool admission = false);
 
@@ -164,7 +159,7 @@ class PropellerClient {
   // stamps the fan-out with the virtual instant the request entered the
   // system (open-loop traffic): admission-controlled nodes model queueing
   // delay from that instant and may shed with kOverloaded.  0 (the
-  // default) leaves the wire bytes unchanged.
+  // default) bypasses the admission queues.
   Result<SearchOutcome> Search(const Predicate& predicate,
                                const std::string& index_name = "",
                                double arrival_s = 0);
@@ -200,21 +195,12 @@ class PropellerClient {
   // Fills `where` from cached placements, appends each unknown file to
   // `missing` (preserving update order, duplicates included, exactly as an
   // uncached resolve request would list them) and reports the per-shard
-  // cache epochs.
+  // cache epochs (empty before the first resolve).
   void LookupFilePlacements(const std::vector<FileUpdate>& updates,
                             std::unordered_map<FileId, FilePlacement>* where,
                             std::vector<uint64_t>* epochs,
                             std::vector<FileId>* missing);
   void StoreFilePlacements(const ResolveUpdateResponse& resp);
-  // Number of metadata shards the caches are keyed by (>= 1).
-  uint32_t NumShards() const {
-    return config_.master_shards == 0 ? 1 : config_.master_shards;
-  }
-  // Normalizes a resolve response's epoch publication — the scalar at one
-  // shard, the trailing vector otherwise — into one slot per shard
-  // (0 = that shard published nothing).
-  std::vector<uint64_t> EffectiveEpochs(
-      uint64_t scalar, const std::vector<uint64_t>& vec) const;
 
   // --- placement delegation (placement_leases) ---
   // Memoizes the per-shard lease holders a master resolve response names.
@@ -278,8 +264,9 @@ class PropellerClient {
   obs::Histogram* branch_latency_;
 
   // Placement-cache state.  cache_mu_ (LockRank::kClientCache) is never
-  // held across a transport call; each cache is valid only at the epoch
-  // stored beside it.
+  // held across a transport call; each cache is valid only at the epochs
+  // stored beside it, one per metadata shard (the shard count is learned
+  // from the first resolve response; empty until then).
   mutable Mutex cache_mu_{LockRank::kClientCache, "PropellerClient::cache_mu_"};
   std::unordered_map<std::string, ResolveSearchResponse> search_cache_
       GUARDED_BY(cache_mu_);

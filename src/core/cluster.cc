@@ -25,15 +25,11 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
   }
   if (config_.replication_factor > 1) {
     config_.master.replication_factor = config_.replication_factor;
-    // Clients must know which replica answered a resolve and how fresh
-    // their own writes are; the epoch rides on every resolve response.
-    config_.master.publish_metadata_epoch = true;
     config_.index_node.replicated = true;
     config_.client.replicated = true;
     config_.client.hedge.enabled = config_.hedged_reads;
   }
   if (config_.read_path_caching) {
-    config_.master.publish_metadata_epoch = true;
     config_.index_node.result_cache = true;
     config_.client.read_path_caching = true;
   }
@@ -41,17 +37,11 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
     config_.index_node.admission_control = true;
     config_.index_node.admission_queue_bound = config_.admission_queue_bound;
   }
-  if (config_.master_shards > 1) {
-    config_.master.num_shards = config_.master_shards;
-    config_.client.master_shards =
-        static_cast<uint32_t>(config_.master_shards);
-  }
+  config_.master.num_shards = config_.master_shards;
   if (config_.placement_leases) {
     config_.master.placement_leases = true;
     config_.master.lease_duration_s = config_.lease_duration_s;
     config_.client.placement_leases = true;
-    // Delegated answers are only cacheable when they carry epochs.
-    config_.master.publish_metadata_epoch = true;
   }
   config_.master.model_resolve_queue = config_.model_resolve_queue;
   if (config_.segmented_index) {
@@ -115,8 +105,7 @@ void PropellerCluster::AdvanceTime(double seconds) {
       auto ack = transport_.Call(node->id(), kMasterId, "mn.heartbeat",
                                  Encode(hb));
       // Placement leases ride back on the ack: install them on the node so
-      // it can answer delegated resolves.  A legacy empty ack decodes to an
-      // all-default response (num_shards = 0) and installs nothing.
+      // it can answer delegated resolves.
       if (config_.placement_leases && ack.status.ok()) {
         if (auto resp = Decode<HeartbeatResponse>(ack.payload); resp.ok()) {
           node->InstallLeases(*resp, now_s_);

@@ -219,10 +219,7 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
     cost += group->StageUpdate(std::move(u), req.now_s);
   }
   span.Advance(cost);
-  if (req.replica_role == kReplicaRoleNone) {
-    return Response{Status::Ok(), {}, cost};
-  }
-  {
+  if (req.replica_role != kReplicaRoleNone) {
     MutexLock rlock(replica_mu_);
     uint64_t& applied = applied_seq_[req.group];
     if (secondary) {
@@ -665,7 +662,6 @@ net::RpcHandler::Response IndexNode::HandleReset(const std::string& payload) {
 void IndexNode::InstallLeases(const HeartbeatResponse& resp, double now_s) {
   MutexLock lock(lease_mu_);
   lease_now_s_ = std::max(lease_now_s_, now_s);
-  if (resp.num_shards == 0) return;  // legacy empty ack, no lease section
   lease_num_shards_ = resp.num_shards;
   lease_index_names_ = resp.index_names;
   for (const ShardLeaseGrant& grant : resp.leases) {
@@ -756,11 +752,7 @@ net::RpcHandler::Response IndexNode::HandleResolveUpdate(
       resp.replicas.push_back(GroupReplicaSet{g, rit->second});
     }
   }
-  if (n == 1) {
-    resp.metadata_epoch = epochs[0];
-  } else {
-    resp.shard_epochs = std::move(epochs);
-  }
+  resp.shard_epochs = std::move(epochs);
   resolve_delegated_->Add(1);
   return Response{Status::Ok(), Encode(resp), cost};
 }
@@ -817,11 +809,7 @@ net::RpcHandler::Response IndexNode::HandleResolveSearch(
             [](const GroupReplicaSet& a, const GroupReplicaSet& b) {
               return a.group < b.group;
             });
-  if (n == 1) {
-    resp.metadata_epoch = epochs[0];
-  } else {
-    resp.shard_epochs = std::move(epochs);
-  }
+  resp.shard_epochs = std::move(epochs);
   resolve_delegated_->Add(1);
   return Response{Status::Ok(), Encode(resp), cost};
 }

@@ -131,7 +131,7 @@ double MasterNode::ChargeShardQueue(Shard& shard, uint32_t shard_index,
 }
 
 template <typename ResponseT>
-void MasterNode::StampShardSections(ResponseT& resp) {
+void MasterNode::StampLeaseHolders(ResponseT& resp) {
   if (!config_.placement_leases) return;
   const uint32_t n = static_cast<uint32_t>(shards_.size());
   resp.lease_holders.resize(n);
@@ -284,8 +284,8 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
   ResolveUpdateResponse resp;
   resp.placements.resize(req->files.size());
 
-  // Bucket request positions by owning shard; n = 1 degenerates to the
-  // legacy single pass in request order.
+  // Bucket request positions by owning shard (at n = 1: one pass in
+  // request order).
   std::vector<std::vector<size_t>> by_shard(n);
   for (size_t i = 0; i < req->files.size(); ++i) {
     by_shard[ShardOfFile(req->files[i], n)].push_back(i);
@@ -295,7 +295,7 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
   bool lease_covered = false;
   double queue_wait = 0;
   for (uint32_t s = 0; s < n; ++s) {
-    if (n > 1 && by_shard[s].empty()) continue;
+    if (by_shard[s].empty()) continue;  // epoch 0: no statement on shard s
     Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
     if (shard.lease_holder != 0) lease_covered = true;
@@ -341,17 +341,11 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
     }
   }
   cost += sim::Cost(queue_wait);
-  if (config_.publish_metadata_epoch) {
-    if (n == 1) {
-      resp.metadata_epoch = epochs[0];
-    } else {
-      resp.shard_epochs = epochs;
-    }
-  }
+  resp.shard_epochs = std::move(epochs);
   // The master answered a resolve a delegate holds a lease for — counted
   // so "leases keep the master out of the steady state" is checkable.
   if (lease_covered) lease_stale_->Add(1);
-  StampShardSections(resp);
+  StampLeaseHolders(resp);
   MaybeFlushMetadata(cost);
   return Response{Status::Ok(), Encode(resp), cost};
 }
@@ -414,15 +408,9 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   }
   std::sort(resp.targets.begin(), resp.targets.end(),
             [](const auto& a, const auto& b) { return a.node < b.node; });
-  if (config_.publish_metadata_epoch) {
-    if (n == 1) {
-      resp.metadata_epoch = epochs[0];
-    } else {
-      resp.shard_epochs = epochs;
-    }
-  }
+  resp.shard_epochs = std::move(epochs);
   if (lease_covered) lease_stale_->Add(1);
-  StampShardSections(resp);
+  StampLeaseHolders(resp);
   sim::Cost cost(config_.lookup_us / 1e6 *
                  static_cast<double>(total_groups + 1));
   cost += sim::Cost(queue_wait);
@@ -770,12 +758,14 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
     SetNodeLoad(shard, req->node, counts[s], /*eligible=*/true);
   }
 
-  if (!config_.placement_leases) return Response{Status::Ok(), {}, cost};
+  HeartbeatResponse hresp;
+  hresp.num_shards = n;
+  if (!config_.placement_leases) {
+    return Response{Status::Ok(), Encode(hresp), cost};
+  }
 
   // Lease grants ride on the heartbeat response: shard s is delegated
   // round-robin to index_nodes_[s mod n_nodes].
-  HeartbeatResponse hresp;
-  hresp.num_shards = n;
   for (const IndexSpec& spec : CatalogSnapshot()) {
     hresp.index_names.push_back(spec.name);
   }
@@ -1097,17 +1087,15 @@ std::string MasterNode::SnapshotMetadataImage() const {
   const uint32_t n = static_cast<uint32_t>(shards_.size());
   // Gather per-shard state one mutex at a time (never two shard mutexes at
   // once).  In the simulated single-threaded driver this is an exact
-  // snapshot, like the legacy image taken under the coarse lock.
-  std::vector<std::pair<GroupId, NodeId>> primaries;
+  // snapshot, like an image taken under one coarse lock.
+  std::vector<GroupReplicaSet> sets;
   std::vector<std::pair<GroupId, std::string>> blobs;
-  std::vector<std::pair<GroupId, std::vector<NodeId>>> rsets;
   std::vector<uint64_t> epochs(n, 0);
   for (uint32_t s = 0; s < n; ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
     for (const auto& [group, replicas] : shard.group_replicas) {
-      primaries.emplace_back(group, replicas.front());
-      if (config_.replication_factor > 1) rsets.emplace_back(group, replicas);
+      sets.push_back({group, replicas});
     }
     for (GroupId g : shard.acg.Groups()) {
       const acg::Acg* a = shard.acg.GroupAcg(g);
@@ -1117,54 +1105,26 @@ std::string MasterNode::SnapshotMetadataImage() const {
     }
     epochs[s] = shard.metadata_epoch;
   }
-  // Sorted by group id: the image is wire/journal bytes, so its layout
-  // must be a pure function of the placement tables (merging the shards'
-  // slices by id reproduces the legacy order).
-  std::sort(primaries.begin(), primaries.end());
+  // Sorted by group id: the image's bytes must be a pure function of the
+  // placement tables, not of hash-map iteration order.
+  std::sort(sets.begin(), sets.end(),
+            [](const auto& a, const auto& b) { return a.group < b.group; });
   std::sort(blobs.begin(), blobs.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::sort(rsets.begin(), rsets.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  // Layout: catalog, replica sets, per-group ACG blobs (the file -> group
+  // mapping), per-shard epochs.
   BinaryWriter w;
-  // Catalog.
   w.PutU32(static_cast<uint32_t>(catalog.size()));
   for (const IndexSpec& s : catalog) s.Serialize(w);
-  // Group placements (each group's primary; full replica sets trail below
-  // when replication is on, keeping the r = 1 image byte-identical).
-  w.PutU32(static_cast<uint32_t>(primaries.size()));
-  for (const auto& [g, node] : primaries) {
-    w.PutU64(g);
-    w.PutU32(node);
-  }
-  // File -> group mapping (via the groups of the ACG managers).
+  PutReplicaSets(w, sets);
   w.PutU32(static_cast<uint32_t>(blobs.size()));
   for (const auto& [g, blob] : blobs) {
     w.PutU64(g);
     w.PutString(blob);
   }
-  // Trailing-optional epoch: written only when published, so the image —
-  // and the simulated flush cost — is unchanged with the feature off.
-  // Replication appends the full replica sets after it, and a sharded
-  // image (n > 1) appends the per-shard epoch vector after those, so each
-  // later section forces the earlier ones (like the wire messages).
-  const bool write_sets = config_.replication_factor > 1;
-  const bool write_vector = n > 1;
-  if (write_sets || write_vector || config_.publish_metadata_epoch) {
-    w.PutU64(*std::max_element(epochs.begin(), epochs.end()));
-  }
-  if (write_sets || write_vector) {
-    w.PutU32(static_cast<uint32_t>(rsets.size()));
-    for (const auto& [g, replicas] : rsets) {
-      w.PutU64(g);
-      w.PutU32(static_cast<uint32_t>(replicas.size()));
-      for (NodeId nd : replicas) w.PutU32(nd);
-    }
-  }
-  if (write_vector) {
-    w.PutU32(n);
-    for (uint64_t e : epochs) w.PutU64(e);
-  }
+  w.PutU32(n);
+  for (uint64_t e : epochs) w.PutU64(e);
   return std::move(w).Take();
 }
 
@@ -1180,16 +1140,8 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     PROPELLER_RETURN_IF_ERROR(IndexSpec::Deserialize(r, s));
     catalog.push_back(std::move(s));
   }
-  uint32_t ng = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(ng));
-  std::vector<std::pair<GroupId, NodeId>> primaries;
-  for (uint32_t i = 0; i < ng; ++i) {
-    GroupId g = 0;
-    NodeId nd = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(nd));
-    primaries.emplace_back(g, nd);
-  }
+  std::vector<GroupReplicaSet> sets;
+  PROPELLER_RETURN_IF_ERROR(GetReplicaSets(r, sets));
   uint32_t na = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(na));
   std::vector<std::pair<GroupId, acg::Acg>> subgraphs;
@@ -1204,47 +1156,13 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     PROPELLER_RETURN_IF_ERROR(acg::Acg::Deserialize(ar, a));
     subgraphs.emplace_back(g, std::move(a));
   }
-  // Trailing-optional epoch.  Restore one *past* the flushed value: the
-  // image may predate un-flushed mutations, so a failed-over master must
-  // not re-issue an epoch clients may already hold for newer state.
-  bool have_epoch = false;
-  uint64_t epoch = 0;
-  if (!r.AtEnd()) {
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(epoch));
-    have_epoch = true;
-  }
-  // Trailing replica sets (replicated image): replace the primary-only
-  // entries decoded above and recount the load view per copy.
-  bool have_sets = false;
-  std::vector<std::pair<GroupId, std::vector<NodeId>>> sets;
-  if (!r.AtEnd()) {
-    uint32_t nr = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(nr));
-    for (uint32_t i = 0; i < nr; ++i) {
-      GroupId g = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
-      uint32_t nn = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(nn));
-      std::vector<NodeId> replicas;
-      for (uint32_t j = 0; j < nn; ++j) {
-        NodeId nd = 0;
-        PROPELLER_RETURN_IF_ERROR(r.GetU32(nd));
-        replicas.push_back(nd);
-      }
-      sets.emplace_back(g, std::move(replicas));
-    }
-    have_sets = true;
-  }
-  // Trailing per-shard epoch vector (sharded image).
+  uint32_t ne = 0;
+  PROPELLER_RETURN_IF_ERROR(r.GetU32(ne));
   std::vector<uint64_t> shard_epochs;
-  if (!r.AtEnd()) {
-    uint32_t cnt = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(cnt));
-    for (uint32_t i = 0; i < cnt; ++i) {
-      uint64_t e = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
-      shard_epochs.push_back(e);
-    }
+  for (uint32_t i = 0; i < ne; ++i) {
+    uint64_t e = 0;
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
+    shard_epochs.push_back(e);
   }
 
   const uint32_t n = static_cast<uint32_t>(shards_.size());
@@ -1268,33 +1186,24 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     shard.lease_holder = 0;
     shard.lease_expiry_s = 0;
     shard.lease_pushed_epoch = 0;
-    if (have_epoch) shard.metadata_epoch = epoch + 1;
+    // Restore one *past* the flushed epoch: the image may predate
+    // un-flushed mutations, so a failed-over master must not re-issue an
+    // epoch clients may already hold for newer state.
     if (s < shard_epochs.size()) shard.metadata_epoch = shard_epochs[s] + 1;
     ++shard.mirror_epoch;  // restored state: any pushed mirror is stale
   }
-  for (const auto& [g, nd] : primaries) {
-    Shard& shard = *shards_[ShardOfGroup(g, n)];
+  // Placement table and load view: one load unit per copy.
+  for (GroupReplicaSet& rs : sets) {
+    if (rs.nodes.empty()) continue;
+    Shard& shard = *shards_[ShardOfGroup(rs.group, n)];
     MutexLock lock(shard.mu_);
-    shard.group_replicas[g] = {nd};
-    ++shard.node_load[nd];
+    for (NodeId nd : rs.nodes) ++shard.node_load[nd];
+    shard.group_replicas[rs.group] = std::move(rs.nodes);
   }
   for (const auto& [g, a] : subgraphs) {
     Shard& shard = *shards_[ShardOfGroup(g, n)];
     MutexLock lock(shard.mu_);
     shard.acg.RestoreGroup(g, a);
-  }
-  if (have_sets) {
-    for (uint32_t s = 0; s < n; ++s) {
-      Shard& shard = *shards_[s];
-      MutexLock lock(shard.mu_);
-      for (auto& [nd, load] : shard.node_load) load = 0;
-    }
-    for (const auto& [g, replicas] : sets) {
-      Shard& shard = *shards_[ShardOfGroup(g, n)];
-      MutexLock lock(shard.mu_);
-      for (NodeId nd : replicas) ++shard.node_load[nd];
-      if (!replicas.empty()) shard.group_replicas[g] = replicas;
-    }
   }
   // Rebuild the ordered placement index from the recounted loads;
   // declared-dead nodes stay excluded until they heartbeat back.

@@ -29,9 +29,7 @@
 // (LockRank::kMaster) is reduced to rare cold state (catalog, flush
 // machinery, recovery events).  Liveness stamps live under a third,
 // shard-independent mutex (LockRank::kMasterLiveness) so heartbeats never
-// queue behind resolves.  At N = 1 every code path below degenerates to
-// the legacy single-shard behavior: wire bytes, simulated costs, and
-// traces are bit-identical.
+// queue behind resolves.  The unsharded master is simply N = 1.
 #pragma once
 
 #include <atomic>
@@ -70,11 +68,6 @@ struct MasterConfig {
   // empty in.create_group when no recovery journal is attached).  Off:
   // the node is only excluded from placement.
   bool auto_recover_dead_nodes = true;
-  // Stamp resolve responses (and the flushed metadata image) with the
-  // master's metadata epoch so clients can cache placements
-  // (read_path_caching layer 1).  Off, responses carry epoch 0 — encoded
-  // as absent — and the wire bytes are unchanged.
-  bool publish_metadata_epoch = false;
   // --- replication (tail-tolerant reads) ---
   // Replicas per group (1 = no replication, the legacy behavior).  Each
   // group's replica set lives on distinct least-loaded nodes; nodes[0] is
@@ -83,7 +76,7 @@ struct MasterConfig {
   // instead of a full rebuild.
   int replication_factor = 1;
   // --- sharding (see file comment) ---
-  // Metadata shards; 1 = the legacy single-shard master (bit-identical).
+  // Metadata shards; 1 = the unsharded master.
   int num_shards = 1;
   // Model per-shard queueing delay for arrival-stamped resolves (open-loop
   // traffic): a resolve whose shard is virtually busy is charged the wait,
@@ -134,9 +127,8 @@ class MasterNode : public net::RpcHandler {
   }
   uint64_t NumGroups() const;
   // Current metadata epoch (monotonically increasing; bumped by every
-  // placement / catalog mutation).  Meaningful to clients only when
-  // publish_metadata_epoch is set.  With num_shards > 1 this is the max
-  // over the per-shard epochs; see MetadataEpochOfShard.
+  // placement / catalog mutation): the max over the per-shard epochs; see
+  // MetadataEpochOfShard.
   uint64_t MetadataEpoch() const;
   uint64_t MetadataEpochOfShard(uint32_t shard) const;
   // Current lease holder of `shard` (0 = none / leases off).
@@ -297,10 +289,10 @@ class MasterNode : public net::RpcHandler {
   // arrival-stamped resolve; returns the queueing wait in seconds.
   double ChargeShardQueue(Shard& shard, uint32_t shard_index, double arrival_s,
                           double service_s) REQUIRES(shard.mu_);
-  // Fills per-shard trailing sections of a resolve response (epoch vector
-  // + lease holders) — no-ops at num_shards = 1 / leases off.
+  // Fills the per-shard lease holders of a resolve response (left empty
+  // with leases off).
   template <typename ResponseT>
-  void StampShardSections(ResponseT& resp);
+  void StampLeaseHolders(ResponseT& resp);
   // Builds this shard's lease grant for `holder` (called on heartbeat).
   ShardLeaseGrant BuildLeaseGrant(Shard& shard, uint32_t shard_index,
                                   NodeId holder, double now_s)

@@ -2,46 +2,17 @@
 
 namespace propeller::core {
 
-namespace {
-
-// Trailing-optional epoch encoding: written only when non-zero so that
-// messages from epoch-less senders (read_path_caching off) are byte-for-
-// byte identical to the pre-epoch wire format — the transport charges
-// message sizes, so this is what keeps the feature cost-free when off.
-void PutTrailingEpoch(BinaryWriter& w, uint64_t epoch) {
-  if (epoch != 0) w.PutU64(epoch);
-}
-
-Status GetTrailingEpoch(BinaryReader& r, uint64_t& epoch) {
-  epoch = 0;
-  if (r.AtEnd()) return Status::Ok();
-  return r.GetU64(epoch);
-}
-
-// Trailing replica-set section (replication).  Follows the trailing
-// epoch, so when the section is written the epoch always is too (its real
-// value, possibly 0) — the decoder can then distinguish "epoch only" from
-// "epoch + replicas" purely by remaining bytes.
-void PutTrailingReplicas(BinaryWriter& w, uint64_t epoch,
-                         const std::vector<GroupReplicaSet>& replicas) {
-  if (replicas.empty()) {
-    PutTrailingEpoch(w, epoch);
-    return;
-  }
-  w.PutU64(epoch);
-  w.PutU32(static_cast<uint32_t>(replicas.size()));
-  for (const GroupReplicaSet& rs : replicas) {
+void PutReplicaSets(BinaryWriter& w, const std::vector<GroupReplicaSet>& sets) {
+  w.PutU32(static_cast<uint32_t>(sets.size()));
+  for (const GroupReplicaSet& rs : sets) {
     w.PutU64(rs.group);
     w.PutU32(static_cast<uint32_t>(rs.nodes.size()));
     for (NodeId n : rs.nodes) w.PutU32(n);
   }
 }
 
-Status GetTrailingReplicas(BinaryReader& r, uint64_t& epoch,
-                           std::vector<GroupReplicaSet>& replicas) {
-  replicas.clear();
-  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, epoch));
-  if (r.AtEnd()) return Status::Ok();
+Status GetReplicaSets(BinaryReader& r, std::vector<GroupReplicaSet>& sets) {
+  sets.clear();
   uint32_t n = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
   for (uint32_t i = 0; i < n; ++i) {
@@ -54,48 +25,30 @@ Status GetTrailingReplicas(BinaryReader& r, uint64_t& epoch,
       PROPELLER_RETURN_IF_ERROR(r.GetU32(node));
       rs.nodes.push_back(node);
     }
-    replicas.push_back(std::move(rs));
+    sets.push_back(std::move(rs));
   }
   return Status::Ok();
 }
 
-// Trailing shard sections (sharded master): a per-shard epoch vector, then
-// a per-shard lease-holder vector.  Either one being present forces every
-// earlier trailing section onto the wire (epoch with its real value,
-// possibly 0; replicas with a possibly-zero count) so the decoder can walk
-// the sections purely by remaining bytes.  Both absent reduces to the
-// legacy PutTrailingReplicas bytes.
-void PutTrailingShardSections(BinaryWriter& w, uint64_t epoch,
-                              const std::vector<GroupReplicaSet>& replicas,
-                              const std::vector<uint64_t>& shard_epochs,
-                              const std::vector<NodeId>& lease_holders) {
-  if (shard_epochs.empty() && lease_holders.empty()) {
-    PutTrailingReplicas(w, epoch, replicas);
-    return;
-  }
-  w.PutU64(epoch);
-  w.PutU32(static_cast<uint32_t>(replicas.size()));
-  for (const GroupReplicaSet& rs : replicas) {
-    w.PutU64(rs.group);
-    w.PutU32(static_cast<uint32_t>(rs.nodes.size()));
-    for (NodeId n : rs.nodes) w.PutU32(n);
-  }
+namespace {
+
+// The routing tail both resolve responses share: replica sets, per-shard
+// epochs, per-shard lease holders.
+void PutRoutingTail(BinaryWriter& w, const std::vector<GroupReplicaSet>& replicas,
+                    const std::vector<uint64_t>& shard_epochs,
+                    const std::vector<NodeId>& lease_holders) {
+  PutReplicaSets(w, replicas);
   w.PutU32(static_cast<uint32_t>(shard_epochs.size()));
   for (uint64_t e : shard_epochs) w.PutU64(e);
-  if (!lease_holders.empty()) {
-    w.PutU32(static_cast<uint32_t>(lease_holders.size()));
-    for (NodeId n : lease_holders) w.PutU32(n);
-  }
+  w.PutU32(static_cast<uint32_t>(lease_holders.size()));
+  for (NodeId n : lease_holders) w.PutU32(n);
 }
 
-Status GetTrailingShardSections(BinaryReader& r, uint64_t& epoch,
-                                std::vector<GroupReplicaSet>& replicas,
-                                std::vector<uint64_t>& shard_epochs,
-                                std::vector<NodeId>& lease_holders) {
+Status GetRoutingTail(BinaryReader& r, std::vector<GroupReplicaSet>& replicas,
+                      std::vector<uint64_t>& shard_epochs,
+                      std::vector<NodeId>& lease_holders) {
+  PROPELLER_RETURN_IF_ERROR(GetReplicaSets(r, replicas));
   shard_epochs.clear();
-  lease_holders.clear();
-  PROPELLER_RETURN_IF_ERROR(GetTrailingReplicas(r, epoch, replicas));
-  if (r.AtEnd()) return Status::Ok();
   uint32_t ns = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(ns));
   for (uint32_t i = 0; i < ns; ++i) {
@@ -103,7 +56,7 @@ Status GetTrailingShardSections(BinaryReader& r, uint64_t& epoch,
     PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
     shard_epochs.push_back(e);
   }
-  if (r.AtEnd()) return Status::Ok();
+  lease_holders.clear();
   uint32_t nh = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(nh));
   for (uint32_t i = 0; i < nh; ++i) {
@@ -114,24 +67,12 @@ Status GetTrailingShardSections(BinaryReader& r, uint64_t& epoch,
   return Status::Ok();
 }
 
-// Trailing arrival stamp on resolve requests: absent when 0, so unstamped
-// traffic keeps the legacy bytes.
-void PutTrailingArrival(BinaryWriter& w, double arrival_s) {
-  if (arrival_s > 0) w.PutDouble(arrival_s);
-}
-
-Status GetTrailingArrival(BinaryReader& r, double& arrival_s) {
-  arrival_s = 0;
-  if (r.AtEnd()) return Status::Ok();
-  return r.GetDouble(arrival_s);
-}
-
 }  // namespace
 
 void ResolveUpdateRequest::Serialize(BinaryWriter& w) const {
   w.PutU32(static_cast<uint32_t>(files.size()));
   for (FileId f : files) w.PutU64(f);
-  PutTrailingArrival(w, arrival_s);
+  w.PutDouble(arrival_s);
 }
 Status ResolveUpdateRequest::Deserialize(BinaryReader& r,
                                          ResolveUpdateRequest& out) {
@@ -143,7 +84,7 @@ Status ResolveUpdateRequest::Deserialize(BinaryReader& r,
     PROPELLER_RETURN_IF_ERROR(r.GetU64(f));
     out.files.push_back(f);
   }
-  return GetTrailingArrival(r, out.arrival_s);
+  return r.GetDouble(out.arrival_s);
 }
 
 void ResolveUpdateResponse::Serialize(BinaryWriter& w) const {
@@ -153,8 +94,7 @@ void ResolveUpdateResponse::Serialize(BinaryWriter& w) const {
     w.PutU64(p.group);
     w.PutU32(p.node);
   }
-  PutTrailingShardSections(w, metadata_epoch, replicas, shard_epochs,
-                           lease_holders);
+  PutRoutingTail(w, replicas, shard_epochs, lease_holders);
 }
 Status ResolveUpdateResponse::Deserialize(BinaryReader& r,
                                           ResolveUpdateResponse& out) {
@@ -168,18 +108,17 @@ Status ResolveUpdateResponse::Deserialize(BinaryReader& r,
     PROPELLER_RETURN_IF_ERROR(r.GetU32(p.node));
     out.placements.push_back(p);
   }
-  return GetTrailingShardSections(r, out.metadata_epoch, out.replicas,
-                                  out.shard_epochs, out.lease_holders);
+  return GetRoutingTail(r, out.replicas, out.shard_epochs, out.lease_holders);
 }
 
 void ResolveSearchRequest::Serialize(BinaryWriter& w) const {
   w.PutString(index_name);
-  PutTrailingArrival(w, arrival_s);
+  w.PutDouble(arrival_s);
 }
 Status ResolveSearchRequest::Deserialize(BinaryReader& r,
                                          ResolveSearchRequest& out) {
   PROPELLER_RETURN_IF_ERROR(r.GetString(out.index_name));
-  return GetTrailingArrival(r, out.arrival_s);
+  return r.GetDouble(out.arrival_s);
 }
 
 void ResolveSearchResponse::Serialize(BinaryWriter& w) const {
@@ -189,8 +128,7 @@ void ResolveSearchResponse::Serialize(BinaryWriter& w) const {
     w.PutU32(static_cast<uint32_t>(t.groups.size()));
     for (GroupId g : t.groups) w.PutU64(g);
   }
-  PutTrailingShardSections(w, metadata_epoch, replicas, shard_epochs,
-                           lease_holders);
+  PutRoutingTail(w, replicas, shard_epochs, lease_holders);
 }
 Status ResolveSearchResponse::Deserialize(BinaryReader& r,
                                           ResolveSearchResponse& out) {
@@ -209,8 +147,7 @@ Status ResolveSearchResponse::Deserialize(BinaryReader& r,
     }
     out.targets.push_back(std::move(t));
   }
-  return GetTrailingShardSections(r, out.metadata_epoch, out.replicas,
-                                  out.shard_epochs, out.lease_holders);
+  return GetRoutingTail(r, out.replicas, out.shard_epochs, out.lease_holders);
 }
 
 void CreateIndexRequest::Serialize(BinaryWriter& w) const { spec.Serialize(w); }
@@ -250,8 +187,6 @@ Status HeartbeatRequest::Deserialize(BinaryReader& r, HeartbeatRequest& out) {
 }
 
 void HeartbeatResponse::Serialize(BinaryWriter& w) const {
-  // All-default = zero bytes: the legacy empty heartbeat ack.
-  if (num_shards == 0 && index_names.empty() && leases.empty()) return;
   w.PutU32(num_shards);
   w.PutU32(static_cast<uint32_t>(index_names.size()));
   for (const std::string& name : index_names) w.PutString(name);
@@ -261,31 +196,25 @@ void HeartbeatResponse::Serialize(BinaryWriter& w) const {
     w.PutU64(g.epoch);
     w.PutDouble(g.expiry_s);
     w.PutU8(g.has_mirror ? 1 : 0);
-    if (!g.has_mirror) continue;
-    w.PutU32(static_cast<uint32_t>(g.groups.size()));
-    for (const ShardLeaseGrant::GroupPrimary& gp : g.groups) {
-      w.PutU64(gp.group);
-      w.PutU32(gp.node);
-    }
-    w.PutU32(static_cast<uint32_t>(g.replicas.size()));
-    for (const GroupReplicaSet& rs : g.replicas) {
-      w.PutU64(rs.group);
-      w.PutU32(static_cast<uint32_t>(rs.nodes.size()));
-      for (NodeId n : rs.nodes) w.PutU32(n);
-    }
-    w.PutU32(static_cast<uint32_t>(g.files.size()));
-    for (const ShardLeaseGrant::FileGroup& fg : g.files) {
-      w.PutU64(fg.file);
-      w.PutU64(fg.group);
+    // The mirror follows only when the flag byte above says so.
+    if (g.has_mirror) {
+      w.PutU32(static_cast<uint32_t>(g.groups.size()));
+      for (const ShardLeaseGrant::GroupPrimary& gp : g.groups) {
+        w.PutU64(gp.group);
+        w.PutU32(gp.node);
+      }
+      PutReplicaSets(w, g.replicas);
+      w.PutU32(static_cast<uint32_t>(g.files.size()));
+      for (const ShardLeaseGrant::FileGroup& fg : g.files) {
+        w.PutU64(fg.file);
+        w.PutU64(fg.group);
+      }
     }
   }
 }
 Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
-  out.num_shards = 0;
-  out.index_names.clear();
-  out.leases.clear();
-  if (r.AtEnd()) return Status::Ok();  // legacy empty ack
   PROPELLER_RETURN_IF_ERROR(r.GetU32(out.num_shards));
+  out.index_names.clear();
   uint32_t nn = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(nn));
   for (uint32_t i = 0; i < nn; ++i) {
@@ -293,6 +222,7 @@ Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
     PROPELLER_RETURN_IF_ERROR(r.GetString(name));
     out.index_names.push_back(std::move(name));
   }
+  out.leases.clear();
   uint32_t nl = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(nl));
   for (uint32_t i = 0; i < nl; ++i) {
@@ -312,20 +242,7 @@ Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
         PROPELLER_RETURN_IF_ERROR(r.GetU32(gp.node));
         g.groups.push_back(gp);
       }
-      uint32_t nr = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(nr));
-      for (uint32_t j = 0; j < nr; ++j) {
-        GroupReplicaSet rs;
-        PROPELLER_RETURN_IF_ERROR(r.GetU64(rs.group));
-        uint32_t nrn = 0;
-        PROPELLER_RETURN_IF_ERROR(r.GetU32(nrn));
-        for (uint32_t k = 0; k < nrn; ++k) {
-          NodeId node = 0;
-          PROPELLER_RETURN_IF_ERROR(r.GetU32(node));
-          rs.nodes.push_back(node);
-        }
-        g.replicas.push_back(std::move(rs));
-      }
+      PROPELLER_RETURN_IF_ERROR(GetReplicaSets(r, g.replicas));
       uint32_t nf = 0;
       PROPELLER_RETURN_IF_ERROR(r.GetU32(nf));
       for (uint32_t j = 0; j < nf; ++j) {
@@ -362,23 +279,14 @@ void StageUpdatesRequest::Serialize(BinaryWriter& w) const {
   // Hot path: one message per update batch.  Pre-size for the typical
   // serialized FileUpdate (~96 bytes of path + attributes) so the encode
   // does not reallocate repeatedly.
-  w.Reserve(20 + updates.size() * 96);
+  w.Reserve(30 + updates.size() * 96);
   w.PutU64(group);
   w.PutDouble(now_s);
   w.PutU32(static_cast<uint32_t>(updates.size()));
   for (const FileUpdate& u : updates) u.Serialize(w);
-  if (admission != 0) {
-    // Admission implies role and epoch are present (values may be 0).
-    w.PutU64(epoch);
-    w.PutU8(replica_role);
-    w.PutU8(admission);
-  } else if (replica_role != kReplicaRoleNone) {
-    // Role implies the epoch field is present (its value may be 0).
-    w.PutU64(epoch);
-    w.PutU8(replica_role);
-  } else {
-    PutTrailingEpoch(w, epoch);
-  }
+  w.PutU64(epoch);
+  w.PutU8(replica_role);
+  w.PutU8(admission);
 }
 Status StageUpdatesRequest::Deserialize(BinaryReader& r, StageUpdatesRequest& out) {
   PROPELLER_RETURN_IF_ERROR(r.GetU64(out.group));
@@ -391,12 +299,8 @@ Status StageUpdatesRequest::Deserialize(BinaryReader& r, StageUpdatesRequest& ou
     PROPELLER_RETURN_IF_ERROR(FileUpdate::Deserialize(r, u));
     out.updates.push_back(std::move(u));
   }
-  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, out.epoch));
-  out.replica_role = kReplicaRoleNone;
-  out.admission = 0;
-  if (r.AtEnd()) return Status::Ok();
+  PROPELLER_RETURN_IF_ERROR(r.GetU64(out.epoch));
   PROPELLER_RETURN_IF_ERROR(r.GetU8(out.replica_role));
-  if (r.AtEnd()) return Status::Ok();
   return r.GetU8(out.admission);
 }
 
@@ -408,24 +312,17 @@ Status StageUpdatesResponse::Deserialize(BinaryReader& r,
 
 void SearchRequest::Serialize(BinaryWriter& w) const {
   // Hot path: one message per fan-out target; dominated by the group list.
-  w.Reserve(4 + groups.size() * 8 + 128);
+  w.Reserve(24 + groups.size() * 8 + min_seqs.size() * 16 + 128);
   w.PutU32(static_cast<uint32_t>(groups.size()));
   for (GroupId g : groups) w.PutU64(g);
   predicate.Serialize(w);
-  if (arrival_s > 0 || !min_seqs.empty()) {
-    // Floors (or an arrival stamp) imply the epoch field is present (its
-    // value may be 0); the stamp additionally implies the floor list is
-    // present (it may be empty).
-    w.PutU64(epoch);
-    w.PutU32(static_cast<uint32_t>(min_seqs.size()));
-    for (const GroupSeqFloor& f : min_seqs) {
-      w.PutU64(f.group);
-      w.PutU64(f.seq);
-    }
-    if (arrival_s > 0) w.PutDouble(arrival_s);
-  } else {
-    PutTrailingEpoch(w, epoch);
+  w.PutU64(epoch);
+  w.PutU32(static_cast<uint32_t>(min_seqs.size()));
+  for (const GroupSeqFloor& f : min_seqs) {
+    w.PutU64(f.group);
+    w.PutU64(f.seq);
   }
+  w.PutDouble(arrival_s);
 }
 Status SearchRequest::Deserialize(BinaryReader& r, SearchRequest& out) {
   uint32_t n = 0;
@@ -437,10 +334,8 @@ Status SearchRequest::Deserialize(BinaryReader& r, SearchRequest& out) {
     out.groups.push_back(g);
   }
   PROPELLER_RETURN_IF_ERROR(Predicate::Deserialize(r, out.predicate));
-  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, out.epoch));
+  PROPELLER_RETURN_IF_ERROR(r.GetU64(out.epoch));
   out.min_seqs.clear();
-  out.arrival_s = 0;
-  if (r.AtEnd()) return Status::Ok();
   uint32_t nf = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(nf));
   for (uint32_t i = 0; i < nf; ++i) {
@@ -449,7 +344,6 @@ Status SearchRequest::Deserialize(BinaryReader& r, SearchRequest& out) {
     PROPELLER_RETURN_IF_ERROR(r.GetU64(f.seq));
     out.min_seqs.push_back(f);
   }
-  if (r.AtEnd()) return Status::Ok();
   return r.GetDouble(out.arrival_s);
 }
 

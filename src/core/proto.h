@@ -31,42 +31,47 @@ using index::IndexSpec;
 using index::Predicate;
 using net::NodeId;
 
+// ---- layout convention ----
+// Every message has one fixed layout: each field is always written, so a
+// configuration flag changes field values, never which fields are on the
+// wire (the one conditional section, a lease grant's mirror, follows its
+// own has_mirror byte).  A decoder that finds bytes left over rejects the
+// message (see Decode).
+
 // ---- epoch convention (read-path caching) ----
-// The master stamps its routing metadata with a monotonically increasing
-// `metadata_epoch` (bumped whenever placement or the catalog changes).
-// Resolve responses carry it so clients can cache placements keyed by
-// epoch, and the cached epoch rides on in.search / in.stage_updates so an
-// Index Node can reject requests for groups it no longer owns with
-// kStaleLocation.  Epoch 0 means "not in use": it is encoded as *absent*
-// (a trailing field written only when non-zero), keeping the wire bytes —
-// and therefore the simulated transfer costs — bit-identical to the
-// pre-caching protocol whenever the feature is off.
+// The master stamps its routing metadata with monotonically increasing
+// per-shard epochs (bumped whenever placement or the catalog changes).
+// Every resolve response carries them in `shard_epochs` — always one slot
+// per metadata shard — so clients can cache placements keyed by epoch, and
+// the cached epoch rides on in.search / in.stage_updates so an Index Node
+// can reject requests for groups it no longer owns with kStaleLocation.
+// Epoch 0 means "no statement": an untouched shard's slot on a response,
+// or an unstamped request.
 
 // ---- replica convention (group replication) ----
 // With ClusterConfig::replication_factor > 1 every group lives on r
 // distinct nodes; nodes[0] is the *primary* (sole journal appender, always
 // in the write quorum) and the rest are secondaries (hedge / failover
-// targets).  Resolve responses carry the per-group replica sets as a
-// trailing section written only when some group is actually replicated, so
-// an unreplicated cluster's wire bytes are unchanged.  Because the section
-// follows the trailing-optional epoch, a sender that writes it always
-// writes the epoch field too (its real value, possibly 0).
+// targets).  Resolve responses carry the per-group replica sets (empty
+// when unreplicated).
 struct GroupReplicaSet {
   GroupId group = 0;
   std::vector<NodeId> nodes;  // nodes[0] = primary
 };
+// The one replica-set encoding: resolve responses, the lease mirror on
+// heartbeat acks, and the master's metadata image all use it.
+void PutReplicaSets(BinaryWriter& w, const std::vector<GroupReplicaSet>& sets);
+Status GetReplicaSets(BinaryReader& r, std::vector<GroupReplicaSet>& sets);
 
 // ---- shard convention (sharded master) ----
-// With ClusterConfig::master_shards = N > 1 the master hash-partitions its
-// metadata into N shards: a file belongs to shard ShardOfFile(file, N) and
-// a group allocated by shard s carries id ≡ s + 1 (mod N), so
-// ShardOfGroup inverts the assignment without a lookup.  Each shard keeps
-// its own metadata_epoch; resolve responses then carry a trailing per-shard
-// epoch vector (0 entries = "no statement about that shard") so a client
-// invalidates only the shard whose placement actually changed.  With
-// placement leases on, a second trailing vector names each shard's current
-// lease holder (0 = none) so clients can send resolves to the delegate.
-// Both sections are absent at N = 1 / leases off — wire bytes unchanged.
+// The master hash-partitions its metadata into N = ClusterConfig::
+// master_shards shards (N = 1 is the unsharded master): a file belongs to
+// shard ShardOfFile(file, N) and a group allocated by shard s carries id
+// ≡ s + 1 (mod N), so ShardOfGroup inverts the assignment without a
+// lookup.  Each shard keeps its own epoch, so a client invalidates only the
+// shard whose placement actually changed.  With placement leases on,
+// `lease_holders` names each shard's current lease holder (0 = none) so
+// clients can send resolves to the delegate; it is empty with leases off.
 inline uint32_t ShardOfFile(FileId file, uint32_t num_shards) {
   if (num_shards <= 1) return 0;
   // splitmix64 finalizer: stable across platforms (std::hash is not).
@@ -86,9 +91,9 @@ inline uint32_t ShardOfGroup(GroupId group, uint32_t num_shards) {
 // The master places unknown files and answers (file, group, node) triples.
 struct ResolveUpdateRequest {
   std::vector<FileId> files;
-  // Trailing-optional arrival stamp (open-loop traffic): > 0 carries the
-  // virtual time the op entered the system so the master can model
-  // queueing delay on the owning metadata shard.  Absent when 0.
+  // Arrival stamp (open-loop traffic): > 0 carries the virtual time the op
+  // entered the system so the master can model queueing delay on the
+  // owning metadata shard; 0 = unstamped.
   double arrival_s = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, ResolveUpdateRequest& out);
@@ -100,11 +105,9 @@ struct ResolveUpdateResponse {
     NodeId node = 0;  // the group's primary
   };
   std::vector<Placement> placements;
-  uint64_t metadata_epoch = 0;  // 0 = master not publishing epochs
   // Full replica sets for the groups named above (empty = unreplicated).
   std::vector<GroupReplicaSet> replicas;
-  // Trailing-optional per-shard epochs + lease holders (see shard
-  // convention above); empty at master_shards = 1 / leases off.
+  // Per-shard epochs + lease holders (see the conventions above).
   std::vector<uint64_t> shard_epochs;
   std::vector<NodeId> lease_holders;
   void Serialize(BinaryWriter& w) const;
@@ -116,9 +119,9 @@ struct ResolveUpdateResponse {
 // Empty name = all groups.
 struct ResolveSearchRequest {
   std::string index_name;
-  // Trailing-optional arrival stamp (open-loop traffic): see
-  // ResolveUpdateRequest.  On the sharded master a search resolve reads
-  // every shard, so its queueing delay is the max over the shards.
+  // Arrival stamp (open-loop traffic): see ResolveUpdateRequest.  On the
+  // sharded master a search resolve reads every shard, so its queueing
+  // delay is the max over the shards.
   double arrival_s = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, ResolveSearchRequest& out);
@@ -129,12 +132,10 @@ struct ResolveSearchResponse {
     std::vector<GroupId> groups;
   };
   std::vector<NodeGroups> targets;  // keyed by each group's primary
-  uint64_t metadata_epoch = 0;  // 0 = master not publishing epochs
   // Full replica sets per group (empty = unreplicated); clients hedge
   // slow/failed primary branches to nodes[1].
   std::vector<GroupReplicaSet> replicas;
-  // Trailing-optional per-shard epochs + lease holders (see shard
-  // convention above); empty at master_shards = 1 / leases off.
+  // Per-shard epochs + lease holders (see the conventions above).
   std::vector<uint64_t> shard_epochs;
   std::vector<NodeId> lease_holders;
   void Serialize(BinaryWriter& w) const;
@@ -170,15 +171,14 @@ struct HeartbeatRequest {
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, HeartbeatRequest& out);
 };
-// Heartbeat responses were historically empty acks; with placement leases
-// on, the master rides its lease grants on them.  A grant names a metadata
-// shard the node may answer resolves for until `expiry_s`, and — only when
-// the shard's epoch moved since the last push — a mirror of the shard's
-// routing state (group -> primary, replica sets, file -> group) the node
-// serves those resolves from.  Steady state (no metadata churn) renewals
-// carry no mirror, so the per-heartbeat cost stays near the legacy ack.
-// An all-default response serializes to zero bytes: with leases off the
-// wire is bit-identical to the legacy empty ack.
+// With placement leases on, the master rides its lease grants on the
+// heartbeat ack.  A grant names a metadata shard the node may answer
+// resolves for until `expiry_s`, and — only when the shard's epoch moved
+// since the last push — a mirror of the shard's routing state (group ->
+// primary, replica sets, file -> group) the node serves those resolves
+// from.  Steady state (no metadata churn) renewals carry no mirror, so the
+// per-heartbeat cost stays near a bare ack.  With leases off the ack is
+// just the header: the shard count and two empty lists.
 struct ShardLeaseGrant {
   uint32_t shard = 0;
   uint64_t epoch = 0;   // the mirror's epoch (what delegated answers stamp)
@@ -197,7 +197,7 @@ struct ShardLeaseGrant {
   std::vector<FileGroup> files;            // mirror: file -> group
 };
 struct HeartbeatResponse {
-  uint32_t num_shards = 0;  // 0 = no lease section (legacy empty ack)
+  uint32_t num_shards = 0;  // the master's metadata shard count
   std::vector<std::string> index_names;  // catalog names for delegated checks
   std::vector<ShardLeaseGrant> leases;
   void Serialize(BinaryWriter& w) const;
@@ -213,9 +213,9 @@ struct CreateGroupRequest {
 };
 
 // ---- in.stage_updates ----
-// Replica roles (StageUpdatesRequest::replica_role).  kNone keeps the
-// legacy contract: the node appends to the journal iff one is attached and
-// the response payload is empty.  Under replication the client fans one
+// Replica roles (StageUpdatesRequest::replica_role).  kNone: the node
+// appends to the journal iff one is attached and acks seq 0.  Under
+// replication the client fans one
 // shipment per replica: the primary appends to the journal and acks the
 // assigned commit seq; secondaries stage only (the primary's append is the
 // single durable copy) and track their own applied count.
@@ -231,21 +231,16 @@ struct StageUpdatesRequest {
   // node to answer kStaleLocation (instead of kNotFound) when the group
   // has moved away, triggering the client's re-resolve + retry.
   uint64_t epoch = 0;
-  // Trailing-optional (absent when kReplicaRoleNone, so unreplicated wire
-  // bytes are unchanged); when written, the epoch field is always written
-  // first.
   uint8_t replica_role = kReplicaRoleNone;
-  // Trailing-optional admission flag (open-loop traffic): non-zero asks
-  // the node to run this batch through its bounded admission queue at
-  // virtual time `now_s` (kOverloaded on overflow, before any staging).
-  // Absent when 0 — unstamped wire bytes are unchanged; when written, the
-  // epoch and replica_role fields are always written first.
+  // Admission flag (open-loop traffic): non-zero asks the node to run this
+  // batch through its bounded admission queue at virtual time `now_s`
+  // (kOverloaded on overflow, before any staging).
   uint8_t admission = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, StageUpdatesRequest& out);
 };
-// Response payload only under replication (legacy responses stay empty):
-// the replica's applied commit sequence after this batch.
+// The replica's applied commit sequence after this batch (0 when the
+// request carried no replica role).
 struct StageUpdatesResponse {
   uint64_t seq = 0;
   void Serialize(BinaryWriter& w) const;
@@ -262,19 +257,15 @@ struct SearchRequest {
   // Read-your-writes floors (replication): per-group minimum applied
   // commit sequences from the client's primary-acked writes.  A replica
   // whose applied seq is behind a floor answers kStaleReplica instead of
-  // serving stale results.  Trailing-optional: absent when empty (and the
-  // epoch is always written when floors are).
+  // serving stale results.
   struct GroupSeqFloor {
     GroupId group = 0;
     uint64_t seq = 0;
   };
   std::vector<GroupSeqFloor> min_seqs;
-  // Trailing-optional arrival stamp (open-loop traffic): > 0 carries the
-  // virtual time the request entered the system, asking the node to model
-  // queueing delay at its bounded admission queue (kOverloaded on
-  // overflow).  Absent when 0 — unstamped wire bytes are unchanged; when
-  // written, the epoch and min_seqs sections are always written first
-  // (the floor list may be empty).
+  // Arrival stamp (open-loop traffic): > 0 carries the virtual time the
+  // request entered the system, asking the node to model queueing delay at
+  // its bounded admission queue (kOverloaded on overflow); 0 = unstamped.
   double arrival_s = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, SearchRequest& out);
@@ -386,13 +377,18 @@ std::string Encode(const T& msg) {
   return std::move(w).Take();
 }
 
-// Parses a payload into a message struct.
+// Parses a payload into a message struct.  Layouts are fixed, so bytes
+// left over after the message are corruption, not an unknown extension.
 template <typename T>
 Result<T> Decode(const std::string& payload) {
   BinaryReader r(payload);
   T out{};
   Status st = T::Deserialize(r, out);
   if (!st.ok()) return st;
+  if (!r.AtEnd()) {
+    return Status::Corruption(std::to_string(r.Remaining()) +
+                              " trailing byte(s) after message");
+  }
   return out;
 }
 

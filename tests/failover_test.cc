@@ -1,6 +1,9 @@
 // Master high-availability (extension): standby replication + failover.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "core/cluster.h"
 
 namespace propeller::core {
@@ -114,6 +117,52 @@ TEST(FailoverTest, CatalogSurvivesFailover) {
   auto dup = client.CreateIndex({"by_size", index::IndexType::kBTree, {"size"}});
   EXPECT_EQ(dup.status().code(), StatusCode::kAlreadyExists);
   ASSERT_EQ(cluster.master().Catalog().size(), 1u);
+}
+
+// A sharded, unreplicated master must restore its load view from the
+// image: placement right after a failover (before any heartbeat refreshes
+// the loads) still goes to the less-loaded node.
+TEST(FailoverTest, ShardedFailoverKeepsNodeLoads) {
+  ClusterConfig cfg = Config();
+  cfg.index_nodes = 2;
+  cfg.master_shards = 2;
+  cfg.master.acg_policy.cluster_target = 1;  // one group per new file
+  PropellerCluster cluster(cfg);
+  auto& client = cluster.client();
+  ASSERT_TRUE(client.CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
+                  .ok());
+
+  // Files of metadata shard 0, each opening its own group there.
+  std::vector<FileId> files;
+  for (FileId f = 1; files.size() < 4; ++f) {
+    if (ShardOfFile(f, 2) == 0) files.push_back(f);
+  }
+  // Three groups alternate across the two nodes: loads 2 and 1.
+  std::vector<FileUpdate> updates;
+  for (size_t i = 0; i < 3; ++i) updates.push_back(Upsert(files[i], 1));
+  ASSERT_TRUE(client.BatchUpdate(std::move(updates), cluster.now()).ok());
+  std::map<NodeId, int> load;
+  for (size_t i = 0; i < 3; ++i) {
+    auto group = cluster.master().acg_manager().GroupOf(files[i]);
+    ASSERT_TRUE(group.has_value());
+    ++load[cluster.master().NodeOfGroup(*group).value()];
+  }
+  ASSERT_EQ(load.size(), 2u);
+  const NodeId lighter =
+      load.begin()->second < load.rbegin()->second ? load.begin()->first
+                                                   : load.rbegin()->first;
+  ASSERT_EQ(load[lighter], 1);
+
+  cluster.EnableStandbyMaster();
+  ASSERT_TRUE(cluster.FailoverToStandby().ok());
+
+  // No time passes, so no heartbeat refreshes the restored load view.
+  std::vector<FileUpdate> next = {Upsert(files[3], 1)};
+  ASSERT_TRUE(client.BatchUpdate(std::move(next), cluster.now()).ok());
+  auto group = cluster.master().acg_manager().GroupOf(files[3]);
+  ASSERT_TRUE(group.has_value());
+  EXPECT_EQ(cluster.master().NodeOfGroup(*group).value(), lighter)
+      << "restored master placed the new group ignoring node loads";
 }
 
 }  // namespace

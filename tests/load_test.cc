@@ -161,14 +161,10 @@ TEST(ProtoTest, SearchRequestArrivalStampRoundTrips) {
   ASSERT_EQ(out->min_seqs.size(), 1u);
   EXPECT_EQ(out->min_seqs[0].seq, 11u);
 
-  // Unstamped: the field is absent from the wire (not a zero), so legacy
-  // traffic is byte-identical with the feature unused.
+  // Unstamped decodes as 0.
   core::SearchRequest plain;
   plain.groups = {7, 9};
   plain.predicate.And("size", CmpOp::kGe, AttrValue(int64_t{42}));
-  core::SearchRequest stamped = plain;
-  stamped.arrival_s = 0.25;
-  EXPECT_LT(core::Encode(plain).size(), core::Encode(stamped).size());
   auto back = core::Decode<core::SearchRequest>(core::Encode(plain));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->arrival_s, 0.0);
@@ -197,15 +193,7 @@ TEST(ProtoTest, StageUpdatesAdmissionFlagRoundTrips) {
   EXPECT_EQ(out->replica_role, core::kReplicaRolePrimary);
   EXPECT_EQ(out->epoch, 8u);
 
-  // Unflagged stays the legacy encoding.
   req.admission = 0;
-  req.replica_role = core::kReplicaRoleNone;
-  req.epoch = 0;
-  core::StageUpdatesRequest legacy;
-  legacy.group = 5;
-  legacy.now_s = 1.5;
-  legacy.updates.push_back(u);
-  EXPECT_EQ(core::Encode(req), core::Encode(legacy));
   out = core::Decode<core::StageUpdatesRequest>(core::Encode(req));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->admission, 0);

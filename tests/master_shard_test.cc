@@ -75,7 +75,6 @@ class ShardedMasterTest : public ::testing::Test {
     MasterConfig cfg;
     cfg.acg_policy.cluster_target = 4;
     cfg.num_shards = kShards;
-    cfg.publish_metadata_epoch = true;
     return cfg;
   }
 
@@ -119,8 +118,6 @@ TEST_F(ShardedMasterTest, ResolveResponsesCarryPerShardEpochVector) {
   ASSERT_TRUE(resp.status.ok());
   auto decoded = Decode<ResolveUpdateResponse>(resp.payload);
   ASSERT_TRUE(decoded.ok());
-  // > 1 shard publishes the vector, not the legacy scalar.
-  EXPECT_EQ(decoded->metadata_epoch, 0u);
   ASSERT_EQ(decoded->shard_epochs.size(), kShards);
   EXPECT_GT(decoded->shard_epochs[0], 0u);
   EXPECT_GT(decoded->shard_epochs[1], 0u);

@@ -79,28 +79,6 @@ uint64_t ClientCounter(PropellerClient& client, const std::string& k) {
 
 // --- 1. wire compatibility -------------------------------------------------
 
-TEST(ReadPathProtoTest, TrailingEpochIsAbsentWhenZero) {
-  SearchRequest req;
-  req.groups = {1, 2, 3};
-  req.predicate.And("size", index::CmpOp::kGt, index::AttrValue(int64_t{5}));
-
-  const std::string without = Encode(req);
-  req.epoch = 42;
-  const std::string with = Encode(req);
-  // Epoch 0 writes nothing: the pre-epoch wire format, byte for byte (and
-  // the same simulated transport charge).
-  EXPECT_LT(without.size(), with.size());
-
-  auto decoded_old = Decode<SearchRequest>(without);
-  ASSERT_TRUE(decoded_old.ok());
-  EXPECT_EQ(decoded_old->epoch, 0u);
-  EXPECT_EQ(decoded_old->groups, req.groups);
-
-  auto decoded_new = Decode<SearchRequest>(with);
-  ASSERT_TRUE(decoded_new.ok());
-  EXPECT_EQ(decoded_new->epoch, 42u);
-}
-
 TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
   {
     StageUpdatesRequest req;
@@ -119,19 +97,19 @@ TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
   {
     ResolveSearchResponse resp;
     resp.targets.push_back({10, {1, 2}});
-    resp.metadata_epoch = 3;
+    resp.shard_epochs = {3};
     auto rt = Decode<ResolveSearchResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->metadata_epoch, 3u);
+    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{3}));
     ASSERT_EQ(rt->targets.size(), 1u);
     EXPECT_EQ(rt->targets[0].groups, (std::vector<GroupId>{1, 2}));
   }
   {
     ResolveUpdateResponse resp;
-    resp.metadata_epoch = 11;
+    resp.shard_epochs = {11};
     auto rt = Decode<ResolveUpdateResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->metadata_epoch, 11u);
+    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{11}));
   }
 }
 

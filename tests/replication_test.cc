@@ -110,7 +110,6 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
     auto plain = Decode<ResolveSearchResponse>(without);
     ASSERT_TRUE(plain.ok());
     EXPECT_TRUE(plain->replicas.empty());
-    EXPECT_EQ(plain->metadata_epoch, 0u);
 
     auto rt = Decode<ResolveSearchResponse>(with);
     ASSERT_TRUE(rt.ok());
@@ -118,21 +117,16 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
     EXPECT_EQ(rt->replicas[0].group, 1u);
     EXPECT_EQ(rt->replicas[0].nodes, (std::vector<NodeId>{10, 11}));
     EXPECT_EQ(rt->replicas[1].nodes, (std::vector<NodeId>{11, 10}));
-    // The replica section follows the epoch slot, so writing it forces the
-    // epoch on the wire even at its zero value — and it must round-trip.
-    EXPECT_EQ(rt->metadata_epoch, 0u);
   }
   {
     ResolveUpdateResponse resp;
     resp.placements.push_back({7, 1, 10});
     const std::string without = Encode(resp);
-    resp.metadata_epoch = 5;
     resp.replicas.push_back({1, {10, 12}});
     const std::string with = Encode(resp);
     EXPECT_LT(without.size(), with.size());
     auto rt = Decode<ResolveUpdateResponse>(with);
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->metadata_epoch, 5u);
     ASSERT_EQ(rt->replicas.size(), 1u);
     EXPECT_EQ(rt->replicas[0].nodes, (std::vector<NodeId>{10, 12}));
   }
@@ -143,7 +137,6 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
     const std::string without = Encode(req);
     req.replica_role = kReplicaRoleSecondary;
     const std::string with = Encode(req);
-    EXPECT_LT(without.size(), with.size());
     auto plain = Decode<StageUpdatesRequest>(without);
     ASSERT_TRUE(plain.ok());
     EXPECT_EQ(plain->replica_role, kReplicaRoleNone);
@@ -423,9 +416,9 @@ TEST(ReplicationTest, FactorOneStaysOnTheLegacyWireFormat) {
       ClientCounter(cluster->client(), "client.search.stale_replica_retries"),
       0u);
 
-  // Resolve responses carry no replica section: re-encoding the decoded
-  // response reproduces the wire bytes exactly, so nothing extra rode
-  // along.
+  // Resolve responses carry an empty replica-set list: re-encoding the
+  // decoded response reproduces the wire bytes exactly, so nothing extra
+  // rode along.
   ResolveSearchRequest rreq;
   auto rcall = cluster->transport().Call(100, PropellerCluster::kMasterId,
                                          "mn.resolve_search", Encode(rreq));
@@ -435,7 +428,7 @@ TEST(ReplicationTest, FactorOneStaysOnTheLegacyWireFormat) {
   EXPECT_TRUE(decoded->replicas.empty());
   EXPECT_EQ(Encode(*decoded), rcall.payload);
 
-  // Role-less stage requests get the legacy empty response payload.
+  // Role-less stage requests are acked with commit sequence 0.
   auto groups = AllGroups(*cluster);
   ASSERT_FALSE(groups.empty());
   StageUpdatesRequest sreq;
@@ -450,7 +443,9 @@ TEST(ReplicationTest, FactorOneStaysOnTheLegacyWireFormat) {
                                          .value(),
                                 "in.stage_updates", Encode(sreq));
   ASSERT_TRUE(scall.status.ok());
-  EXPECT_TRUE(scall.payload.empty());
+  auto ack = Decode<StageUpdatesResponse>(scall.payload);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->seq, 0u);
 }
 
 }  // namespace

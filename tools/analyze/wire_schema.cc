@@ -10,13 +10,13 @@
 //      prefix-compatible across branches;
 //   3. the golden snapshot — the recovered schema must match
 //      tools/analyze/wire_schema.golden field for field, so any wire
-//      change is an explicit, reviewed diff.  Appending `opt` fields is
-//      the only legal evolution; anything else is wire-breaking.
+//      change is an explicit, reviewed diff: regenerate the snapshot with
+//      --update-golden on any layout change.
 //
 // The extractor understands the idioms proto.cc restricts itself to:
 // straight-line Put/Get calls, counted and range-for loops, if/else-if
 // trailing sections, `if (r.AtEnd()) return` guards, free helper
-// functions (PutTrailingEpoch & co), PROPELLER_RETURN_IF_ERROR, and
+// functions (PutReplicaSets & co), PROPELLER_RETURN_IF_ERROR, and
 // nested `x.Serialize(w)` / `T::Deserialize(r, x)` messages.
 #include "analyze.h"
 
@@ -602,10 +602,9 @@ std::string RenderSchema(const Schema& s) {
   std::ostringstream out;
   out << "# propeller wire schema snapshot — generated by propeller_analyze "
          "--update-golden.\n";
-  out << "# Field order IS the wire format.  Legal evolution: append `opt` "
-         "fields only;\n";
-  out << "# deleting, reordering, retyping, or inserting fields is "
-         "wire-breaking.\n";
+  out << "# Field order IS the wire format.  Regenerate on any layout "
+         "change;\n";
+  out << "# the golden diff is what review reads.\n";
   for (const auto& [name, fields] : s.messages) {
     out << "message " << name << "\n";
     for (const std::string& fld : fields) out << "  " << fld << "\n";

@@ -96,13 +96,9 @@ stage_tsa() {
 }
 
 stage_sanitizer() {
-  # $1 = configure/build preset (asan / ubsan / tsan-fault);
-  # $2.. = test presets to run against that build ($1 when omitted).
+  # $1 = configure, build and test preset (asan / ubsan / tsan).
   local preset=$1
-  shift
-  local test_presets=("$@")
-  [[ ${#test_presets[@]} -eq 0 ]] && test_presets=("$preset")
-  note "sanitizer preset: $preset (configure + build + ctest: ${test_presets[*]})"
+  note "sanitizer preset: $preset (configure + build + ctest)"
   if ! cmake --preset "$preset" >/dev/null; then
     note "FAIL: configure preset $preset"
     FAILED=1
@@ -113,13 +109,10 @@ stage_sanitizer() {
     FAILED=1
     return
   fi
-  local tp
-  for tp in "${test_presets[@]}"; do
-    if ! ctest --preset "$tp"; then
-      note "FAIL: test preset $tp"
-      FAILED=1
-    fi
-  done
+  if ! ctest --preset "$preset"; then
+    note "FAIL: test preset $preset"
+    FAILED=1
+  fi
 }
 
 STAGES=("$@")
@@ -131,8 +124,8 @@ tidy     clang-tidy over src/ (.clang-tidy, warnings-as-errors)
 tsa      Clang -Werror=thread-safety build
 asan     AddressSanitizer preset build + ctest
 ubsan    UndefinedBehaviorSanitizer preset build + ctest
-tsan     ThreadSanitizer build + fault/segments/replication/load/master
-         presets
+tsan     ThreadSanitizer build + ctest over the fault, obs, segments,
+         replication, load and master labels
 all      analyze tidy tsa asan ubsan tsan
 EOF
   exit 0
@@ -150,7 +143,7 @@ for stage in "${STAGES[@]}"; do
     tsa) stage_tsa ;;
     asan) stage_sanitizer asan ;;
     ubsan) stage_sanitizer ubsan ;;
-    tsan) stage_sanitizer tsan-fault tsan-fault tsan-segments tsan-replication tsan-load tsan-master ;;
+    tsan) stage_sanitizer tsan ;;
     *)
       note "unknown stage '$stage' (expected: tidy tsa asan ubsan tsan all)"
       exit 2
