@@ -128,11 +128,8 @@ MiniSql::SearchResult MiniSql::Search(const index::Predicate& pred) {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  for (FileId f : candidates) {
-    auto got = rows_->Get(f);
-    out.cost += got.cost;
-    if (got.attrs && pred.Matches(*got.attrs)) out.files.push_back(f);
-  }
+  for (FileId f : candidates) out.cost += rows_->ChargeRead(f);
+  rows_->AppendMatching(candidates, pred, &out.files);
   return out;
 }
 

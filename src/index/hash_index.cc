@@ -37,8 +37,10 @@ uint64_t HashIndex::HashKey(const AttrValue& key) {
     return Mix(h);
   }
   // Numeric: hash the canonical double bit pattern so 5 and 5.0 collide
-  // (they compare equal, so they must hash equal).
+  // (they compare equal, so they must hash equal).  -0.0 == 0.0 as well,
+  // but their bits differ, so zero hashes as +0.0.
   double d = key.numeric();
+  if (d == 0.0) d = 0.0;
   uint64_t bits;
   static_assert(sizeof bits == sizeof d);
   __builtin_memcpy(&bits, &d, sizeof bits);

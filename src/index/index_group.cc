@@ -586,11 +586,9 @@ void IndexGroup::SearchBodyLocked(const Predicate& pred,
     fill_cache();
     return;
   }
-  for (FileId f : candidates) {
-    auto got = records_.Get(f);
-    out.cost += got.cost;
-    if (got.attrs && pred.Matches(*got.attrs)) out.files.push_back(f);
-  }
+  // Charge every candidate's record page in order, then match them all.
+  for (FileId f : candidates) out.cost += records_.ChargeRead(f);
+  records_.AppendMatching(candidates, pred, &out.files);
   fill_cache();
 }
 
@@ -946,6 +944,10 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
       exact = pred.terms.size() <= 1 && !IsKdType(idx->spec.type) &&
               idx->spec.type != IndexType::kKeyword;
     }
+    // Keep the unshadowed candidates in place; a non-exact segment charges
+    // each one's record page right after its shadow probes, then matches
+    // them all in one batch.
+    size_t live = 0;
     for (FileId f : candidates) {
       if (overlay.count(f) != 0u) continue;  // memtable shadows everything
       bool shadowed = false;
@@ -954,13 +956,14 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
         shadowed = segs[sj]->Contains(f);
       }
       if (shadowed) continue;
-      if (exact) {
-        out.files.push_back(f);
-        continue;
-      }
-      auto got = seg.records.Get(f);
-      out.cost += got.cost;
-      if (got.attrs && pred.Matches(*got.attrs)) out.files.push_back(f);
+      if (!exact) out.cost += seg.records.ChargeRead(f);
+      candidates[live++] = f;
+    }
+    candidates.resize(live);
+    if (exact) {
+      out.files.insert(out.files.end(), candidates.begin(), candidates.end());
+    } else {
+      seg.records.AppendMatching(candidates, pred, &out.files);
     }
   }
   out.access_path = "segments[" + std::to_string(segs.size()) +

@@ -11,12 +11,24 @@ uint64_t RecordStore::PageOf(FileId file) const {
   return x % pages;
 }
 
-RecordStore::GetResult RecordStore::Get(FileId file) const {
-  GetResult out;
-  out.cost = store_.Read(PageOf(file));
-  auto it = records_.find(file);
-  if (it != records_.end()) out.attrs = &it->second;
-  return out;
+void RecordStore::AppendMatching(std::span<const FileId> candidates,
+                                 const Predicate& pred,
+                                 std::vector<FileId>* out) const {
+  // Pass 1: look up every record and prefetch its attribute list.  No
+  // lookup depends on another, so their cache misses overlap.
+  std::vector<const AttrSet*> records(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    auto it = records_.find(candidates[i]);
+    if (it == records_.end()) continue;
+    records[i] = &it->second;
+    __builtin_prefetch(it->second.entries().data());
+  }
+  // Pass 2: match, in candidate order.
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (records[i] != nullptr && pred.Matches(*records[i])) {
+      out->push_back(candidates[i]);
+    }
+  }
 }
 
 RecordStore::PutResult RecordStore::Put(FileId file, AttrSet attrs) {

@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "index/attr.h"
+#include "index/query.h"
 #include "sim/io_context.h"
 
 namespace propeller::index {
@@ -22,15 +24,23 @@ class RecordStore {
  public:
   explicit RecordStore(sim::PageStore store);
 
-  // Reads one record in place: `attrs` points into the store (nullptr when
-  // the file is absent), not at a copy.  It stays valid until the store is
-  // next mutated: while the owning group's lock is held, or for as long as
-  // a search holds the immutable segment.
-  struct GetResult {
-    const AttrSet* attrs = nullptr;
-    sim::Cost cost;
-  };
-  GetResult Get(FileId file) const;
+  // Verifying index candidates takes two calls.  First the caller charges
+  // each candidate's record page with ChargeRead, in candidate order,
+  // adding every cost straight into its running total.  Then one
+  // AppendMatching call checks the whole candidate list.
+  //
+  // Charges the simulated read of the page that holds `file`'s record.
+  sim::Cost ChargeRead(FileId file) const { return store_.Read(PageOf(file)); }
+
+  // Appends to `out`, in candidate order, each candidate whose record is
+  // present and satisfies `pred`.  Charges nothing and takes no lock: it
+  // looks up every candidate's record (prefetching its attributes) before
+  // it matches any, so the cache misses of independent lookups overlap
+  // instead of running one after another.  Records are read in place, so
+  // the caller keeps the store unchanged for the call: the owning group's
+  // lock, or a search's hold on an immutable segment.
+  void AppendMatching(std::span<const FileId> candidates, const Predicate& pred,
+                      std::vector<FileId>* out) const;
 
   // Inserts or replaces; returns the previous attrs (if any) so the caller
   // can retire stale index postings, plus the cost.

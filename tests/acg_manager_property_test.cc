@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "acg/acg_manager.h"
 #include "common/rng.h"
@@ -12,13 +13,17 @@
 namespace propeller::acg {
 namespace {
 
+// gtest names an unprinted parameter by its raw bytes, so the struct has no
+// padding (stack garbage would leak into the test name): `deltas` is 64-bit,
+// which prints the same bytes as an int plus zeroed padding.
 struct StreamParam {
   uint64_t seed;
-  int deltas;
+  int64_t deltas;
   uint64_t file_space;
   uint64_t cluster_target;
   uint64_t split_threshold;
 };
+static_assert(std::has_unique_object_representations_v<StreamParam>);
 
 class AcgManagerPropertyTest : public ::testing::TestWithParam<StreamParam> {};
 

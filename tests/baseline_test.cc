@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "baseline/brute_force.h"
 #include "baseline/minisql.h"
 #include "baseline/spotlight.h"
+#include "common/rng.h"
 #include "workload/copier.h"
 #include "workload/dataset.h"
 #include "workload/postmark.h"
@@ -92,6 +94,66 @@ TEST(MiniSqlTest, MixedConjunctionVerifiesResidual) {
   p.And("path", CmpOp::kContainsWord, AttrValue("firefox"))
       .And("mtime", CmpOp::kLt, AttrValue(int64_t{50}));
   EXPECT_EQ(db.Search(p).files, (std::vector<index::FileId>{1}));
+}
+
+// Pins MiniSql's simulated search charges over a seeded sequence of
+// multi-term searches served by each of its three indexes (size, mtime,
+// keyword) and verified against the rows, on a 50-page buffer pool with
+// upserts and deletes in between.  The page-cache counters, the bits of the
+// summed search cost and an order-sensitive digest of every result were
+// recorded before row verification was split into passes.
+TEST(MiniSqlTest, SearchChargesAndResultsAreUnchanged) {
+  MiniSqlConfig cfg;
+  cfg.buffer_pool_pages = 50;
+  MiniSql db(cfg);
+  Rng rng(4242);
+  sim::Cost total;
+  uint64_t digest = 1469598103934665603ULL;  // FNV-1a
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      auto f = static_cast<index::FileId>(rng.UniformInt(1, 3'000));
+      if (rng.Bernoulli(0.1)) {
+        db.Delete(f);
+        continue;
+      }
+      FileUpdate u = Row(f, rng.UniformInt(0, 10'000), rng.UniformInt(0, 10'000),
+                         "/src/m" + std::to_string(f % 7) + "/f.cc");
+      u.attrs.Set("uid", AttrValue(rng.UniformInt(0, 3)));
+      db.Upsert(u);
+    }
+    for (int q = 0; q < 6; ++q) {
+      const int64_t lo = rng.UniformInt(0, 8'000);
+      const int64_t uid = rng.UniformInt(0, 3);
+      Predicate p;
+      switch (q % 3) {
+        case 0:  // by_size, verifies mtime
+          p.And("size", CmpOp::kGe, AttrValue(lo))
+              .And("size", CmpOp::kLt, AttrValue(lo + 1'500))
+              .And("mtime", CmpOp::kGt, AttrValue(rng.UniformInt(0, 8'000)));
+          break;
+        case 1:  // by_mtime, verifies uid
+          p.And("mtime", CmpOp::kGe, AttrValue(lo))
+              .And("mtime", CmpOp::kLe, AttrValue(lo + 2'000))
+              .And("uid", CmpOp::kEq, AttrValue(uid));
+          break;
+        default:  // by_keyword, verifies size
+          p.And("path", CmpOp::kContainsWord, AttrValue("m" + std::to_string(uid)))
+              .And("size", CmpOp::kLt, AttrValue(lo));
+          break;
+      }
+      auto r = db.Search(p);
+      total += r.cost;
+      for (index::FileId f : r.files) digest = (digest ^ f) * 1099511628211ULL;
+      digest = (digest ^ r.files.size()) * 1099511628211ULL;
+    }
+  }
+  const sim::PageCacheStats stats = db.io().CacheStats();
+  EXPECT_EQ(stats.hits, 49'725u);
+  EXPECT_EQ(stats.misses, 1'867u);
+  EXPECT_EQ(stats.evictions, 1'817u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(total.seconds()), 0x3ffd1dc994890ea6ULL)
+      << std::hexfloat << total.seconds();
+  EXPECT_EQ(digest, 0xa900c7de4ac60081ULL) << std::hex << digest;
 }
 
 // ---------- SpotlightSim ----------

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "core/cluster.h"
@@ -18,12 +19,16 @@ namespace {
 using index::AttrValue;
 using index::CmpOp;
 
+// gtest names an unprinted parameter by its raw bytes, so the struct has no
+// padding (stack garbage would leak into the test name): `rounds` is 64-bit,
+// which prints the same bytes as an int plus zeroed padding.
 struct SoakParam {
   uint64_t seed;
-  int rounds;
+  int64_t rounds;
   uint64_t file_space;
   uint64_t split_threshold;
 };
+static_assert(std::has_unique_object_representations_v<SoakParam>);
 
 class ClusterSoakTest : public ::testing::TestWithParam<SoakParam> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/rng.h"
 #include "graph/components.h"
 
@@ -94,11 +96,15 @@ TEST(MultilevelBisectTest, DisconnectedComponentsZeroCut) {
   EXPECT_EQ(b.side_weight[0], 100u);
 }
 
+// gtest names an unprinted parameter by its raw bytes, so the struct has no
+// padding (stack garbage would leak into the test name): `n` is widened to
+// 64 bits, which prints the same bytes as a VertexId plus zeroed padding.
 struct RandomGraphParam {
-  VertexId n;
+  uint64_t n;
   uint64_t edges;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<RandomGraphParam>);
 
 class BisectPropertyTest : public ::testing::TestWithParam<RandomGraphParam> {};
 
@@ -108,7 +114,7 @@ class BisectPropertyTest : public ::testing::TestWithParam<RandomGraphParam> {};
 TEST_P(BisectPropertyTest, InvariantsHold) {
   const RandomGraphParam p = GetParam();
   Rng rng(p.seed);
-  WeightedGraph g(p.n);
+  WeightedGraph g(static_cast<VertexId>(p.n));
   for (uint64_t e = 0; e < p.edges; ++e) {
     auto u = static_cast<VertexId>(rng.Uniform(p.n));
     auto v = static_cast<VertexId>(rng.Uniform(p.n));

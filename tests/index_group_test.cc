@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <string>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "sim/io_context.h"
@@ -339,12 +341,53 @@ TEST(IndexGroupFuzzTest, SearchAlwaysMatchesModel) {
   }
 }
 
+// -0.0, 0.0 and 0 compare equal, so a single-term kEq served by a hash
+// index (returned without verification) must find every spelling of zero.
+// The default 64-bucket directory puts the raw bit patterns of -0.0 and
+// 0.0 in different buckets.  Both modes: the commit-barrier path inserts
+// key by key, the segmented path bulk-loads.
+TEST(IndexGroupHashTest, SignedZeroKeysMatchBruteForce) {
+  const std::vector<AttrValue> keys = {AttrValue(-0.0), AttrValue(0.0),
+                                       AttrValue(int64_t{0}), AttrValue(1.0),
+                                       AttrValue(int64_t{-1})};
+  for (bool segmented : {false, true}) {
+    sim::IoContext io;
+    IndexGroupOptions options;
+    options.segmented = segmented;
+    IndexGroup g(3, &io, options);
+    ASSERT_TRUE(g.CreateIndex({"by_x", IndexType::kHash, {"x"}}).ok());
+    std::map<FileId, AttrSet> model;
+    for (FileId f = 1; f <= 200; ++f) {
+      FileUpdate u;
+      u.file = f;
+      u.attrs.Set("x", keys[f % keys.size()]);
+      model[f] = u.attrs;
+      g.StageUpdate(std::move(u));
+    }
+    g.Commit();
+    for (const AttrValue& key : keys) {
+      Predicate p;
+      p.And("x", CmpOp::kEq, key);
+      std::vector<FileId> expect;
+      for (const auto& [file, attrs] : model) {
+        if (p.Matches(attrs)) expect.push_back(file);
+      }
+      auto r = g.Search(p);
+      std::sort(r.files.begin(), r.files.end());
+      EXPECT_EQ(r.files, expect) << "x = " << key.ToString() << " via "
+                                 << r.access_path << (segmented ? " (segmented)" : "");
+    }
+  }
+}
+
 // Pins the simulated charges of a seeded sequence of multi-term searches
 // (B-tree candidates, then record-store verification) in both group modes
-// on a 50-page cache.  The page-cache counters and the bits of the summed
-// search cost were recorded before the verification path was made
-// copy-free; a wall-clock change to the search path that moves a page
-// touch, or reorders the additions into a cost, changes them.
+// on a 50-page cache.  The page-cache counters, the bits of the summed
+// search cost and an order-sensitive digest of every result were recorded
+// before the verification path was made copy-free (the charges) and before
+// it was split into passes (the digest); a wall-clock change to the search
+// path that moves a page touch, reorders the additions into a cost, or
+// reorders a result changes them.
 struct SimChargePin {
   bool segmented;
   uint64_t hits;
@@ -352,6 +395,7 @@ struct SimChargePin {
   uint64_t evictions;
   size_t matches;
   uint64_t cost_bits;
+  uint64_t result_digest;
 };
 
 void PrintTo(const SimChargePin& pin, std::ostream* os) {
@@ -359,6 +403,15 @@ void PrintTo(const SimChargePin& pin, std::ostream* os) {
 }
 
 class SimChargePinTest : public ::testing::TestWithParam<SimChargePin> {};
+
+constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
+
+// Folds one search's result into an order-sensitive FNV-1a digest; the
+// result size separates consecutive searches.
+uint64_t Digest(uint64_t h, const std::vector<FileId>& files) {
+  for (FileId f : files) h = (h ^ f) * 1099511628211ULL;
+  return (h ^ files.size()) * 1099511628211ULL;
+}
 
 TEST_P(SimChargePinTest, SearchChargesAreUnchanged) {
   const SimChargePin pin = GetParam();
@@ -373,9 +426,18 @@ TEST_P(SimChargePinTest, SearchChargesAreUnchanged) {
   Rng rng(2024);
   sim::Cost total;
   size_t matches = 0;
+  uint64_t digest = kFnvOffset;
+  // Segmented: which commit last staged each file, so a match can be traced
+  // to a segment older than the newest one (it paid shadow probes).
+  std::unordered_map<FileId, int> staged_in;
+  int batch = 0;
+  uint64_t batch_updates = 0;
+  int older_segment_matches = 0;
   for (int round = 0; round < 12; ++round) {
     for (int i = 0; i < 250; ++i) {
       auto f = static_cast<FileId>(rng.UniformInt(1, 4'000));
+      staged_in[f] = batch;
+      ++batch_updates;
       if (rng.Bernoulli(0.1)) {
         FileUpdate del;
         del.file = f;
@@ -386,7 +448,18 @@ TEST_P(SimChargePinTest, SearchChargesAreUnchanged) {
                              "/src/m" + std::to_string(f % 9) + "/f.cc"));
       }
     }
-    if (round % 3 != 2) g.Commit();  // every third round searches a memtable
+    // Every third round searches a memtable.  After a commit the memtable
+    // is empty; when the newest segment holds exactly the batch just
+    // sealed, a match staged in an earlier batch was read from an older
+    // segment, past a shadow probe against the newest.
+    bool newest_is_batch = false;
+    if (round % 3 != 2) {
+      g.Commit();
+      newest_is_batch = pin.segmented && g.NumSegments() >= 2 &&
+                        g.SegmentUpdateCounts().back() == batch_updates;
+      ++batch;
+      batch_updates = 0;
+    }
     for (int q = 0; q < 5; ++q) {
       const int64_t size_lo = rng.UniformInt(0, 8'000);
       const int64_t mtime_lo = rng.UniformInt(0, 8'000);
@@ -399,6 +472,10 @@ TEST_P(SimChargePinTest, SearchChargesAreUnchanged) {
       auto r = g.Search(p);
       total += r.cost;
       matches += r.files.size();
+      digest = Digest(digest, r.files);
+      if (newest_is_batch) {
+        for (FileId f : r.files) older_segment_matches += staged_in[f] < batch - 1;
+      }
     }
   }
   const sim::PageCacheStats stats = io.CacheStats();
@@ -408,6 +485,10 @@ TEST_P(SimChargePinTest, SearchChargesAreUnchanged) {
   EXPECT_EQ(matches, pin.matches);
   EXPECT_EQ(std::bit_cast<uint64_t>(total.seconds()), pin.cost_bits)
       << std::hexfloat << total.seconds();
+  EXPECT_EQ(digest, pin.result_digest) << std::hex << digest;
+  if (pin.segmented) {
+    EXPECT_GT(older_segment_matches, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -417,13 +498,15 @@ INSTANTIATE_TEST_SUITE_P(
                                    .misses = 2'586,
                                    .evictions = 2'536,
                                    .matches = 2'094,
-                                   .cost_bits = 0x402f1a1d6a9f056aULL},
+                                   .cost_bits = 0x402f1a1d6a9f056aULL,
+                                   .result_digest = 0x08ceb91afcef6178ULL},
                       SimChargePin{.segmented = true,
                                    .hits = 6'814,
                                    .misses = 471,
                                    .evictions = 421,
                                    .matches = 2'094,
-                                   .cost_bits = 0x3ffff382a3dec1e6ULL}),
+                                   .cost_bits = 0x3ffff382a3dec1e6ULL,
+                                   .result_digest = 0xea876e07020bba10ULL}),
     [](const ::testing::TestParamInfo<SimChargePin>& info) {
       return info.param.segmented ? std::string("Segmented") : std::string("CommitBarrier");
     });

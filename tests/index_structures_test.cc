@@ -268,23 +268,48 @@ TEST(RecordStoreTest, PutGetEraseAndPrevious) {
   auto put2 = rs.Put(7, b);
   ASSERT_TRUE(put2.previous.has_value());
   EXPECT_EQ(put2.previous->Find("size")->as_int(), 1);
-  EXPECT_EQ(rs.Get(7).attrs->Find("size")->as_int(), 2);
-  EXPECT_EQ(rs.Get(8).attrs, nullptr);
+  std::vector<FileId> present;
+  const FileId probe[] = {7, 8};
+  rs.AppendMatching(probe, Predicate{}, &present);
+  EXPECT_EQ(present, std::vector<FileId>{7});
+  Predicate size2;
+  size2.And("size", CmpOp::kEq, AttrValue(int64_t{2}));
+  std::vector<FileId> updated;
+  rs.AppendMatching(probe, size2, &updated);
+  EXPECT_EQ(updated, std::vector<FileId>{7});
   auto erased = rs.Erase(7);
   ASSERT_TRUE(erased.previous.has_value());
   EXPECT_EQ(rs.NumRecords(), 0u);
   EXPECT_FALSE(rs.Erase(7).previous.has_value());
 }
 
-TEST(RecordStoreTest, GetReadsTheStoredRecordInPlace) {
+// Verification is a per-candidate page charge plus one charge-free batch
+// that appends matches in candidate order (not FileId order) and skips
+// absent files.
+TEST(RecordStoreTest, ChargeReadThenAppendMatchingInCandidateOrder) {
   sim::IoContext io;
   RecordStore rs(io.CreateStore());
-  AttrSet a;
-  a.Set("size", AttrValue(int64_t{1}));
-  rs.Put(7, a);
-  const AttrSet* first = rs.Get(7).attrs;
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(rs.Get(7).attrs, first) << "Get copied the record";
+  for (FileId f = 1; f <= 6; ++f) {
+    AttrSet a;
+    a.Set("size", AttrValue(static_cast<int64_t>(f)));
+    rs.Put(f, a);
+  }
+  io.DropCaches();
+  const uint64_t misses = io.CacheStats().misses;
+  const sim::Cost cold = rs.ChargeRead(5);
+  EXPECT_EQ(io.CacheStats().misses, misses + 1);
+  EXPECT_LT(rs.ChargeRead(5).seconds(), cold.seconds()) << "second read is a hit";
+
+  const sim::PageCacheStats before = io.CacheStats();
+  Predicate p;
+  p.And("size", CmpOp::kGe, AttrValue(int64_t{2}));
+  std::vector<FileId> out = {100};
+  const std::vector<FileId> candidates = {5, 9, 2, 1, 4};
+  rs.AppendMatching(candidates, p, &out);
+  EXPECT_EQ(out, (std::vector<FileId>{100, 5, 2, 4}));
+  const sim::PageCacheStats after = io.CacheStats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 // ---------- WAL ----------
