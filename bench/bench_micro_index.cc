@@ -13,6 +13,7 @@
 #include "index/index_group.h"
 #include "index/kdtree.h"
 #include "sim/io_context.h"
+#include "sim/server_queue.h"
 
 namespace propeller {
 namespace {
@@ -177,6 +178,38 @@ void BM_GroupSearchVerify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GroupSearchVerify)->Arg(1'000)->Arg(200'000);
+
+// The index node's admission queue: 16 servers, a waiting line capped at
+// 64, one Admit (and, when admitted, one Finish) per op.  Seeded Poisson
+// arrivals offer ~1.05x the servers' capacity, so the line stays near its
+// bound and both the shed and the served branches run.
+void BM_ServerQueue(benchmark::State& state) {
+  constexpr size_t kServers = 16;
+  Rng rng(1);
+  std::vector<double> gaps(1 << 16);
+  std::vector<double> services(gaps.size());
+  for (size_t i = 0; i < gaps.size(); ++i) {
+    gaps[i] = rng.Exponential(0.95 / kServers);
+    services[i] = rng.Exponential(1.0);
+  }
+  sim::ServerQueue queue(kServers, 64);
+  double arrival = 0;
+  size_t i = 0;
+  uint64_t shed = 0;
+  for (auto _ : state) {
+    arrival += gaps[i];
+    if (queue.Admit(arrival)) {
+      benchmark::DoNotOptimize(queue.Finish(arrival, services[i]));
+    } else {
+      ++shed;
+    }
+    i = (i + 1) & (gaps.size() - 1);
+  }
+  state.counters["shed_rate"] =
+      static_cast<double>(shed) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServerQueue);
 
 }  // namespace
 }  // namespace propeller

@@ -44,12 +44,7 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
     config_.client.placement_leases = true;
   }
   config_.master.model_resolve_queue = config_.model_resolve_queue;
-  if (config_.segmented_index) {
-    config_.index_node.segmented_index = true;
-    // Journal compaction needs sealed-segment durability AND a journal to
-    // compact; it rides on the commit-timeout tick.
-    config_.index_node.journal_compaction = config_.recovery_journal;
-  }
+  if (config_.segmented_index) config_.index_node.segmented_index = true;
   // The cluster clock drives both heartbeats and the master's failure
   // detector; keep the detector's notion of the cadence in sync.
   config_.master.heartbeat_interval_s = config_.heartbeat_interval_s;

@@ -1,8 +1,7 @@
 #include "core/index_node.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <functional>
 
 #include "common/logging.h"
 #include "core/group_journal.h"
@@ -10,10 +9,18 @@
 
 namespace propeller::core {
 
+namespace {
+// Search workers per node (the paper's 16 threads), at least one.
+size_t Workers(const IndexNodeConfig& config) {
+  return static_cast<size_t>(std::max(1, config.search_threads));
+}
+}  // namespace
+
 IndexNode::IndexNode(NodeId id, IndexNodeConfig config)
     : id_(id),
       config_(config),
       io_(config.io),
+      admission_(Workers(config), config.admission_queue_bound),
       searches_(&metrics_.GetCounter("in.searches")),
       stage_batches_(&metrics_.GetCounter("in.stage_batches")),
       commit_timeouts_(&metrics_.GetCounter("in.commit_timeouts")),
@@ -26,71 +33,40 @@ IndexNode::IndexNode(NodeId id, IndexNodeConfig config)
       resolve_delegated_(&metrics_.GetCounter("in.resolve.delegated")),
       resolve_stale_(&metrics_.GetCounter("in.resolve.stale")) {
   if (config_.parallel_search) {
-    search_pool_ = std::make_unique<ThreadPool>(
-        std::max<size_t>(1, static_cast<size_t>(config_.search_threads)));
+    search_pool_ = std::make_unique<ThreadPool>(Workers(config_));
   }
-  if (config_.admission_control) {
+}
+
+template <typename Body>
+net::RpcHandler::Response IndexNode::RunAdmitted(bool stamped,
+                                                 double arrival_s, Body body) {
+  if (!stamped) return body();
+  {
     MutexLock lock(admission_mu_);
-    const auto workers =
-        std::max<size_t>(1, static_cast<size_t>(config_.search_threads));
-    for (size_t i = 0; i < workers; ++i) admit_free_.push(0.0);
+    if (!admission_.Admit(arrival_s)) {
+      admit_shed_->Add(1);
+      return Response{Status::Overloaded("admission queue full"), {},
+                      sim::Cost(10e-6)};  // metadata-only work
+    }
+    admit_admitted_->Add(1);
+    const auto depth = static_cast<double>(admission_.Waiting());
+    admit_depth_->Set(depth);
+    if (depth > admit_depth_peak_->value()) admit_depth_peak_->Set(depth);
   }
-}
-
-namespace {
-constexpr double kInFlight = std::numeric_limits<double>::infinity();
-}  // namespace
-
-bool IndexNode::AdmissionReserve(double arrival_s) {
+  Response out = body();
   MutexLock lock(admission_mu_);
-  // Drain requests that finished (in virtual time) before this arrival.
-  while (!admit_outstanding_.empty() &&
-         *admit_outstanding_.begin() <= arrival_s) {
-    admit_outstanding_.erase(admit_outstanding_.begin());
+  if (!out.status.ok()) {
+    admission_.Cancel();
+    return out;
   }
-  const size_t workers = admit_free_.size();
-  const size_t waiting = admit_outstanding_.size() > workers
-                             ? admit_outstanding_.size() - workers
-                             : 0;
-  if (config_.admission_queue_bound > 0 &&
-      waiting >= config_.admission_queue_bound) {
-    admit_shed_->Add(1);
-    return false;
+  const double service = out.cost.seconds();
+  const sim::ServerQueue::Slot slot = admission_.Finish(arrival_s, service);
+  admit_wait_->Observe(slot.start - arrival_s);
+  out.cost = sim::Cost(slot.finish - arrival_s);
+  if (obs::CurrentTrace().active()) {
+    obs::CurrentTrace().now_s += out.cost.seconds() - service;
   }
-  // Hold an in-flight slot (completion time unknown yet) so concurrent
-  // arrivals see this request occupying the line and the bound stays
-  // strict; Complete/Cancel replaces or releases the sentinel.
-  admit_outstanding_.insert(kInFlight);
-  admit_admitted_->Add(1);
-  const size_t depth = admit_outstanding_.size() > workers
-                           ? admit_outstanding_.size() - workers
-                           : 0;
-  admit_depth_->Set(static_cast<double>(depth));
-  if (static_cast<double>(depth) > admit_depth_peak_->value()) {
-    admit_depth_peak_->Set(static_cast<double>(depth));
-  }
-  return true;
-}
-
-sim::Cost IndexNode::AdmissionComplete(double arrival_s, sim::Cost service) {
-  MutexLock lock(admission_mu_);
-  auto it = admit_outstanding_.find(kInFlight);
-  if (it != admit_outstanding_.end()) admit_outstanding_.erase(it);
-  // Service starts when the earliest worker frees (or at arrival if one is
-  // already idle) and occupies that worker for the service time.
-  const double start = std::max(arrival_s, admit_free_.top());
-  admit_free_.pop();
-  const double finish = start + service.seconds();
-  admit_free_.push(finish);
-  admit_outstanding_.insert(finish);
-  admit_wait_->Observe(start - arrival_s);
-  return sim::Cost(finish - arrival_s);
-}
-
-void IndexNode::AdmissionCancel() {
-  MutexLock lock(admission_mu_);
-  auto it = admit_outstanding_.find(kInFlight);
-  if (it != admit_outstanding_.end()) admit_outstanding_.erase(it);
+  return out;
 }
 
 index::IndexGroup* IndexNode::FindGroup(GroupId id) {
@@ -157,26 +133,10 @@ net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& paylo
   auto req = Decode<StageUpdatesRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   // Admission-stamped batches queue behind the node's workers; shedding
-  // happens here, before the journal append or any staging, so a shed
-  // batch has no side effects whatsoever.
-  const bool admitted = config_.admission_control && req->admission != 0;
-  if (admitted && !AdmissionReserve(req->now_s)) {
-    return Response{Status::Overloaded("admission queue full"), {},
-                    sim::Cost(10e-6)};  // metadata-only work
-  }
-  Response out = StageUpdatesAdmitted(*req);
-  if (admitted) {
-    if (out.status.ok()) {
-      const double service = out.cost.seconds();
-      out.cost = AdmissionComplete(req->now_s, out.cost);
-      if (obs::CurrentTrace().active()) {
-        obs::CurrentTrace().now_s += out.cost.seconds() - service;
-      }
-    } else {
-      AdmissionCancel();
-    }
-  }
-  return out;
+  // happens before the journal append or any staging, so a shed batch has
+  // no side effects whatsoever.
+  return RunAdmitted(config_.admission_control && req->admission != 0,
+                     req->now_s, [&] { return StageUpdatesAdmitted(*req); });
 }
 
 net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
@@ -241,24 +201,8 @@ net::RpcHandler::Response IndexNode::HandleSearch(const std::string& payload) {
   // workers in virtual time; a full waiting line sheds the request before
   // it touches any group.  The reported cost becomes the full sojourn
   // (queueing delay + service makespan).
-  const bool admitted = config_.admission_control && req->arrival_s > 0;
-  if (admitted && !AdmissionReserve(req->arrival_s)) {
-    return Response{Status::Overloaded("admission queue full"), {},
-                    sim::Cost(10e-6)};  // metadata-only work
-  }
-  Response out = SearchAdmitted(*req);
-  if (admitted) {
-    if (out.status.ok()) {
-      const double service = out.cost.seconds();
-      out.cost = AdmissionComplete(req->arrival_s, out.cost);
-      if (obs::CurrentTrace().active()) {
-        obs::CurrentTrace().now_s += out.cost.seconds() - service;
-      }
-    } else {
-      AdmissionCancel();
-    }
-  }
-  return out;
+  return RunAdmitted(config_.admission_control && req->arrival_s > 0,
+                     req->arrival_s, [&] { return SearchAdmitted(*req); });
 }
 
 net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
@@ -322,8 +266,8 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
   }
 
   // Schedule the simulated costs onto `search_threads` workers
-  // (longest-processing-time greedy) — the node's latency is the makespan
-  // of that schedule.
+  // (longest-processing-time greedy: every group arrives at 0, longest
+  // first) — the node's latency is the makespan of that schedule.
   SearchResponse resp;
   size_t hits = 0;
   for (const index::IndexGroup::SearchResult& r : results) hits += r.files.size();
@@ -336,19 +280,10 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
   }
 
   std::sort(group_costs.begin(), group_costs.end(), std::greater<>());
-  const size_t workers =
-      std::max<size_t>(1, static_cast<size_t>(config_.search_threads));
-  std::priority_queue<double, std::vector<double>, std::greater<>> loads;
-  for (size_t i = 0; i < workers; ++i) loads.push(0.0);
-  for (double c : group_costs) {
-    double least = loads.top();
-    loads.pop();
-    loads.push(least + c);
-  }
+  sim::ServerQueue workers(Workers(config_));
   double makespan = 0;
-  while (!loads.empty()) {
-    makespan = loads.top();
-    loads.pop();
+  for (double c : group_costs) {
+    makespan = std::max(makespan, workers.Finish(0, c).finish);
   }
   searches_->Add(1);
   search_latency_->Observe(makespan);
@@ -373,9 +308,8 @@ net::RpcHandler::Response IndexNode::HandleTick(const std::string& payload) {
   // record whose update is not yet in the group, or keep one whose update
   // already is).  Stagers hold groups_mu_ shared across both steps, so
   // taking it exclusively here makes the checkpoint exact.
-  const bool compacting = config_.segmented_index &&
-                          config_.journal_compaction &&
-                          config_.recovery_journal != nullptr;
+  const bool compacting =
+      config_.segmented_index && config_.recovery_journal != nullptr;
   sim::Cost cost;
   if (compacting) {
     WriterMutexLock lock(groups_mu_);

@@ -22,8 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <queue>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +32,7 @@
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "sim/io_context.h"
+#include "sim/server_queue.h"
 
 namespace propeller::core {
 
@@ -59,17 +58,16 @@ struct IndexNodeConfig {
   bool result_cache = false;
   // Write-read decoupling: run every group in segmented mode (immutable
   // committed segments + mutable memtable; see index/index_group.h).  Off,
-  // groups keep the commit-barrier behaviour bit-identically.
+  // groups keep the commit-barrier behaviour bit-identically.  With a
+  // recovery journal, each commit-timeout tick also checkpoints every
+  // sealed group's journal to a base image, so recovery replays only the
+  // image plus the unsealed tail instead of the full update history.
   bool segmented_index = false;
   // Segmented only: per-group merge policy knobs (read-amplification
   // bound K and the tier trigger).
   size_t max_segments = 4;
   double merge_size_ratio = 4.0;
   size_t merge_tier_run = 3;
-  // Segmented + recovery journal: checkpoint each group's journal to a
-  // base image when a commit timeout seals it, so recovery replays only
-  // the image plus the unsealed tail instead of the full update history.
-  bool journal_compaction = false;
   // Replication (tail-tolerant reads): this node may hold secondary
   // copies of groups.  Role-stamped stage requests update the per-group
   // applied commit sequence, searches honour read-your-writes floors
@@ -182,17 +180,14 @@ class IndexNode : public net::RpcHandler {
                             sim::Cost* cost_out) REQUIRES(groups_mu_);
 
   // --- admission queue (virtual-time G/G/k in front of the workers) ---
-  // Reserve admits or sheds an arrival: drains completions up to
-  // `arrival_s`, then refuses (false) when the waiting line is at the
-  // bound.  An admitted request holds an in-flight slot until Complete
-  // (success: models the wait + service and returns the full sojourn as
-  // the response cost) or Cancel (error paths that did no index work).
-  // admission_mu_ ranks *below* groups_mu_ and is never held across
-  // either call's return, so the queue can shed without touching any
-  // group state.
-  bool AdmissionReserve(double arrival_s);
-  sim::Cost AdmissionComplete(double arrival_s, sim::Cost service);
-  void AdmissionCancel();
+  // Runs `body` (a post-admission handler) directly when `stamped` is
+  // false.  Otherwise the arrival is admitted or shed with kOverloaded
+  // before any work; an admitted body that succeeds is charged its full
+  // sojourn (queueing wait + service), one that fails gives its place up.
+  // admission_mu_ ranks *below* groups_mu_ and is released around `body`,
+  // so the queue sheds without touching any group state.
+  template <typename Body>
+  Response RunAdmitted(bool stamped, double arrival_s, Body body);
 
   NodeId id_;
   IndexNodeConfig config_;
@@ -213,16 +208,11 @@ class IndexNode : public net::RpcHandler {
   std::map<GroupId, uint64_t> applied_seq_ GUARDED_BY(replica_mu_);
   // Per-node search worker pool; null when parallel_search is off.
   std::unique_ptr<ThreadPool> search_pool_;
-  // Admission queue state (virtual time).  `admit_free_` holds one entry
-  // per worker: the virtual instant it frees up.  `admit_outstanding_`
-  // holds the completion time of every admitted-but-not-yet-drained
-  // request (+inf sentinel while the request is executing), so the
-  // waiting-line depth at an arrival is outstanding-minus-workers.
+  // Admission queue state (virtual time): `search_threads` servers and a
+  // waiting line capped at `admission_queue_bound`.
   mutable Mutex admission_mu_{LockRank::kIndexNodeAdmission,
                               "IndexNode::admission_mu_"};
-  std::priority_queue<double, std::vector<double>, std::greater<double>>
-      admit_free_ GUARDED_BY(admission_mu_);
-  std::multiset<double> admit_outstanding_ GUARDED_BY(admission_mu_);
+  sim::ServerQueue admission_ GUARDED_BY(admission_mu_);
   // Placement-lease soft state (delegation).  One mirror per metadata
   // shard this node currently holds a lease for; all of it is disposable —
   // expiry (or Reset) simply sends clients back to the master.  Separate

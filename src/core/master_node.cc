@@ -122,9 +122,11 @@ std::vector<IndexSpec> MasterNode::CatalogSnapshot() const {
 double MasterNode::ChargeShardQueue(Shard& shard, uint32_t shard_index,
                                     double arrival_s, double service_s) {
   if (!config_.model_resolve_queue || arrival_s <= 0) return 0;
-  const double start = std::max(arrival_s, shard.busy_until_s);
-  shard.busy_until_s = start + service_s;
-  const double wait = start - arrival_s;
+  // Admit drains the finishes this arrival passed; unbounded, it never
+  // refuses.
+  shard.resolve_queue.Admit(arrival_s);
+  const double wait =
+      shard.resolve_queue.Finish(arrival_s, service_s).start - arrival_s;
   if (wait > 0) shard_contended_[shard_index]->Add(1);
   shard_queue_wait_->Observe(wait);
   return wait;

@@ -49,6 +49,7 @@
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "sim/io_context.h"
+#include "sim/server_queue.h"
 
 namespace propeller::core {
 
@@ -63,11 +64,6 @@ struct MasterConfig {
   //   now - last_heartbeat > heartbeat_miss_threshold * heartbeat_interval_s.
   double heartbeat_interval_s = 1.0;
   int heartbeat_miss_threshold = 3;
-  // When a node is declared dead, immediately re-home its groups onto
-  // the least-loaded survivors (in.recover_group, falling back to an
-  // empty in.create_group when no recovery journal is attached).  Off:
-  // the node is only excluded from placement.
-  bool auto_recover_dead_nodes = true;
   // --- replication (tail-tolerant reads) ---
   // Replicas per group (1 = no replication, the legacy behavior).  Each
   // group's replica set lives on distinct least-loaded nodes; nodes[0] is
@@ -79,9 +75,10 @@ struct MasterConfig {
   // Metadata shards; 1 = the unsharded master.
   int num_shards = 1;
   // Model per-shard queueing delay for arrival-stamped resolves (open-loop
-  // traffic): a resolve whose shard is virtually busy is charged the wait,
-  // exactly like the index nodes' admission queues.  Off (default) resolve
-  // costs are unchanged even for stamped traffic.
+  // traffic): each shard is a one-server sim::ServerQueue, the model behind
+  // the index nodes' admission queues too, and a resolve whose shard is
+  // virtually busy is charged the wait.  Off (default) resolve costs are
+  // unchanged even for stamped traffic.
   bool model_resolve_queue = false;
   // --- placement leases (delegated resolves) ---
   // Grant index nodes time-bounded placement leases on their heartbeats
@@ -215,10 +212,10 @@ class MasterNode : public net::RpcHandler {
     // the wire's "no epoch" sentinel); every mutation that can invalidate
     // a client's cached placement in this shard bumps it.
     uint64_t metadata_epoch GUARDED_BY(mu_) = 1;
-    // Virtual-time service horizon (model_resolve_queue): an arrival-
-    // stamped resolve starts at max(arrival, busy_until_s) and is charged
-    // the wait, so a hot shard shows up as queueing delay.
-    double busy_until_s GUARDED_BY(mu_) = 0;
+    // Virtual-time resolve queue (model_resolve_queue): one server, so an
+    // arrival-stamped resolve starts when the previous one finishes and is
+    // charged the wait — a hot shard shows up as queueing delay.
+    sim::ServerQueue resolve_queue GUARDED_BY(mu_){1};
     // Mirror version of this shard: bumps on EVERY file -> group / group
     // -> node mutation, including ones that don't invalidate client caches
     // (a new file joining an existing group never moves metadata_epoch,
@@ -252,8 +249,8 @@ class MasterNode : public net::RpcHandler {
   // brief mu_ before taking any shard mutex.
   std::vector<IndexSpec> CatalogSnapshot() const;
 
-  // Declares `node` dead and (if configured) re-homes its groups onto the
-  // least-loaded live survivors.  Appends a RecoveryEvent either way.
+  // Declares `node` dead and re-homes its groups onto the least-loaded
+  // live survivors.  Appends a RecoveryEvent.
   void RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost);
 
   // Ensures `group` exists on some Index Node; creates it (with the
@@ -285,8 +282,8 @@ class MasterNode : public net::RpcHandler {
                            const acg::AcgManager::ApplyResult& result,
                            const std::vector<IndexSpec>& catalog)
       REQUIRES(shard.mu_);
-  // Charges (and advances) the shard's virtual service horizon for an
-  // arrival-stamped resolve; returns the queueing wait in seconds.
+  // Runs an arrival-stamped resolve through the shard's resolve queue;
+  // returns the queueing wait in seconds.
   double ChargeShardQueue(Shard& shard, uint32_t shard_index, double arrival_s,
                           double service_s) REQUIRES(shard.mu_);
   // Fills the per-shard lease holders of a resolve response (left empty

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <vector>
 
 #include "core/index_node.h"
 
@@ -203,37 +205,46 @@ TEST_F(IndexNodeTest, GroupStatsReflectCommittedState) {
 }
 
 TEST_F(IndexNodeTest, SearchMakespanUsesWorkerPool) {
-  // Many groups, searched in one request: the node-side cost must be far
-  // below the serial sum because 16 workers run in parallel.
-  IndexNodeConfig serial_cfg;
-  serial_cfg.search_threads = 1;
-  IndexNode serial(11, serial_cfg);
-  IndexNodeConfig pooled_cfg;
-  pooled_cfg.search_threads = 16;
-  IndexNode pooled(12, pooled_cfg);
-
-  for (IndexNode* node : {&serial, &pooled}) {
+  // Many groups of different sizes, searched in one request: the node-side
+  // cost must be far below the serial sum because 16 workers run in
+  // parallel.  The cost bits at 1, 3 and 16 workers are pinned: the
+  // longest-first schedule must not move a single addition.
+  struct Pool {
+    int threads;
+    uint64_t cost_bits;
+  };
+  const Pool pools[] = {{1, 0x3fea5a038194c021ULL},
+                       {3, 0x3fd21cffeb074a7fULL},
+                       {16, 0x3faa5b9628cbd130ULL}};
+  std::vector<double> costs;
+  for (const Pool& pool : pools) {
+    IndexNodeConfig cfg;
+    cfg.search_threads = pool.threads;
+    IndexNode node(11, cfg);
     for (GroupId g = 1; g <= 32; ++g) {
       CreateGroupRequest creq;
       creq.group = g;
       creq.specs = {{"by_size", index::IndexType::kBTree, {"size"}}};
-      ASSERT_TRUE(node->Handle("in.create_group", Encode(creq)).status.ok());
+      ASSERT_TRUE(node.Handle("in.create_group", Encode(creq)).status.ok());
       StageUpdatesRequest sreq;
       sreq.group = g;
-      for (FileId f = 0; f < 50; ++f) {
+      const FileId files = 20 + (g * 7) % 40;
+      for (FileId f = 0; f < files; ++f) {
         sreq.updates.push_back(Upsert(g * 1000 + f, static_cast<int64_t>(f)));
       }
-      ASSERT_TRUE(node->Handle("in.stage_updates", Encode(sreq)).status.ok());
+      ASSERT_TRUE(node.Handle("in.stage_updates", Encode(sreq)).status.ok());
     }
+    SearchRequest req;
+    for (GroupId g = 1; g <= 32; ++g) req.groups.push_back(g);
+    req.predicate.And("size", CmpOp::kGt, AttrValue(int64_t{-1}));
+    auto resp = node.Handle("in.search", Encode(req));
+    ASSERT_TRUE(resp.status.ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(resp.cost.seconds()), pool.cost_bits)
+        << pool.threads << " workers: " << std::hexfloat << resp.cost.seconds();
+    costs.push_back(resp.cost.seconds());
   }
-  SearchRequest req;
-  for (GroupId g = 1; g <= 32; ++g) req.groups.push_back(g);
-  req.predicate.And("size", CmpOp::kGt, AttrValue(int64_t{-1}));
-  auto serial_resp = serial.Handle("in.search", Encode(req));
-  auto pooled_resp = pooled.Handle("in.search", Encode(req));
-  ASSERT_TRUE(serial_resp.status.ok());
-  ASSERT_TRUE(pooled_resp.status.ok());
-  EXPECT_GT(serial_resp.cost.seconds(), pooled_resp.cost.seconds() * 4);
+  EXPECT_GT(costs[0], costs[1]);
+  EXPECT_GT(costs[0], costs[2] * 4);
 }
 
 TEST_F(IndexNodeTest, MalformedPayloadRejected) {

@@ -7,6 +7,7 @@
 // node wipe and recovery.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
 #include <vector>
@@ -309,6 +310,43 @@ TEST(AdmissionTest, DeterministicRunToRun) {
   EXPECT_EQ(a.p50_s, b.p50_s);  // bitwise, not approximately
   EXPECT_EQ(a.p99_s, b.p99_s);
   EXPECT_EQ(a.queue_peak, b.queue_peak);
+}
+
+// Pins the admission queue's every decision under a seeded flood: per
+// node, the admitted and shed counts, the deepest line and the bits of
+// the summed queueing wait, plus the bits of the run's end-to-end p99.
+// Recorded before the queue moved into sim::ServerQueue; a change to the
+// admission model that sheds a different request, or adds a wait in a
+// different order, changes them.
+TEST(AdmissionTest, SeededFloodIsPinned) {
+  struct NodePin {
+    uint64_t admitted;
+    uint64_t shed;
+    double queue_peak;
+    uint64_t wait_sum_bits;
+  };
+  const NodePin pins[] = {{580, 1326, 4.0, 0x3f377892cfdb0000ULL},
+                          {649, 1216, 4.0, 0x3f36f64f1673c000ULL}};
+  ClusterConfig cfg;
+  cfg.index_nodes = 2;
+  cfg.master.acg_policy.cluster_target = 50;
+  cfg.admission_control = true;
+  cfg.admission_queue_bound = 4;
+  PropellerCluster cluster(cfg);
+  RunStats stats = Flood(cluster);
+  ASSERT_EQ(cluster.num_index_nodes(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    obs::MetricsSnapshot snap = cluster.index_node(i).MetricsSnapshot();
+    const double wait_sum = snap.histograms["in.admit.wait_s"].sum;
+    EXPECT_EQ(snap.counters["in.admit.admitted"], pins[i].admitted) << "node " << i;
+    EXPECT_EQ(snap.counters["in.admit.shed"], pins[i].shed) << "node " << i;
+    EXPECT_EQ(snap.gauges["in.admit.queue_peak"], pins[i].queue_peak)
+        << "node " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(wait_sum), pins[i].wait_sum_bits)
+        << "node " << i << ": " << std::hexfloat << wait_sum;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(stats.p99_s), 0x3f406bd81f851432ULL)
+      << std::hexfloat << stats.p99_s;
 }
 
 // With the engine unused (no arrival stamps), an admission-enabled cluster

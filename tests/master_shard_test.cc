@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/cluster.h"
 #include "core/master_node.h"
 
@@ -318,6 +320,74 @@ TEST(MasterLeaseTest, SteadyStateResolvesBypassTheMaster) {
                 Counter(cluster, "mn.calls.mn.resolve_search"),
             master_resolves);
   EXPECT_GE(Counter(cluster, "client.resolve.delegated"), 20u);
+}
+
+// --- resolve queue model --------------------------------------------------
+
+// Pins the per-shard resolve queues (model_resolve_queue) under a seeded
+// storm of arrival-stamped resolves: the bits of the summed queueing wait
+// and how many resolves waited on each shard.  Recorded before the shard
+// queue became a sim::ServerQueue; a change to the recurrence moves them.
+TEST(MasterResolveQueueTest, SeededStormIsPinned) {
+  struct StormPin {
+    uint32_t shards;
+    uint64_t wait_sum_bits;
+    std::vector<uint64_t> contended;
+  };
+  const StormPin pins[] = {{1, 0x3fa4df231c039be0ULL, {399}},
+                           {4, 0x3f3d001951c75000ULL, {105, 111, 111, 108}}};
+  for (const StormPin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << pin.shards << " shards");
+    MasterConfig cfg;
+    cfg.acg_policy.cluster_target = 8;
+    cfg.num_shards = static_cast<int>(pin.shards);
+    cfg.model_resolve_queue = true;
+    net::Transport transport;
+    MasterNode master(1, &transport, cfg);
+    transport.Register(1, &master);
+    StubIndexNode stubs[3];
+    for (NodeId id = 10; id < 13; ++id) {
+      transport.Register(id, &stubs[id - 10]);
+      master.AddIndexNode(id);
+    }
+    ASSERT_TRUE(transport
+                    .Call(100, 1, "mn.create_index",
+                          Encode(CreateIndexRequest{SizeIndex()}))
+                    .status.ok());
+    // Place the population unstamped (arrival 0 bypasses the queues).
+    ResolveUpdateRequest place;
+    for (FileId f = 1; f <= 200; ++f) place.files.push_back(f);
+    ASSERT_TRUE(
+        transport.Call(100, 1, "mn.resolve_update", Encode(place)).status.ok());
+
+    Rng rng(7);
+    double arrival = 1.0;
+    for (int i = 0; i < 400; ++i) {
+      arrival += rng.Exponential(3e-6);
+      net::Transport::CallResult r;
+      if (rng.Bernoulli(0.2)) {
+        ResolveSearchRequest req;
+        req.index_name = "by_size";
+        req.arrival_s = arrival;
+        r = transport.Call(100, 1, "mn.resolve_search", Encode(req));
+      } else {
+        ResolveUpdateRequest req;
+        for (int b = 0; b < 8; ++b) req.files.push_back(1 + rng.Uniform(200));
+        req.arrival_s = arrival;
+        r = transport.Call(100, 1, "mn.resolve_update", Encode(req));
+      }
+      ASSERT_TRUE(r.status.ok()) << "op " << i;
+    }
+    obs::MetricsSnapshot snap = master.MetricsSnapshot();
+    const double wait_sum = snap.histograms["mn.shard.queue_wait_s"].sum;
+    EXPECT_EQ(std::bit_cast<uint64_t>(wait_sum), pin.wait_sum_bits)
+        << std::hexfloat << wait_sum;
+    for (uint32_t s = 0; s < pin.shards; ++s) {
+      EXPECT_EQ(snap.counters["mn.shard." + std::to_string(s) + ".contended"],
+                pin.contended[s])
+          << "shard " << s;
+    }
+  }
 }
 
 // --- off-mode bit-identity ------------------------------------------------

@@ -1,14 +1,19 @@
-// Simulation substrate: cost algebra, disk model, IoContext, net model.
+// Simulation substrate: cost algebra, disk model, IoContext, net model,
+// page cache, server queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <list>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/cost.h"
 #include "sim/disk_model.h"
 #include "sim/io_context.h"
 #include "sim/net_model.h"
+#include "sim/server_queue.h"
 
 namespace propeller::sim {
 namespace {
@@ -219,6 +224,139 @@ TEST(PageCacheTest, MatchesReferenceLru) {
       }
     }
   }
+}
+
+// Brute-force k-server queue: every Finish scans all k free-times for the
+// earliest, and every Admit scans every finish ever recorded, marking the
+// ones the arrival has passed — the reference ServerQueue's heaps must
+// match decision for decision and bit for bit.
+class ReferenceServerQueue {
+ public:
+  ReferenceServerQueue(size_t servers, size_t bound)
+      : free_(servers, 0.0), bound_(bound) {}
+
+  bool Admit(double arrival) {
+    for (Recorded& r : finishes_) r.passed = r.passed || r.finish <= arrival;
+    if (bound_ > 0 && Waiting() >= bound_) return false;
+    ++unfinished_;
+    return true;
+  }
+
+  ServerQueue::Slot Finish(double arrival, double service) {
+    --unfinished_;
+    size_t earliest = 0;
+    for (size_t i = 1; i < free_.size(); ++i) {
+      if (free_[i] < free_[earliest]) earliest = i;
+    }
+    const double start = std::max(arrival, free_[earliest]);
+    free_[earliest] = start + service;
+    finishes_.push_back({free_[earliest], false});
+    return {start, free_[earliest]};
+  }
+
+  void Cancel() { --unfinished_; }
+
+  size_t Waiting() const {
+    size_t outstanding = unfinished_;
+    for (const Recorded& r : finishes_) outstanding += r.passed ? 0 : 1;
+    return outstanding > free_.size() ? outstanding - free_.size() : 0;
+  }
+
+ private:
+  struct Recorded {
+    double finish;
+    bool passed;
+  };
+  std::vector<double> free_;
+  std::vector<Recorded> finishes_;
+  size_t unfinished_ = 0;
+  size_t bound_;
+};
+
+// Seeded random Admit / Finish / Cancel sequences near saturation, with
+// arrivals that sometimes step backwards (requests racing into a node):
+// shed decisions, line lengths and every start and finish must agree.
+TEST(ServerQueueTest, MatchesBruteForceModel) {
+  for (size_t servers : {1, 4, 16}) {
+    for (size_t bound : {0, 1, 4}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "servers " << servers << ", bound "
+                                        << bound << ", seed " << seed);
+        ServerQueue queue(servers, bound);
+        ReferenceServerQueue ref(servers, bound);
+        Rng rng(seed);
+        std::vector<double> held;  // arrivals of admitted, unreleased requests
+        double clock = 1.0;
+        uint64_t shed = 0;
+        uint64_t waited = 0;
+        for (int step = 0; step < 5'000; ++step) {
+          if (!held.empty() && rng.Bernoulli(0.5)) {
+            const size_t pick = rng.Uniform(held.size());
+            const double arrival = held[pick];
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+            if (rng.Bernoulli(0.1)) {
+              queue.Cancel();
+              ref.Cancel();
+            } else {
+              const double service = rng.Exponential(1.0);
+              const ServerQueue::Slot got = queue.Finish(arrival, service);
+              const ServerQueue::Slot want = ref.Finish(arrival, service);
+              ASSERT_EQ(std::bit_cast<uint64_t>(got.start),
+                        std::bit_cast<uint64_t>(want.start))
+                  << "step " << step;
+              ASSERT_EQ(std::bit_cast<uint64_t>(got.finish),
+                        std::bit_cast<uint64_t>(want.finish))
+                  << "step " << step;
+              waited += got.start > arrival;
+            }
+          } else {
+            // Offered load ~1.1x the k servers' capacity.
+            clock += rng.Exponential(0.9 / static_cast<double>(servers));
+            const double arrival =
+                rng.Bernoulli(0.1) ? clock - rng.UniformDouble() : clock;
+            const bool admitted = queue.Admit(arrival);
+            ASSERT_EQ(admitted, ref.Admit(arrival)) << "step " << step;
+            if (admitted) {
+              held.push_back(arrival);
+            } else {
+              ++shed;
+            }
+          }
+          ASSERT_EQ(queue.Waiting(), ref.Waiting()) << "step " << step;
+          if (bound > 0) {
+            ASSERT_LE(queue.Waiting(), bound) << "step " << step;
+          }
+        }
+        EXPECT_GT(waited, 0u);
+        if (bound > 0) {
+          EXPECT_GT(shed, 0u);
+        } else {
+          EXPECT_EQ(shed, 0u);
+        }
+      }
+    }
+  }
+}
+
+// LPT: every cost arrives at 0, longest first.  Three servers take 7, 5, 4;
+// the 3s land on the 4 and the 5, the 2 on the first 7 — makespan 9.
+TEST(ServerQueueTest, LongestFirstScheduleMakespan) {
+  ServerQueue workers(3);
+  double makespan = 0;
+  ServerQueue::Slot last;
+  for (double cost : {7.0, 5.0, 4.0, 3.0, 3.0, 2.0}) {
+    last = workers.Finish(0, cost);
+    makespan = std::max(makespan, last.finish);
+  }
+  EXPECT_EQ(makespan, 9.0);
+  EXPECT_EQ(last.start, 7.0);
+  EXPECT_EQ(last.finish, 9.0);
+  EXPECT_EQ(workers.Waiting(), 3u);  // six finishes recorded, none passed
+
+  // Zero servers clamp to one: the costs run back to back.
+  ServerQueue single(0);
+  EXPECT_EQ(single.Finish(0, 2.0).finish, 2.0);
+  EXPECT_EQ(single.Finish(0, 3.0).start, 2.0);
 }
 
 }  // namespace
