@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the index substrate: real
 // wall-clock throughput of the structures themselves, independent of the
 // simulated-disk accounting.  Useful for regression-testing the library.
+// The committed ledger is BENCH_micro.json at the repository root:
+//   bench_micro_index --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -8,6 +10,7 @@
 
 #include "common/rng.h"
 #include "graph/partitioner.h"
+#include "index/attr.h"
 #include "index/btree.h"
 #include "index/hash_index.h"
 #include "index/index_group.h"
@@ -178,6 +181,25 @@ void BM_GroupSearchVerify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GroupSearchVerify)->Arg(1'000)->Arg(200'000);
+
+// One attribute lookup in a 4-attribute record, the inner step of
+// candidate verification.  bound:0 finds by name (a name compare per
+// entry); bound:1 finds by the AttrId a search binds once (an id compare
+// per entry).  Both look up the last entry, the worst case.
+void BM_AttrSetFind(benchmark::State& state) {
+  index::AttrSet attrs;
+  attrs.Set("size", index::AttrValue(int64_t{4096}));
+  attrs.Set("mtime", index::AttrValue(int64_t{1'000'000}));
+  attrs.Set("uid", index::AttrValue(int64_t{1}));
+  attrs.Set("path", index::AttrValue("/home/user/project/src/module.cc"));
+  const bool bound = state.range(0) != 0;
+  const index::AttrId path = index::AttrNames::Global().Intern("path");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bound ? attrs.Find(path) : attrs.Find("path"));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AttrSetFind)->ArgName("bound")->Arg(0)->Arg(1);
 
 // The index node's admission queue: 16 servers, a waiting line capped at
 // 64, one Admit (and, when admitted, one Finish) per op.  Seeded Poisson

@@ -11,9 +11,10 @@ BruteForceSearch::BruteForceSearch(const fs::Namespace* ns,
 BruteForceSearch::Result BruteForceSearch::Search(const index::Predicate& pred) {
   Result out;
   uint64_t files = 0;
+  const index::BoundPredicate bound(pred);
   ns_->ForEachFile([&](const fs::FileStat& st) {
     ++files;
-    if (pred.Matches(st.ToAttrSet())) out.files.push_back(st.id);
+    if (bound.Matches(st.ToAttrSet())) out.files.push_back(st.id);
   });
   // I/O model: inodes are clustered on pages; a full walk touches every
   // inode page once (random-ish across directories -> page-granular

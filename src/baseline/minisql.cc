@@ -118,8 +118,9 @@ MiniSql::SearchResult MiniSql::Search(const index::Predicate& pred) {
   }
 
   if (!used_index) {
+    const index::BoundPredicate bound(pred);
     out.cost += rows_->ForEach([&](FileId f, const AttrSet& attrs) {
-      if (pred.Matches(attrs)) out.files.push_back(f);
+      if (bound.Matches(attrs)) out.files.push_back(f);
     });
     std::sort(out.files.begin(), out.files.end());
     return out;

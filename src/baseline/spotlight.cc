@@ -124,8 +124,9 @@ SpotlightSim::QueryResult SpotlightSim::Query(const index::Predicate& pred,
   out.cost += index_store_.SequentialLoad(pages);
   out.cost += sim::Cost(params_.query_us_per_file / 1e6 *
                         static_cast<double>(indexed_.size()));
+  const index::BoundPredicate bound(pred);
   for (const auto& [file, attrs] : indexed_) {
-    if (pred.Matches(attrs)) out.files.push_back(file);
+    if (bound.Matches(attrs)) out.files.push_back(file);
   }
   std::sort(out.files.begin(), out.files.end());
   return out;

@@ -45,6 +45,8 @@ const char* LockRankName(LockRank rank) {
       return "kMetricsRegistry";
     case LockRank::kTracer:
       return "kTracer";
+    case LockRank::kAttrNames:
+      return "kAttrNames";
   }
   return "unknown";
 }

@@ -68,6 +68,7 @@ enum class LockRank : int {
   kThreadPool = 60,       // ThreadPool::mu_
   kMetricsRegistry = 70,  // obs::MetricsRegistry::mu_
   kTracer = 75,           // obs::Tracer::mu_
+  kAttrNames = 80,        // index::AttrNames::mu_ (attribute-name dictionary)
 };
 
 const char* LockRankName(LockRank rank);

@@ -61,10 +61,18 @@ class BinaryReader {
   Status GetDouble(double& out) { return GetRaw(&out, sizeof out); }
 
   Status GetString(std::string& out) {
+    std::string_view view;
+    PROPELLER_RETURN_IF_ERROR(GetStringView(view));
+    out.assign(view);
+    return Status::Ok();
+  }
+
+  // Like GetString, but returns a view into the input instead of a copy.
+  Status GetStringView(std::string_view& out) {
     uint32_t n = 0;
     PROPELLER_RETURN_IF_ERROR(GetU32(n));
     if (n > Remaining()) return Status::Corruption("string length exceeds input");
-    out.assign(data_.data() + pos_, n);
+    out = data_.substr(pos_, n);
     pos_ += n;
     return Status::Ok();
   }

@@ -1,6 +1,7 @@
 #include "core/query_parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/fmt.h"
@@ -152,6 +153,12 @@ Status ParseTerm(const std::string& raw, int64_t now_s, index::Predicate& pred) 
   char* end = nullptr;
   double d = std::strtod(value_text.c_str(), &end);
   if (end != nullptr && *end == '\0') {
+    // NaN is unordered: every comparison against it would be false (or,
+    // under AttrValue's total order, "equal"), so it is no query value.
+    // Infinities are ordered and stay legal.
+    if (std::isnan(d)) {
+      return Status::InvalidArgument(StrCat("'", value_text, "' is not a number"));
+    }
     pred.And(std::move(attr), op, AttrValue(d));
     return Status::Ok();
   }

@@ -5,11 +5,16 @@
 namespace propeller::fs {
 
 index::AttrSet FileStat::ToAttrSet() const {
+  // Interned once: a namespace walk builds one set per file.
+  static const index::AttrId kSize = index::AttrNames::Global().Intern("size");
+  static const index::AttrId kMtime = index::AttrNames::Global().Intern("mtime");
+  static const index::AttrId kUid = index::AttrNames::Global().Intern("uid");
+  static const index::AttrId kPath = index::AttrNames::Global().Intern("path");
   index::AttrSet a;
-  a.Set("size", index::AttrValue(size));
-  a.Set("mtime", index::AttrValue(mtime));
-  a.Set("uid", index::AttrValue(uid));
-  a.Set("path", index::AttrValue(path));
+  a.Set(kSize, index::AttrValue(size));
+  a.Set(kMtime, index::AttrValue(mtime));
+  a.Set(kUid, index::AttrValue(uid));
+  a.Set(kPath, index::AttrValue(path));
   return a;
 }
 

@@ -66,7 +66,7 @@ Status FileUpdate::Deserialize(BinaryReader& r, FileUpdate& out) {
   return AttrSet::Deserialize(r, out.attrs);
 }
 
-std::vector<std::string> ExtractKeywords(const std::string& path) {
+std::vector<std::string> ExtractKeywords(std::string_view path) {
   std::vector<std::string> words;
   // Exact upper bound on the token count — one pass to size, one to fill;
   // no per-token re-growth and no scratch string.
@@ -127,6 +127,16 @@ IndexGroup::IndexGroup(GroupId id, sim::IoContext* io,
                        obs::MetricsRegistry* metrics, bool enable_result_cache)
     : IndexGroup(id, io, LegacyOptions(metrics, enable_result_cache)) {}
 
+IndexGroup::NamedIndex IndexGroup::BindIndex(const IndexSpec& spec) {
+  NamedIndex idx;
+  idx.spec = spec;
+  idx.attr_ids.reserve(spec.attrs.size());
+  for (const std::string& a : spec.attrs) {
+    idx.attr_ids.push_back(AttrNames::Global().Intern(a));
+  }
+  return idx;
+}
+
 Status IndexGroup::CreateIndex(const IndexSpec& spec) {
   WriterMutexLock lock(mu_);
   if (spec.name.empty()) return Status::InvalidArgument("index name empty");
@@ -142,8 +152,7 @@ Status IndexGroup::CreateIndex(const IndexSpec& spec) {
     return Status::InvalidArgument("index needs exactly one attribute");
   }
 
-  NamedIndex idx;
-  idx.spec = spec;
+  NamedIndex idx = BindIndex(spec);
   switch (spec.type) {
     case IndexType::kBTree:
       idx.btree = std::make_unique<BPlusTree>(io_->CreateStore());
@@ -265,20 +274,20 @@ sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
   sim::Cost cost;
   switch (idx.spec.type) {
     case IndexType::kBTree: {
-      const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
+      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
       if (v != nullptr) cost += idx.btree->Remove(*v, file);
       break;
     }
     case IndexType::kHash: {
-      const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
+      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
       if (v != nullptr) cost += idx.hash->Remove(*v, file);
       break;
     }
     case IndexType::kKeyword: {
-      const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
+      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
       if (v != nullptr && v->is_string()) {
         ForEachKeyword(v->as_string(), [&](std::string_view word) {
-          cost += idx.hash->Remove(AttrValue(std::string(word)), file);
+          cost += idx.hash->Remove(AttrValue(word), file);
         });
       }
       break;
@@ -287,7 +296,7 @@ sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
     case IndexType::kKdTreePaged: {
       std::vector<double> point;
       point.reserve(idx.spec.attrs.size());
-      for (const std::string& a : idx.spec.attrs) {
+      for (AttrId a : idx.attr_ids) {
         const AttrValue* v = attrs.Find(a);
         if (v == nullptr || !v->is_numeric()) return cost;  // never indexed
         point.push_back(v->numeric());
@@ -304,20 +313,20 @@ sim::Cost IndexGroup::InsertPostings(const NamedIndex& idx, FileId file,
   sim::Cost cost;
   switch (idx.spec.type) {
     case IndexType::kBTree: {
-      const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
+      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
       if (v != nullptr) cost += idx.btree->Insert(*v, file);
       break;
     }
     case IndexType::kHash: {
-      const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
+      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
       if (v != nullptr) cost += idx.hash->Insert(*v, file);
       break;
     }
     case IndexType::kKeyword: {
-      const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
+      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
       if (v != nullptr && v->is_string()) {
         ForEachKeyword(v->as_string(), [&](std::string_view word) {
-          cost += idx.hash->Insert(AttrValue(std::string(word)), file);
+          cost += idx.hash->Insert(AttrValue(word), file);
         });
       }
       break;
@@ -326,7 +335,7 @@ sim::Cost IndexGroup::InsertPostings(const NamedIndex& idx, FileId file,
     case IndexType::kKdTreePaged: {
       std::vector<double> point;
       point.reserve(idx.spec.attrs.size());
-      for (const std::string& a : idx.spec.attrs) {
+      for (AttrId a : idx.attr_ids) {
         const AttrValue* v = attrs.Find(a);
         if (v == nullptr || !v->is_numeric()) return cost;  // unindexable
         point.push_back(v->numeric());
@@ -565,8 +574,9 @@ void IndexGroup::SearchBodyLocked(const Predicate& pred,
   if (idx == nullptr) {
     // Full scan of the record store.
     out.access_path = "scan";
+    const BoundPredicate bound(pred);
     out.cost += records_.ForEach([&](FileId file, const AttrSet& attrs) {
-      if (pred.Matches(attrs)) out.files.push_back(file);
+      if (bound.Matches(attrs)) out.files.push_back(file);
     });
     fill_cache();
     return;
@@ -602,15 +612,14 @@ std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
   seg->tombstones = std::move(tombstones);
   seg->indexes.reserve(specs.size());
   for (const IndexSpec& spec : specs) {
-    NamedIndex idx;
-    idx.spec = spec;
+    NamedIndex idx = BindIndex(spec);
     switch (spec.type) {
       case IndexType::kBTree: {
         idx.btree = std::make_unique<BPlusTree>(io_->CreateStore());
         std::vector<std::pair<AttrValue, FileId>> entries;
         entries.reserve(rows.size());
         for (const auto& [file, attrs] : rows) {
-          const AttrValue* v = attrs.Find(spec.attrs[0]);
+          const AttrValue* v = attrs.Find(idx.attr_ids[0]);
           if (v != nullptr) entries.emplace_back(*v, file);
         }
         *cost += idx.btree->BulkLoad(std::move(entries));
@@ -621,7 +630,7 @@ std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
         std::vector<std::pair<AttrValue, FileId>> entries;
         entries.reserve(rows.size());
         for (const auto& [file, attrs] : rows) {
-          const AttrValue* v = attrs.Find(spec.attrs[0]);
+          const AttrValue* v = attrs.Find(idx.attr_ids[0]);
           if (v != nullptr) entries.emplace_back(*v, file);
         }
         *cost += idx.hash->BulkLoad(std::move(entries));
@@ -631,10 +640,10 @@ std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
         idx.hash = std::make_unique<HashIndex>(io_->CreateStore());
         std::vector<std::pair<AttrValue, FileId>> entries;
         for (const auto& [file, attrs] : rows) {
-          const AttrValue* v = attrs.Find(spec.attrs[0]);
+          const AttrValue* v = attrs.Find(idx.attr_ids[0]);
           if (v != nullptr && v->is_string()) {
             ForEachKeyword(v->as_string(), [&](std::string_view word) {
-              entries.emplace_back(AttrValue(std::string(word)), file);
+              entries.emplace_back(AttrValue(word), file);
             });
           }
         }
@@ -653,7 +662,7 @@ std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
         for (const auto& [file, attrs] : rows) {
           std::vector<double> point;
           point.reserve(spec.attrs.size());
-          for (const std::string& a : spec.attrs) {
+          for (AttrId a : idx.attr_ids) {
             const AttrValue* v = attrs.Find(a);
             if (v == nullptr || !v->is_numeric()) break;  // unindexable
             point.push_back(v->numeric());
@@ -909,9 +918,11 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
     if (result_cache_misses_ != nullptr) result_cache_misses_->Add(1);
   }
 
-  // Memtable matches first (FileId order — deterministic).
+  // Memtable matches first (FileId order — deterministic).  The terms are
+  // bound to their ids once, for the overlay and every segment scan.
+  const BoundPredicate bound(pred);
   for (const auto& [file, attrs] : overlay) {
-    if (attrs != nullptr && pred.Matches(*attrs)) out.files.push_back(file);
+    if (attrs != nullptr && bound.Matches(*attrs)) out.files.push_back(file);
   }
 
   // Segments newest -> oldest; a candidate counts only if no younger
@@ -930,7 +941,7 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
       exact = true;
       if (seg_path.empty()) seg_path = "scan";
       out.cost += seg.records.ForEach([&](FileId file, const AttrSet& attrs) {
-        if (pred.Matches(attrs)) candidates.push_back(file);
+        if (bound.Matches(attrs)) candidates.push_back(file);
       });
       std::sort(candidates.begin(), candidates.end());
     } else {

@@ -269,6 +269,7 @@ class IndexGroup {
  private:
   struct NamedIndex {
     IndexSpec spec;
+    std::vector<AttrId> attr_ids;  // spec.attrs, bound once at creation
     std::unique_ptr<BPlusTree> btree;
     std::unique_ptr<HashIndex> hash;
     std::unique_ptr<KdTree> kd;
@@ -309,6 +310,9 @@ class IndexGroup {
   // holders satisfy a shared requirement).
   sim::Cost CommitLocked() REQUIRES(mu_);
   sim::Cost Apply(const FileUpdate& update) REQUIRES(mu_);
+  // A structure-less index for `spec` with its attribute names bound; the
+  // caller adds the structure.
+  static NamedIndex BindIndex(const IndexSpec& spec);
   sim::Cost RemovePostings(const NamedIndex& idx, FileId file,
                            const AttrSet& attrs) REQUIRES(mu_);
   sim::Cost InsertPostings(const NamedIndex& idx, FileId file,
@@ -425,6 +429,6 @@ void ForEachKeyword(std::string_view path, Fn&& fn) {
 
 // Splits a path into keyword tokens ('/', '.', '-', '_' delimited).
 // Convenience wrapper over ForEachKeyword for callers that want a vector.
-std::vector<std::string> ExtractKeywords(const std::string& path);
+std::vector<std::string> ExtractKeywords(std::string_view path);
 
 }  // namespace propeller::index

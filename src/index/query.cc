@@ -29,10 +29,10 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
-bool ContainsWord(const std::string& text, const std::string& word) {
+bool ContainsWord(std::string_view text, std::string_view word) {
   if (word.empty()) return true;
   size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
+  while ((pos = text.find(word, pos)) != std::string_view::npos) {
     bool left_ok = pos == 0 || IsTokenDelimiter(text[pos - 1]);
     size_t end = pos + word.size();
     bool right_ok = end == text.size() || IsTokenDelimiter(text[end]);
@@ -42,25 +42,13 @@ bool ContainsWord(const std::string& text, const std::string& word) {
   return false;
 }
 
-bool Term::Matches(const AttrSet& attrs) const {
-  const AttrValue* v = attrs.Find(attr);
-  if (v == nullptr) return false;
-  switch (op) {
-    case CmpOp::kEq:
-      return *v == value;
-    case CmpOp::kLt:
-      return v->Compare(value) < 0;
-    case CmpOp::kLe:
-      return v->Compare(value) <= 0;
-    case CmpOp::kGt:
-      return v->Compare(value) > 0;
-    case CmpOp::kGe:
-      return v->Compare(value) >= 0;
-    case CmpOp::kContainsWord:
-      if (!v->is_string() || !value.is_string()) return false;
-      return ContainsWord(v->as_string(), value.as_string());
-  }
-  return false;
+BoundPredicate::BoundPredicate(const Predicate& pred) : pred_(pred) {
+  // Interned, not just looked up: a record built after the bind (a
+  // brute-force walk materialises each one as it goes) may carry a name
+  // no record carried before.  The dictionary grows by distinct names
+  // only, never per query.
+  ids_.reserve(pred.terms.size());
+  for (const Term& t : pred.terms) ids_.push_back(AttrNames::Global().Intern(t.attr));
 }
 
 std::string Term::ToString() const {

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "index/attr.h"
@@ -27,12 +28,37 @@ enum class CmpOp {
 
 const char* CmpOpName(CmpOp op);
 
+// True if `word` occurs in `text` as a token delimited by '/', '.', '-',
+// '_' or string edges ("usr/lib/firefox-3.6/x" contains "firefox").
+bool ContainsWord(std::string_view text, std::string_view word);
+
 struct Term {
   std::string attr;
   CmpOp op = CmpOp::kEq;
   AttrValue value;
 
-  bool Matches(const AttrSet& attrs) const;
+  bool Matches(const AttrSet& attrs) const { return MatchesValue(attrs.Find(attr)); }
+  // Does the attribute value `v` (nullptr: the file lacks the attribute)
+  // satisfy this term?  Inline: it runs per term per verified candidate.
+  bool MatchesValue(const AttrValue* v) const {
+    if (v == nullptr) return false;
+    switch (op) {
+      case CmpOp::kEq:
+        return *v == value;
+      case CmpOp::kLt:
+        return v->Compare(value) < 0;
+      case CmpOp::kLe:
+        return v->Compare(value) <= 0;
+      case CmpOp::kGt:
+        return v->Compare(value) > 0;
+      case CmpOp::kGe:
+        return v->Compare(value) >= 0;
+      case CmpOp::kContainsWord:
+        if (!v->is_string() || !value.is_string()) return false;
+        return ContainsWord(v->as_string(), value.as_string());
+    }
+    return false;
+  }
   std::string ToString() const;
 
   void Serialize(BinaryWriter& w) const;
@@ -59,6 +85,26 @@ struct Predicate {
 
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, Predicate& out);
+};
+
+// A predicate with each term's attribute name resolved to its AttrId.  A
+// loop that matches many records binds once, so each term costs an id
+// scan of the record instead of a name compare.  Borrows `pred`, which
+// must outlive it.
+class BoundPredicate {
+ public:
+  explicit BoundPredicate(const Predicate& pred);
+
+  bool Matches(const AttrSet& attrs) const {
+    for (size_t i = 0; i < ids_.size(); ++i) {
+      if (!pred_.terms[i].MatchesValue(attrs.Find(ids_[i]))) return false;
+    }
+    return true;
+  }
+
+ private:
+  const Predicate& pred_;
+  std::vector<AttrId> ids_;  // ids_[i] binds pred_.terms[i]
 };
 
 // Half-open/closed key range for B+tree scans.
@@ -94,9 +140,5 @@ struct KeyRange {
 // term constrains the attribute.
 std::optional<KeyRange> RangeForAttr(const Predicate& pred,
                                      const std::string& attr);
-
-// True if `word` occurs in `text` as a token delimited by '/', '.', '-',
-// '_' or string edges ("usr/lib/firefox-3.6/x" contains "firefox").
-bool ContainsWord(const std::string& text, const std::string& word);
 
 }  // namespace propeller::index

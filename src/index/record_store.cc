@@ -23,9 +23,11 @@ void RecordStore::AppendMatching(std::span<const FileId> candidates,
     records[i] = &it->second;
     __builtin_prefetch(it->second.entries().data());
   }
-  // Pass 2: match, in candidate order.
+  // Pass 2: match, in candidate order, with the terms bound to their ids
+  // once for the whole list.
+  const BoundPredicate bound(pred);
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (records[i] != nullptr && pred.Matches(*records[i])) {
+    if (records[i] != nullptr && bound.Matches(*records[i])) {
       out->push_back(candidates[i]);
     }
   }

@@ -63,6 +63,21 @@ TEST(AttrSetTest, SerializeRoundTrip) {
   EXPECT_EQ(back.Find("path")->as_string(), "/usr/bin/gcc");
 }
 
+// A decoded set with a repeated name would hide its second entry from Find
+// while ByteSize still counted it; decoding refuses it instead.
+TEST(AttrSetTest, DeserializeRejectsRepeatedName) {
+  BinaryWriter w;
+  w.PutU32(2);
+  w.PutString("size");
+  AttrValue(int64_t{1}).Serialize(w);
+  w.PutString("size");
+  AttrValue(int64_t{2}).Serialize(w);
+  BinaryReader r(w.data());
+  AttrSet back;
+  Status s = AttrSet::Deserialize(r, back);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+}
+
 TEST(BinaryReaderTest, RejectsTruncatedInput) {
   BinaryWriter w;
   w.PutString("hello");

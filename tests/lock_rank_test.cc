@@ -39,6 +39,7 @@ TEST(LockRankTableTest, MatchesDesignDocOrder) {
       LockRank::kThreadPool,      // ThreadPool::mu_
       LockRank::kMetricsRegistry, // obs::MetricsRegistry::mu_
       LockRank::kTracer,          // obs::Tracer::mu_
+      LockRank::kAttrNames,       // index::AttrNames::mu_
   };
   for (size_t i = 1; i < std::size(design_order); ++i) {
     EXPECT_LT(static_cast<int>(design_order[i - 1]),
@@ -61,6 +62,7 @@ TEST(LockRankTableTest, NamesAreStable) {
   EXPECT_STREQ(LockRankName(LockRank::kMasterLiveness), "kMasterLiveness");
   EXPECT_STREQ(LockRankName(LockRank::kMasterShard), "kMasterShard");
   EXPECT_STREQ(LockRankName(LockRank::kIndexNodeLease), "kIndexNodeLease");
+  EXPECT_STREQ(LockRankName(LockRank::kAttrNames), "kAttrNames");
   EXPECT_STREQ(LockRankName(LockRank::kUnranked), "kUnranked");
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace propeller::core {
 namespace {
 
@@ -63,6 +65,21 @@ TEST(QueryParserTest, RejectsBadSyntax) {
   EXPECT_FALSE(ParseQuery("size>", kNow).ok());
   EXPECT_FALSE(ParseQuery("keyword:", kNow).ok());
   EXPECT_FALSE(ParseQuery("mtime=1day", kNow).ok()) << "age needs an ordering op";
+}
+
+// NaN is unordered, so as a bound it would match every file (=) or none
+// (>); the parser refuses it.  Infinities are ordered and stay legal.
+TEST(QueryParserTest, RejectsNanButAcceptsInfinity) {
+  for (const char* text : {"size=nan", "size>nan", "size<-nan", "size>=NAN"}) {
+    auto q = ParseQuery(text, kNow);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  auto q = ParseQuery("size<inf", kNow);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q->predicate.terms.size(), 1u);
+  EXPECT_TRUE(q->predicate.terms[0].value.is_double());
+  EXPECT_TRUE(std::isinf(q->predicate.terms[0].value.as_double()));
 }
 
 TEST(QueryParserTest, BareStringValue) {
