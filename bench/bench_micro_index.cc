@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/proto.h"
 #include "graph/partitioner.h"
 #include "index/attr.h"
 #include "index/btree.h"
@@ -232,6 +233,65 @@ void BM_ServerQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServerQueue);
+
+// The RPC codec on the two hot messages: a 64-update StageUpdatesRequest
+// (one write batch) and a 16-group SearchRequest (one fan-out branch).
+// Encode is what every call pays before the transport charges its size;
+// Decode is what the receiving handler pays before any work.
+core::StageUpdatesRequest WireStageBatch() {
+  core::StageUpdatesRequest req;
+  req.group = 7;
+  req.now_s = 12.5;
+  req.epoch = 3;
+  req.replica_role = core::kReplicaRolePrimary;
+  Rng rng(1);
+  for (index::FileId f = 1; f <= 64; ++f) {
+    index::FileUpdate u;
+    u.file = f;
+    u.attrs.Set("size", index::AttrValue(static_cast<int64_t>(rng.Uniform(1 << 20))));
+    u.attrs.Set("mtime", index::AttrValue(static_cast<int64_t>(rng.Uniform(1'000'000))));
+    u.attrs.Set("uid", index::AttrValue(static_cast<int64_t>(rng.Uniform(4))));
+    u.attrs.Set("path", index::AttrValue("/home/user/project/src/module-" +
+                                         std::to_string(f) + ".cc"));
+    req.updates.push_back(std::move(u));
+  }
+  return req;
+}
+
+core::SearchRequest WireSearchFanout() {
+  core::SearchRequest req;
+  for (index::GroupId g = 1; g <= 16; ++g) req.groups.push_back(g * 3);
+  req.predicate.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{1} << 18))
+      .And("mtime", index::CmpOp::kLt, index::AttrValue(int64_t{750'000}));
+  req.epoch = 3;
+  req.arrival_s = 12.5;
+  return req;
+}
+
+template <class T>
+void BM_WireEncode(benchmark::State& state, const T& msg) {
+  for (auto _ : state) {
+    std::string payload = core::Encode(msg);
+    benchmark::DoNotOptimize(payload);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               core::Encode(msg).size()));
+}
+BENCHMARK_CAPTURE(BM_WireEncode, stage_updates_64, WireStageBatch());
+BENCHMARK_CAPTURE(BM_WireEncode, search_16_groups, WireSearchFanout());
+
+template <class T>
+void BM_WireDecode(benchmark::State& state, const T& msg) {
+  const std::string payload = core::Encode(msg);
+  for (auto _ : state) {
+    auto decoded = core::Decode<T>(payload);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               payload.size()));
+}
+BENCHMARK_CAPTURE(BM_WireDecode, stage_updates_64, WireStageBatch());
+BENCHMARK_CAPTURE(BM_WireDecode, search_16_groups, WireSearchFanout());
 
 }  // namespace
 }  // namespace propeller

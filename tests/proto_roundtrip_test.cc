@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <functional>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "core/master_node.h"
 
 namespace propeller::core {
 namespace {
@@ -429,6 +434,129 @@ TEST(ProtoRoundtrip, StrictDecodeRejectsATrailingByte) {
     ASSERT_FALSE(padded.ok()) << c.name << " accepted a trailing byte";
     EXPECT_EQ(padded.status().code(), StatusCode::kCorruption) << c.name;
   }
+}
+
+// --- byte pin: every encoding against digests of the committed layout ---
+
+// 64-bit FNV-1a over a payload.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Index node stand-in for the master's outbound RPCs: accepts everything.
+class AcceptingNode : public net::RpcHandler {
+ public:
+  Response Handle(const std::string& method, const std::string&) override {
+    if (method == "in.migrate_out") {
+      return {Status::Ok(), Encode(MigrateOutResponse{}), sim::Cost(0.001)};
+    }
+    return {Status::Ok(), {}, sim::Cost(0.0001)};
+  }
+};
+
+// The master's metadata image after a fixed run of RPCs on a two-shard,
+// two-replica master: a catalog entry, placed files in several groups, and
+// an ACG delta, so every section of the image is non-empty.
+std::string MetadataImageBytes() {
+  net::Transport transport;
+  AcceptingNode nodes[3];
+  MasterConfig cfg;
+  cfg.acg_policy.cluster_target = 3;
+  cfg.acg_policy.merge_limit = 100;
+  cfg.num_shards = 2;
+  cfg.replication_factor = 2;
+  MasterNode master(1, &transport, cfg);
+  transport.Register(1, &master);
+  for (NodeId id = 10; id < 13; ++id) {
+    transport.Register(id, &nodes[id - 10]);
+    master.AddIndexNode(id);
+  }
+  CreateIndexRequest idx;
+  idx.spec = MakeSpec("by_size");
+  EXPECT_TRUE(transport.Call(100, 1, "mn.create_index", Encode(idx)).status.ok());
+  ResolveUpdateRequest files;
+  for (FileId f = 1; f <= 8; ++f) files.files.push_back(f);
+  EXPECT_TRUE(
+      transport.Call(100, 1, "mn.resolve_update", Encode(files)).status.ok());
+  FlushAcgRequest flush;
+  flush.delta.AddEdge(1, 2, 3);
+  flush.delta.AddEdge(2, 3);
+  EXPECT_TRUE(transport.Call(100, 1, "mn.flush_acg", Encode(flush)).status.ok());
+  return master.SnapshotMetadata();
+}
+
+// Digests of every AllCases() row and of the metadata image, captured from
+// the hand-written codec.  The roundtrip tests above only prove that
+// encode and decode agree with each other; this proves the bytes did not
+// move.  A deliberate layout change updates a digest here and the schema
+// golden together.
+TEST(ProtoBytePin, EveryEncodingMatchesItsPinnedDigest) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"CatchUpRequest/default", 0x5467b0da1d106495ull},
+      {"CatchUpRequest/set", 0xda6206d67cde6d42ull},
+      {"CatchUpResponse/default", 0x88201fb960ff6465ull},
+      {"CatchUpResponse/set", 0xe5c56d1b2df868d7ull},
+      {"CreateGroupRequest/default", 0x5467b0da1d106495ull},
+      {"CreateGroupRequest/set", 0x5f43aab0a8c56d22ull},
+      {"CreateIndexRequest/default", 0xe604823a249029bfull},
+      {"CreateIndexRequest/set", 0x21fceedd54d5d23ull},
+      {"DropGroupRequest/default", 0xa8c7f832281a39c5ull},
+      {"DropGroupRequest/set", 0x81a3697174a540acull},
+      {"FlushAcgRequest/default", 0x88201fb960ff6465ull},
+      {"FlushAcgRequest/set", 0x51c7e26e9427ac2eull},
+      {"HeartbeatRequest/default", 0x88201fb960ff6465ull},
+      {"HeartbeatRequest/set", 0x5f64d88ccca0905bull},
+      {"HeartbeatResponse/default", 0x5467b0da1d106495ull},
+      {"HeartbeatResponse/set", 0xfd5f0c87be7393d0ull},
+      {"InstallGroupRequest/default", 0x88201fb960ff6465ull},
+      {"InstallGroupRequest/set", 0xe1eb983491d71f08ull},
+      {"MetadataImage", 0xb4f6a578b8ebd939ull},
+      {"MigrateOutRequest/default", 0x7c96179f62dae92full},
+      {"MigrateOutRequest/set", 0x8329c57e94363385ull},
+      {"MigrateOutResponse/default", 0x4d25767f9dce13f5ull},
+      {"MigrateOutResponse/set", 0x8e779fbd9ec2ae0dull},
+      {"RecoverGroupRequest/default", 0x5467b0da1d106495ull},
+      {"RecoverGroupRequest/set", 0xda6206d67cde6d42ull},
+      {"RecoverGroupResponse/default", 0xa8c7f832281a39c5ull},
+      {"RecoverGroupResponse/set", 0x335a4bf00dbb4e7aull},
+      {"ResetNodeRequest", 0xcbf29ce484222325ull},
+      {"ResolveSearchRequest/default", 0x5467b0da1d106495ull},
+      {"ResolveSearchRequest/set", 0x63add5e8c1cb7610ull},
+      {"ResolveSearchResponse/N=1/default", 0x88201fb960ff6465ull},
+      {"ResolveSearchResponse/N=1/set", 0xae49cafee3ecdedbull},
+      {"ResolveSearchResponse/N=4/default", 0x88201fb960ff6465ull},
+      {"ResolveSearchResponse/N=4/set", 0x71772c8f784cc6b0ull},
+      {"ResolveUpdateRequest/default", 0x5467b0da1d106495ull},
+      {"ResolveUpdateRequest/set", 0xf55dbebd54903fa7ull},
+      {"ResolveUpdateResponse/N=1/default", 0x88201fb960ff6465ull},
+      {"ResolveUpdateResponse/N=1/set", 0x523e616254a038a2ull},
+      {"ResolveUpdateResponse/N=4/default", 0x88201fb960ff6465ull},
+      {"ResolveUpdateResponse/N=4/set", 0xdf0ca940f737f4d9ull},
+      {"SearchRequest/default", 0x17d9c15239d081d5ull},
+      {"SearchRequest/set", 0x7dc235d45e5e0941ull},
+      {"SearchResponse/default", 0x4d25767f9dce13f5ull},
+      {"SearchResponse/set", 0x65de93eb3c2f15d4ull},
+      {"StageUpdatesRequest/default", 0x42a3110292eaa1dull},
+      {"StageUpdatesRequest/set", 0x1544c2ee979f1378ull},
+      {"StageUpdatesResponse/default", 0xa8c7f832281a39c5ull},
+      {"StageUpdatesResponse/set", 0xc46a0f9004baa068ull},
+      {"TickRequest/default", 0xa8c7f832281a39c5ull},
+      {"TickRequest/set", 0xa9903a3228c42778ull},
+  };
+  std::map<std::string, uint64_t> actual;
+  for (const WireCase& c : AllCases()) actual[c.name] = Fnv1a(c.bytes);
+  actual["MetadataImage"] = Fnv1a(MetadataImageBytes());
+  for (const auto& [name, digest] : actual) {
+    auto it = pinned.find(name);
+    EXPECT_TRUE(it != pinned.end() && it->second == digest)
+        << "{\"" << name << "\", 0x" << std::hex << digest << "ull},";
+  }
+  EXPECT_EQ(pinned.size(), actual.size());
 }
 
 }  // namespace
