@@ -7,6 +7,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -34,6 +35,14 @@ class BinaryWriter {
   void PutVector(const std::vector<T>& v, Fn&& put_elem) {
     PutU32(static_cast<uint32_t>(v.size()));
     for (const T& e : v) put_elem(*this, e);
+  }
+  // A vector of fixed-width numbers in one copy: the bytes PutVector
+  // writes element by element.
+  template <typename T>
+    requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+  void PutScalars(const std::vector<T>& v) {
+    PutU32(static_cast<uint32_t>(v.size()));
+    if (!v.empty()) PutRaw(v.data(), v.size() * sizeof(T));
   }
 
   const std::string& data() const& { return buf_; }
@@ -89,6 +98,18 @@ class BinaryReader {
       out.push_back(std::move(elem));
     }
     return Status::Ok();
+  }
+  // Reads what PutScalars wrote; a count the input cannot hold is a short
+  // read before anything is allocated.
+  template <typename T>
+    requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+  Status GetScalars(std::vector<T>& out) {
+    uint32_t n = 0;
+    PROPELLER_RETURN_IF_ERROR(GetU32(n));
+    if (n > Remaining() / sizeof(T)) return Status::Corruption("short read");
+    out.resize(n);
+    if (n == 0) return Status::Ok();
+    return GetRaw(out.data(), n * sizeof(T));
   }
 
   size_t Remaining() const { return data_.size() - pos_; }

@@ -132,6 +132,14 @@ net::RpcHandler::Response IndexNode::HandleCreateGroup(const std::string& payloa
 net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& payload) {
   auto req = Decode<StageUpdatesRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
+  // An unknown role would take the appender branch below without a commit
+  // sequence; reject it before admission, the journal or any staging.
+  if (req->replica_role > kReplicaRoleSecondary) {
+    return Response{Status::InvalidArgument(
+                        "unknown replica role " +
+                        std::to_string(req->replica_role)),
+                    {}, {}};
+  }
   // Admission-stamped batches queue behind the node's workers; shedding
   // happens before the journal append or any staging, so a shed batch has
   // no side effects whatsoever.

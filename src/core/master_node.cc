@@ -1085,92 +1085,57 @@ std::string MasterNode::SnapshotMetadata() const {
 }
 
 std::string MasterNode::SnapshotMetadataImage() const {
-  const std::vector<IndexSpec> catalog = CatalogSnapshot();
+  MetadataImage image;
+  image.catalog = CatalogSnapshot();
   const uint32_t n = static_cast<uint32_t>(shards_.size());
+  image.shard_epochs.resize(n);
   // Gather per-shard state one mutex at a time (never two shard mutexes at
   // once).  In the simulated single-threaded driver this is an exact
   // snapshot, like an image taken under one coarse lock.
-  std::vector<GroupReplicaSet> sets;
-  std::vector<std::pair<GroupId, std::string>> blobs;
-  std::vector<uint64_t> epochs(n, 0);
   for (uint32_t s = 0; s < n; ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
     for (const auto& [group, replicas] : shard.group_replicas) {
-      sets.push_back({group, replicas});
+      image.replicas.push_back({group, replicas});
     }
     for (GroupId g : shard.acg.Groups()) {
       const acg::Acg* a = shard.acg.GroupAcg(g);
-      BinaryWriter inner;
-      if (a != nullptr) a->Serialize(inner);
-      blobs.emplace_back(g, std::move(inner).Take());
+      BinaryWriter blob;
+      if (a != nullptr) a->Serialize(blob);
+      image.acg_blobs.push_back({g, std::move(blob).Take()});
     }
-    epochs[s] = shard.metadata_epoch;
+    image.shard_epochs[s] = shard.metadata_epoch;
   }
   // Sorted by group id: the image's bytes must be a pure function of the
   // placement tables, not of hash-map iteration order.
-  std::sort(sets.begin(), sets.end(),
+  std::sort(image.replicas.begin(), image.replicas.end(),
             [](const auto& a, const auto& b) { return a.group < b.group; });
-  std::sort(blobs.begin(), blobs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Layout: catalog, replica sets, per-group ACG blobs (the file -> group
-  // mapping), per-shard epochs.
-  BinaryWriter w;
-  w.PutU32(static_cast<uint32_t>(catalog.size()));
-  for (const IndexSpec& s : catalog) s.Serialize(w);
-  PutReplicaSets(w, sets);
-  w.PutU32(static_cast<uint32_t>(blobs.size()));
-  for (const auto& [g, blob] : blobs) {
-    w.PutU64(g);
-    w.PutString(blob);
-  }
-  w.PutU32(n);
-  for (uint64_t e : epochs) w.PutU64(e);
-  return std::move(w).Take();
+  std::sort(image.acg_blobs.begin(), image.acg_blobs.end(),
+            [](const auto& a, const auto& b) { return a.group < b.group; });
+  return Encode(image);
 }
 
-Status MasterNode::RestoreMetadata(const std::string& image) {
+Status MasterNode::RestoreMetadata(const std::string& payload) {
   // Parse the whole image first so a corrupt one leaves the master
   // untouched, then swap the state in per shard.
-  BinaryReader r(image);
-  uint32_t nc = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(nc));
-  std::vector<IndexSpec> catalog;
-  for (uint32_t i = 0; i < nc; ++i) {
-    IndexSpec s;
-    PROPELLER_RETURN_IF_ERROR(IndexSpec::Deserialize(r, s));
-    catalog.push_back(std::move(s));
-  }
-  std::vector<GroupReplicaSet> sets;
-  PROPELLER_RETURN_IF_ERROR(GetReplicaSets(r, sets));
-  uint32_t na = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(na));
+  auto image = Decode<MetadataImage>(payload);
+  if (!image.ok()) return image.status();
   std::vector<std::pair<GroupId, acg::Acg>> subgraphs;
-  for (uint32_t i = 0; i < na; ++i) {
-    GroupId g = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
-    std::string blob;
-    PROPELLER_RETURN_IF_ERROR(r.GetString(blob));
-    if (blob.empty()) continue;
-    BinaryReader ar(blob);
+  for (const MetadataImage::GroupAcgBlob& b : image->acg_blobs) {
+    if (b.blob.empty()) continue;
+    BinaryReader ar(b.blob);
     acg::Acg a;
     PROPELLER_RETURN_IF_ERROR(acg::Acg::Deserialize(ar, a));
-    subgraphs.emplace_back(g, std::move(a));
+    if (!ar.AtEnd()) return Status::Corruption("trailing bytes in ACG blob");
+    subgraphs.emplace_back(b.group, std::move(a));
   }
-  uint32_t ne = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(ne));
-  std::vector<uint64_t> shard_epochs;
-  for (uint32_t i = 0; i < ne; ++i) {
-    uint64_t e = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
-    shard_epochs.push_back(e);
-  }
+  std::vector<GroupReplicaSet>& sets = image->replicas;
+  const std::vector<uint64_t>& shard_epochs = image->shard_epochs;
 
   const uint32_t n = static_cast<uint32_t>(shards_.size());
   {
     MutexLock lock(mu_);
-    catalog_ = std::move(catalog);
+    catalog_ = std::move(image->catalog);
   }
   std::unordered_set<NodeId> dead;
   {

@@ -1,6 +1,8 @@
 // Wire protocol between Propeller clients, the Master Node, and Index
-// Nodes.  Every request/response is a plain struct with binary
-// Serialize/Deserialize, so the transport charges real message sizes.
+// Nodes.  Every request/response is a plain struct that lists its fields
+// once, in wire order, in `Fields()`; Encode/Decode (core/wire.h) derive
+// the binary codec from that list, so the transport charges real message
+// sizes.
 //
 // Method names (see master_node.cc / index_node.cc for handlers):
 //   Master:  mn.resolve_update  mn.resolve_search  mn.create_index
@@ -16,8 +18,7 @@
 #include <vector>
 
 #include "acg/acg.h"
-#include "common/serialize.h"
-#include "common/status.h"
+#include "core/wire.h"
 #include "index/index_group.h"
 #include "index/query.h"
 #include "net/transport.h"
@@ -32,11 +33,31 @@ using index::Predicate;
 using net::NodeId;
 
 // ---- layout convention ----
-// Every message has one fixed layout: each field is always written, so a
-// configuration flag changes field values, never which fields are on the
-// wire (the one conditional section, a lease grant's mirror, follows its
-// own has_mirror byte).  A decoder that finds bytes left over rejects the
-// message (see Decode).
+// Every message has one fixed layout: its Fields() list, each field always
+// written, so a configuration flag changes field values, never which
+// fields are on the wire (the one conditional section, a lease grant's
+// mirror, is declared with If behind its own has_mirror byte).  Decode
+// rejects bytes left over and flag bytes other than 0 or 1.  The rendered
+// layout of every message is pinned by tests/wire_schema.golden.
+
+// The types embedded whole that keep their own codec (they are journaled
+// outside the wire as well), under their schema names.
+template <>
+struct WireName<IndexSpec> {
+  static constexpr std::string_view kName = "IndexSpec";
+};
+template <>
+struct WireName<FileUpdate> {
+  static constexpr std::string_view kName = "FileUpdate";
+};
+template <>
+struct WireName<Predicate> {
+  static constexpr std::string_view kName = "Predicate";
+};
+template <>
+struct WireName<acg::Acg> {
+  static constexpr std::string_view kName = "Acg";
+};
 
 // ---- epoch convention (read-path caching) ----
 // The master stamps its routing metadata with monotonically increasing
@@ -54,14 +75,17 @@ using net::NodeId;
 // in the write quorum) and the rest are secondaries (hedge / failover
 // targets).  Resolve responses carry the per-group replica sets (empty
 // when unreplicated).
+// Resolve responses, the lease mirror on heartbeat acks, and the master's
+// metadata image all carry replica sets in this one layout.
 struct GroupReplicaSet {
   GroupId group = 0;
   std::vector<NodeId> nodes;  // nodes[0] = primary
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(nodes, "nodes");
+  }
 };
-// The one replica-set encoding: resolve responses, the lease mirror on
-// heartbeat acks, and the master's metadata image all use it.
-void PutReplicaSets(BinaryWriter& w, const std::vector<GroupReplicaSet>& sets);
-Status GetReplicaSets(BinaryReader& r, std::vector<GroupReplicaSet>& sets);
 
 // ---- shard convention (sharded master) ----
 // The master hash-partitions its metadata into N = ClusterConfig::
@@ -95,14 +119,23 @@ struct ResolveUpdateRequest {
   // entered the system so the master can model queueing delay on the
   // owning metadata shard; 0 = unstamped.
   double arrival_s = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, ResolveUpdateRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(files, "files");
+    v(arrival_s, "arrival_s");
+  }
 };
 struct ResolveUpdateResponse {
   struct Placement {
     FileId file = 0;
     GroupId group = 0;
     NodeId node = 0;  // the group's primary
+    template <class V>
+    void Fields(V& v) {
+      v(file, "file");
+      v(group, "group");
+      v(node, "node");
+    }
   };
   std::vector<Placement> placements;
   // Full replica sets for the groups named above (empty = unreplicated).
@@ -110,8 +143,13 @@ struct ResolveUpdateResponse {
   // Per-shard epochs + lease holders (see the conventions above).
   std::vector<uint64_t> shard_epochs;
   std::vector<NodeId> lease_holders;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, ResolveUpdateResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(placements, "placements");
+    v(replicas, "replicas");
+    v(shard_epochs, "shard_epochs");
+    v(lease_holders, "lease_holders");
+  }
 };
 
 // ---- mn.resolve_search ----
@@ -123,13 +161,21 @@ struct ResolveSearchRequest {
   // sharded master a search resolve reads every shard, so its queueing
   // delay is the max over the shards.
   double arrival_s = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, ResolveSearchRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(index_name, "index_name");
+    v(arrival_s, "arrival_s");
+  }
 };
 struct ResolveSearchResponse {
   struct NodeGroups {
     NodeId node = 0;
     std::vector<GroupId> groups;
+    template <class V>
+    void Fields(V& v) {
+      v(node, "node");
+      v(groups, "groups");
+    }
   };
   std::vector<NodeGroups> targets;  // keyed by each group's primary
   // Full replica sets per group (empty = unreplicated); clients hedge
@@ -138,22 +184,31 @@ struct ResolveSearchResponse {
   // Per-shard epochs + lease holders (see the conventions above).
   std::vector<uint64_t> shard_epochs;
   std::vector<NodeId> lease_holders;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, ResolveSearchResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(targets, "targets");
+    v(replicas, "replicas");
+    v(shard_epochs, "shard_epochs");
+    v(lease_holders, "lease_holders");
+  }
 };
 
 // ---- mn.create_index ----
 struct CreateIndexRequest {
   IndexSpec spec;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, CreateIndexRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(spec, "spec");
+  }
 };
 
 // ---- mn.flush_acg ----
 struct FlushAcgRequest {
   acg::Acg delta;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, FlushAcgRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(delta, "delta");
+  }
 };
 
 // ---- mn.heartbeat ----
@@ -166,10 +221,20 @@ struct HeartbeatRequest {
     GroupId group = 0;
     uint64_t files = 0;
     uint64_t pages = 0;
+    template <class V>
+    void Fields(V& v) {
+      v(group, "group");
+      v(files, "files");
+      v(pages, "pages");
+    }
   };
   std::vector<GroupStat> groups;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, HeartbeatRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(node, "node");
+    v(now_s, "now_s");
+    v(groups, "groups");
+  }
 };
 // With placement leases on, the master rides its lease grants on the
 // heartbeat ack.  A grant names a metadata shard the node may answer
@@ -187,29 +252,58 @@ struct ShardLeaseGrant {
   struct GroupPrimary {
     GroupId group = 0;
     NodeId node = 0;
+    template <class V>
+    void Fields(V& v) {
+      v(group, "group");
+      v(node, "node");
+    }
   };
   std::vector<GroupPrimary> groups;        // mirror: group -> primary
   std::vector<GroupReplicaSet> replicas;   // mirror: full sets (replication)
   struct FileGroup {
     FileId file = 0;
     GroupId group = 0;
+    template <class V>
+    void Fields(V& v) {
+      v(file, "file");
+      v(group, "group");
+    }
   };
   std::vector<FileGroup> files;            // mirror: file -> group
+  template <class V>
+  void Fields(V& v) {
+    v(shard, "shard");
+    v(epoch, "epoch");
+    v(expiry_s, "expiry_s");
+    v(has_mirror, "has_mirror");
+    v.If(has_mirror, [&] {
+      v(groups, "groups");
+      v(replicas, "replicas");
+      v(files, "files");
+    });
+  }
 };
 struct HeartbeatResponse {
   uint32_t num_shards = 0;  // the master's metadata shard count
   std::vector<std::string> index_names;  // catalog names for delegated checks
   std::vector<ShardLeaseGrant> leases;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, HeartbeatResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(num_shards, "num_shards");
+    v(index_names, "index_names");
+    v(leases, "leases");
+  }
 };
 
 // ---- in.create_group ----
 struct CreateGroupRequest {
   GroupId group = 0;
   std::vector<IndexSpec> specs;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, CreateGroupRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(specs, "specs");
+  }
 };
 
 // ---- in.stage_updates ----
@@ -236,15 +330,27 @@ struct StageUpdatesRequest {
   // batch through its bounded admission queue at virtual time `now_s`
   // (kOverloaded on overflow, before any staging).
   uint8_t admission = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, StageUpdatesRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(now_s, "now_s");
+    v(updates, "updates");
+    v(epoch, "epoch");
+    v(replica_role, "replica_role");
+    v(admission, "admission");
+  }
+  // Hot path: one message per update batch.  Pre-size for the typical
+  // serialized FileUpdate (~96 bytes of path + attributes).
+  size_t WireSizeHint() const { return 30 + updates.size() * 96; }
 };
 // The replica's applied commit sequence after this batch (0 when the
 // request carried no replica role).
 struct StageUpdatesResponse {
   uint64_t seq = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, StageUpdatesResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(seq, "seq");
+  }
 };
 
 // ---- in.search ----
@@ -261,19 +367,37 @@ struct SearchRequest {
   struct GroupSeqFloor {
     GroupId group = 0;
     uint64_t seq = 0;
+    template <class V>
+    void Fields(V& v) {
+      v(group, "group");
+      v(seq, "seq");
+    }
   };
   std::vector<GroupSeqFloor> min_seqs;
   // Arrival stamp (open-loop traffic): > 0 carries the virtual time the
   // request entered the system, asking the node to model queueing delay at
   // its bounded admission queue (kOverloaded on overflow); 0 = unstamped.
   double arrival_s = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, SearchRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(groups, "groups");
+    v(predicate, "predicate");
+    v(epoch, "epoch");
+    v(min_seqs, "min_seqs");
+    v(arrival_s, "arrival_s");
+  }
+  // Hot path: one message per fan-out target; dominated by the group list.
+  size_t WireSizeHint() const {
+    return 24 + groups.size() * 8 + min_seqs.size() * 16 + 128;
+  }
 };
 struct SearchResponse {
   std::vector<FileId> files;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, SearchResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(files, "files");
+  }
+  size_t WireSizeHint() const { return 4 + files.size() * 8; }
 };
 
 // ---- in.tick / mn.tick ----
@@ -284,8 +408,10 @@ struct SearchResponse {
 // and their groups recovered onto survivors.
 struct TickRequest {
   double now_s = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, TickRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(now_s, "now_s");
+  }
 };
 
 // ---- in.migrate_out ----
@@ -296,13 +422,19 @@ struct MigrateOutRequest {
   GroupId group = 0;
   std::vector<FileId> files;  // empty = everything in the group
   bool drop_group = false;    // also delete the (now empty) group
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, MigrateOutRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(drop_group, "drop_group");
+    v(files, "files");
+  }
 };
 struct MigrateOutResponse {
   std::vector<FileUpdate> records;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, MigrateOutResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(records, "records");
+  }
 };
 
 // ---- in.install_group ----
@@ -310,8 +442,12 @@ struct InstallGroupRequest {
   GroupId group = 0;
   std::vector<IndexSpec> specs;
   std::vector<FileUpdate> records;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, InstallGroupRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(specs, "specs");
+    v(records, "records");
+  }
 };
 
 // ---- in.recover_group ----
@@ -321,13 +457,18 @@ struct InstallGroupRequest {
 struct RecoverGroupRequest {
   GroupId group = 0;
   std::vector<IndexSpec> specs;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, RecoverGroupRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(specs, "specs");
+  }
 };
 struct RecoverGroupResponse {
   uint64_t records_replayed = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, RecoverGroupResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(records_replayed, "records_replayed");
+  }
 };
 
 // ---- in.catch_up ----
@@ -339,14 +480,20 @@ struct RecoverGroupResponse {
 struct CatchUpRequest {
   GroupId group = 0;
   std::vector<IndexSpec> specs;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, CatchUpRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+    v(specs, "specs");
+  }
 };
 struct CatchUpResponse {
   uint64_t records_replayed = 0;
   uint64_t seq = 0;  // the replica's applied seq after catch-up
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, CatchUpResponse& out);
+  template <class V>
+  void Fields(V& v) {
+    v(records_replayed, "records_replayed");
+    v(seq, "seq");
+  }
 };
 
 // ---- in.drop_group ----
@@ -355,41 +502,47 @@ struct CatchUpResponse {
 // replica set).  The journal and the surviving replicas keep the data.
 struct DropGroupRequest {
   GroupId group = 0;
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, DropGroupRequest& out);
+  template <class V>
+  void Fields(V& v) {
+    v(group, "group");
+  }
 };
 
 // ---- in.reset ----
 // Master -> revived node: drop every group (their data was re-homed while
 // the node was dead) so the node rejoins the placement pool empty.
 struct ResetNodeRequest {
-  void Serialize(BinaryWriter& w) const;
-  static Status Deserialize(BinaryReader& r, ResetNodeRequest& out);
+  template <class V>
+  void Fields(V&) {}
 };
 
-// ---- generic helpers ----
-
-// Serializes a request struct to a payload string.
-template <typename T>
-std::string Encode(const T& msg) {
-  BinaryWriter w;
-  msg.Serialize(w);
-  return std::move(w).Take();
-}
-
-// Parses a payload into a message struct.  Layouts are fixed, so bytes
-// left over after the message are corruption, not an unknown extension.
-template <typename T>
-Result<T> Decode(const std::string& payload) {
-  BinaryReader r(payload);
-  T out{};
-  Status st = T::Deserialize(r, out);
-  if (!st.ok()) return st;
-  if (!r.AtEnd()) {
-    return Status::Corruption(std::to_string(r.Remaining()) +
-                              " trailing byte(s) after message");
+// ---- master metadata image ----
+// Not an RPC: the image the master flushes to shared storage and a
+// standby restores (MasterNode::SnapshotMetadataImage / RestoreMetadata),
+// on the same codec.  Replica sets and ACG blobs are sorted by group id,
+// so the bytes are a pure function of the placement tables.
+struct MetadataImage {
+  std::vector<IndexSpec> catalog;
+  std::vector<GroupReplicaSet> replicas;
+  struct GroupAcgBlob {
+    GroupId group = 0;
+    // The group's encoded acg::Acg: its files and their edges ("" = none).
+    std::string blob;
+    template <class V>
+    void Fields(V& v) {
+      v(group, "group");
+      v(blob, "blob");
+    }
+  };
+  std::vector<GroupAcgBlob> acg_blobs;
+  std::vector<uint64_t> shard_epochs;  // one per metadata shard
+  template <class V>
+  void Fields(V& v) {
+    v(catalog, "catalog");
+    v(replicas, "replicas");
+    v(acg_blobs, "acg_blobs");
+    v(shard_epochs, "shard_epochs");
   }
-  return out;
-}
+};
 
 }  // namespace propeller::core

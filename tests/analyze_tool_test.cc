@@ -35,147 +35,6 @@ std::string WriteTemp(const std::string& name, const std::string& text) {
   return path;
 }
 
-// ---- wire pass ---------------------------------------------------------
-
-constexpr char kProtoClean[] = R"cc(
-namespace propeller::core {
-namespace {
-void PutTrailingEpoch(BinaryWriter& w, uint64_t epoch) {
-  if (epoch != 0) w.PutU64(epoch);
-}
-Status GetTrailingEpoch(BinaryReader& r, uint64_t& epoch) {
-  epoch = 0;
-  if (r.AtEnd()) return Status::Ok();
-  return r.GetU64(epoch);
-}
-}  // namespace
-void FooRequest::Serialize(BinaryWriter& w) const {
-  w.PutU64(id);
-  w.PutU32(static_cast<uint32_t>(items.size()));
-  for (uint64_t x : items) w.PutU64(x);
-  PutTrailingEpoch(w, epoch);
-}
-Status FooRequest::Deserialize(BinaryReader& r, FooRequest& out) {
-  PROPELLER_RETURN_IF_ERROR(r.GetU64(out.id));
-  uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(x));
-    out.items.push_back(x);
-  }
-  return GetTrailingEpoch(r, out.epoch);
-}
-}  // namespace propeller::core
-)cc";
-
-std::vector<Finding> RunWire(const std::string& proto_text,
-                             const std::string& golden_path = "",
-                             bool update = false) {
-  Options opt;
-  opt.golden = golden_path;
-  opt.update_golden = update;
-  std::vector<Finding> findings;
-  SourceFile proto = MakeSource("src/core/proto.cc", proto_text);
-  RunWireSchemaPass(opt, proto, &findings);
-  return findings;
-}
-
-TEST(WireSchemaPass, CleanPairWithTrailingOptionalHelper) {
-  std::vector<Finding> findings = RunWire(kProtoClean);
-  EXPECT_EQ(FatalCount(findings), 0)
-      << (findings.empty() ? "" : findings[0].message);
-}
-
-TEST(WireSchemaPass, DeletedDecodeFieldIsSymmetryBreak) {
-  std::string mutated = kProtoClean;
-  size_t pos = mutated.find("PROPELLER_RETURN_IF_ERROR(r.GetU64(out.id));");
-  ASSERT_NE(pos, std::string::npos);
-  mutated.erase(pos, std::string("PROPELLER_RETURN_IF_ERROR(r.GetU64(out.id));").size());
-  std::vector<Finding> findings = RunWire(mutated);
-  EXPECT_GE(FatalCount(findings), 1);
-  EXPECT_TRUE(AnyMentions(findings, "FooRequest"));
-}
-
-TEST(WireSchemaPass, SwappedEncodeFieldsAreFieldMismatch) {
-  std::string mutated = kProtoClean;
-  size_t pos = mutated.find("w.PutU64(id);");
-  ASSERT_NE(pos, std::string::npos);
-  mutated.replace(pos, std::string("w.PutU64(id);").size(),
-                  "w.PutU32(static_cast<uint32_t>(items.size()));");
-  size_t pos2 = mutated.find("w.PutU32(static_cast<uint32_t>(items.size()));",
-                             pos + 10);
-  ASSERT_NE(pos2, std::string::npos);
-  mutated.replace(
-      pos2, std::string("w.PutU32(static_cast<uint32_t>(items.size()));").size(),
-      "w.PutU64(id);");
-  std::vector<Finding> findings = RunWire(mutated);
-  EXPECT_GE(FatalCount(findings), 1);
-  EXPECT_TRUE(AnyMentions(findings, "mismatch"));
-}
-
-TEST(WireSchemaPass, RequiredFieldAfterOptionalViolatesDiscipline) {
-  std::string mutated = kProtoClean;
-  size_t pos = mutated.find("  PutTrailingEpoch(w, epoch);");
-  ASSERT_NE(pos, std::string::npos);
-  mutated.insert(pos + std::string("  PutTrailingEpoch(w, epoch);").size(),
-                 "\n  w.PutU32(checksum);");
-  std::vector<Finding> findings = RunWire(mutated);
-  EXPECT_GE(FatalCount(findings), 1);
-  EXPECT_TRUE(AnyMentions(findings, "follows an optional"));
-}
-
-TEST(WireSchemaPass, GoldenDetectsMidMessageInsert) {
-  std::string golden = WriteTemp("wire_insert.golden", "");
-  EXPECT_EQ(FatalCount(RunWire(kProtoClean, golden, /*update=*/true)), 0);
-  // Recorded snapshot now matches the clean source.
-  EXPECT_EQ(FatalCount(RunWire(kProtoClean, golden)), 0);
-
-  std::string mutated = kProtoClean;
-  size_t pos = mutated.find("  w.PutU32(static_cast<uint32_t>(items.size()));");
-  ASSERT_NE(pos, std::string::npos);
-  mutated.insert(pos, "  w.PutU32(version);\n");
-  pos = mutated.find("  uint32_t n = 0;");
-  ASSERT_NE(pos, std::string::npos);
-  mutated.insert(pos,
-                 "  uint32_t version = 0;\n"
-                 "  PROPELLER_RETURN_IF_ERROR(r.GetU32(version));\n");
-  std::vector<Finding> findings = RunWire(mutated, golden);
-  EXPECT_GE(FatalCount(findings), 1);
-  EXPECT_TRUE(AnyMentions(findings, "WIRE-BREAKING"));
-  // Field-level diff: the inserted field appears in the report.
-  EXPECT_TRUE(AnyMentions(findings, "u32 version"));
-}
-
-TEST(WireSchemaPass, TrailingOptionalExtensionIsCalledLegal) {
-  std::string golden = WriteTemp("wire_extend.golden", "");
-  EXPECT_EQ(FatalCount(RunWire(kProtoClean, golden, /*update=*/true)), 0);
-
-  std::string extended = kProtoClean;
-  size_t pos = extended.find("  PutTrailingEpoch(w, epoch);");
-  ASSERT_NE(pos, std::string::npos);
-  extended.replace(pos, std::string("  PutTrailingEpoch(w, epoch);").size(),
-                   "  PutTrailingEpoch(w, epoch);\n"
-                   "  if (flags != 0) w.PutU32(flags);");
-  pos = extended.find("  return GetTrailingEpoch(r, out.epoch);");
-  ASSERT_NE(pos, std::string::npos);
-  extended.replace(
-      pos, std::string("  return GetTrailingEpoch(r, out.epoch);").size(),
-      "  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, out.epoch));\n"
-      "  if (r.AtEnd()) return Status::Ok();\n"
-      "  return r.GetU32(out.flags);");
-  std::vector<Finding> findings = RunWire(extended, golden);
-  // Still fails (snapshot must be refreshed deliberately) but is
-  // classified as the legal evolution path.
-  EXPECT_GE(FatalCount(findings), 1);
-  EXPECT_TRUE(AnyMentions(findings, "legal evolution"));
-  EXPECT_TRUE(AnyMentions(findings, "--update-golden"));
-
-  // After refreshing the snapshot the extended source is clean.
-  EXPECT_EQ(FatalCount(RunWire(extended, golden, /*update=*/true)), 0);
-  EXPECT_EQ(FatalCount(RunWire(extended, golden)), 0);
-}
-
 // ---- lock pass ---------------------------------------------------------
 
 constexpr char kMutexHeader[] = R"cc(

@@ -5,6 +5,7 @@
 #include <bit>
 #include <vector>
 
+#include "core/group_journal.h"
 #include "core/index_node.h"
 
 namespace propeller::core {
@@ -245,6 +246,37 @@ TEST_F(IndexNodeTest, SearchMakespanUsesWorkerPool) {
   }
   EXPECT_GT(costs[0], costs[1]);
   EXPECT_GT(costs[0], costs[2] * 4);
+}
+
+// A role byte above kReplicaRoleSecondary is malformed.  The node rejects
+// it before the journal append instead of treating it as an appender that
+// assigns no sequence.
+TEST(IndexNodeRoleTest, UnknownReplicaRoleRejectedBeforeTheJournal) {
+  GroupJournal journal;
+  IndexNodeConfig cfg;
+  cfg.recovery_journal = &journal;
+  IndexNode node(12, cfg);
+  CreateGroupRequest creq;
+  creq.group = 1;
+  creq.specs = {{"by_size", index::IndexType::kBTree, {"size"}}};
+  ASSERT_TRUE(node.Handle("in.create_group", Encode(creq)).status.ok());
+
+  StageUpdatesRequest req;
+  req.group = 1;
+  req.updates = {Upsert(1, 10)};
+  req.replica_role = kReplicaRoleSecondary + 1;
+  EXPECT_EQ(node.Handle("in.stage_updates", Encode(req)).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(journal.NumRecords(1), 0u);
+
+  // The same batch as the primary appends and acks the journal's sequence.
+  req.replica_role = kReplicaRolePrimary;
+  auto resp = node.Handle("in.stage_updates", Encode(req));
+  ASSERT_TRUE(resp.status.ok());
+  auto ack = Decode<StageUpdatesResponse>(resp.payload);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(journal.NumRecords(1), 1u);
+  EXPECT_EQ(ack->seq, journal.Seq(1));
 }
 
 TEST_F(IndexNodeTest, MalformedPayloadRejected) {

@@ -187,6 +187,32 @@ TEST_F(MasterNodeTest, CorruptMetadataImageRejected) {
   EXPECT_FALSE(master_.RestoreMetadata("garbage").ok());
 }
 
+// A metadata image is decoded strictly: one byte past a valid image is
+// corruption, and the failed restore leaves every table as it was.
+TEST_F(MasterNodeTest, MetadataImageWithATrailingByteIsRejectedUntouched) {
+  CreateIndexRequest idx;
+  idx.spec = {"by_size", index::IndexType::kBTree, {"size"}};
+  ASSERT_TRUE(Call("mn.create_index", Encode(idx)).status.ok());
+  ResolveUpdateRequest req;
+  for (FileId f = 1; f <= 6; ++f) req.files.push_back(f);
+  ASSERT_TRUE(Call("mn.resolve_update", Encode(req)).status.ok());
+  const std::string image = master_.SnapshotMetadata();
+
+  // Move the master past the image, then try to restore the padded image.
+  idx.spec.name = "by_mtime";
+  ASSERT_TRUE(Call("mn.create_index", Encode(idx)).status.ok());
+  const std::string current = master_.SnapshotMetadata();
+  const uint64_t epoch = master_.MetadataEpoch();
+  Status st = master_.RestoreMetadata(image + '\0');
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_EQ(master_.SnapshotMetadata(), current);
+  EXPECT_EQ(master_.MetadataEpoch(), epoch);
+  EXPECT_EQ(master_.Catalog().size(), 2u);
+
+  ASSERT_TRUE(master_.RestoreMetadata(image).ok());
+  EXPECT_EQ(master_.Catalog().size(), 1u);
+}
+
 TEST_F(MasterNodeTest, UnknownMethodRejected) {
   EXPECT_EQ(Call("mn.nope", "").status.code(), StatusCode::kNotFound);
 }

@@ -1,9 +1,10 @@
 // Byte-exact roundtrip coverage for every wire message in core/proto.h:
 // encode -> decode -> re-encode must reproduce the original bytes, at
-// all-default and all-set field values, and a strict decode must reject
-// any byte left over.  Together with the propeller_analyze wire pass
-// (encode/decode symmetry + golden schema) this pins the wire format: the
-// analyzer proves the structure, this test proves the bytes.
+// all-default and all-set field values, a strict decode must reject any
+// byte left over, and every encoding must match its pinned digest.
+// Together with wire_schema_test (the rendered field lists against
+// wire_schema.golden) this pins the wire format: the golden shows the
+// structure, this test proves the bytes.
 #include "core/proto.h"
 
 #include <gtest/gtest.h>
@@ -23,9 +24,7 @@ namespace {
 
 template <typename T>
 std::string EncodeBytes(const T& msg) {
-  BinaryWriter w;
-  msg.Serialize(w);
-  return w.data();
+  return Encode(msg);
 }
 
 // Encode, decode, re-encode; the two encodings must be byte-identical and
@@ -33,12 +32,9 @@ std::string EncodeBytes(const T& msg) {
 template <typename T>
 void ExpectRoundtrip(const T& msg) {
   std::string bytes = EncodeBytes(msg);
-  BinaryReader r(bytes);
-  T out;
-  ASSERT_TRUE(T::Deserialize(r, out).ok());
-  EXPECT_TRUE(r.AtEnd()) << "decoder left " << r.Remaining()
-                         << " trailing byte(s)";
-  EXPECT_EQ(bytes, EncodeBytes(out));
+  auto out = Decode<T>(bytes);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(bytes, EncodeBytes(*out));
 }
 
 FileUpdate MakeUpdate(FileId file) {
@@ -434,6 +430,33 @@ TEST(ProtoRoundtrip, StrictDecodeRejectsATrailingByte) {
     ASSERT_FALSE(padded.ok()) << c.name << " accepted a trailing byte";
     EXPECT_EQ(padded.status().code(), StatusCode::kCorruption) << c.name;
   }
+}
+
+// A flag byte is 0 or 1.  Any other value would decode, then re-encode to
+// different bytes, so Decode rejects it as corruption.
+TEST(ProtoRoundtrip, FlagBytesOtherThanZeroOrOneAreCorruption) {
+  MigrateOutRequest migrate;
+  migrate.group = 8;
+  migrate.drop_group = true;
+  migrate.files = {1};
+  std::string bytes = Encode(migrate);
+  const size_t drop_group_at = 8;  // after the u64 group
+  ASSERT_EQ(bytes[drop_group_at], '\x01');
+  bytes[drop_group_at] = '\x02';
+  auto out = Decode<MigrateOutRequest>(bytes);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+
+  HeartbeatResponse ack;
+  ack.leases.push_back(ShardLeaseGrant{});
+  bytes = Encode(ack);
+  // u32 num_shards, u32 + u32 list counts, u32 shard, u64 epoch, double.
+  const size_t has_mirror_at = 4 + 4 + 4 + 4 + 8 + 8;
+  ASSERT_EQ(bytes.size(), has_mirror_at + 1);
+  bytes[has_mirror_at] = '\xff';
+  auto hb = Decode<HeartbeatResponse>(bytes);
+  ASSERT_FALSE(hb.ok());
+  EXPECT_EQ(hb.status().code(), StatusCode::kCorruption);
 }
 
 // --- byte pin: every encoding against digests of the committed layout ---

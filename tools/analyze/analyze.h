@@ -1,13 +1,9 @@
 // propeller-analyze: dependency-free static analysis over src/.
 //
-// Three passes guard the repo invariants that nothing else checks without
+// Two passes guard the repo invariants that nothing else checks without
 // Clang installed (token/declaration-level parsing only — this must run
 // everywhere cmake does):
 //
-//   wire         Encode/decode symmetry + trailing-optional discipline for
-//                every wire message in src/core/proto.cc, diffed against
-//                the checked-in golden schema snapshot
-//                (tools/analyze/wire_schema.golden).
 //   locks        propeller::Mutex/SharedMutex declarations, their LockRank
 //                assignments, the DESIGN.md rank table, and the static
 //                (lexical, one level of call propagation) acquisition
@@ -19,6 +15,10 @@
 // Escape hatch: a `// analyze:allow(<pass>)` comment on the offending line
 // or the line above suppresses a finding (use sparingly, with a
 // justification comment).
+//
+// The wire format needs no pass: each message's Fields() list in
+// src/core/proto.h drives its encoder and decoder, and wire_schema_test
+// checks the rendered layout against tests/wire_schema.golden.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +32,7 @@ namespace propeller::analyze {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string pass;  // "wire" | "locks" | "determinism"
+  std::string pass;  // "locks" | "determinism"
   std::string message;
   bool fatal = true;  // notes are printed but do not fail the run
 };
@@ -75,8 +75,6 @@ struct ClassInfo {
 struct FunctionDef {
   std::string name;        // unqualified ("Serialize", "HandleTick", ...)
   std::string class_name;  // from "X::name" or the enclosing class; "" = free
-  std::string params;      // text inside the signature parens
-  size_t sig_off = 0;      // offset of the head (line reporting)
   size_t body_begin = 0;   // offset just inside '{'
   size_t body_end = 0;     // offset of the matching '}'
 };
@@ -102,17 +100,10 @@ size_t MatchBracket(const std::string& code, size_t open);
 
 struct Options {
   std::string src_dir = "src";
-  std::string golden;        // wire_schema.golden (empty = skip golden diff)
   std::string design;        // DESIGN.md (empty = skip table cross-check)
   std::string lock_test;     // lock_rank_test.cc (empty = skip coverage note)
-  bool update_golden = false;
   bool verbose = false;
 };
-
-// Wire pass over the given proto source (normally src/core/proto.cc).
-// Returns the canonical schema text (also what --update-golden writes).
-std::string RunWireSchemaPass(const Options& opt, const SourceFile& proto,
-                              std::vector<Finding>* findings);
 
 void RunLockOrderPass(const Options& opt, const std::vector<SourceFile>& files,
                       std::vector<Finding>* findings);

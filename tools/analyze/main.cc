@@ -2,12 +2,10 @@
 //
 // Usage:
 //   propeller_analyze [--root DIR] [--src DIR] [--pass NAME]...
-//                     [--golden FILE] [--design FILE] [--lock-test FILE]
-//                     [--update-golden] [--verbose] [--list]
+//                     [--design FILE] [--lock-test FILE] [--verbose] [--list]
 //
 // Defaults assume invocation from the repo root: --src src,
-// --golden tools/analyze/wire_schema.golden, --design DESIGN.md,
-// --lock-test tests/lock_rank_test.cc.  Exit code 0 iff no fatal
+// --design DESIGN.md, --lock-test tests/lock_rank_test.cc.  Exit code 0 iff no fatal
 // findings (notes never fail the run).
 #include "analyze.h"
 
@@ -25,13 +23,10 @@ void Usage() {
       "usage: propeller_analyze [options]\n"
       "  --root DIR       repo root (prefixes every default path)\n"
       "  --src DIR        source tree to scan (default: src)\n"
-      "  --pass NAME      run one pass (wire|locks|determinism); repeatable;\n"
-      "                   default: all three\n"
-      "  --golden FILE    wire schema snapshot (default:\n"
-      "                   tools/analyze/wire_schema.golden)\n"
+      "  --pass NAME      run one pass (locks|determinism); repeatable;\n"
+      "                   default: both\n"
       "  --design FILE    DESIGN.md for the rank-table cross-check\n"
       "  --lock-test FILE lock_rank_test.cc for edge-coverage notes\n"
-      "  --update-golden  rewrite the golden snapshot from source\n"
       "  --verbose        print the reconstructed rank table and edges\n"
       "  --list           list passes and exit\n");
 }
@@ -43,7 +38,7 @@ int main(int argc, char** argv) {
   Options opt;
   std::string root;
   std::vector<std::string> passes;
-  bool golden_set = false, design_set = false, lock_test_set = false;
+  bool design_set = false, lock_test_set = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -59,21 +54,15 @@ int main(int argc, char** argv) {
       opt.src_dir = next();
     } else if (arg == "--pass") {
       passes.push_back(next());
-    } else if (arg == "--golden") {
-      opt.golden = next();
-      golden_set = true;
     } else if (arg == "--design") {
       opt.design = next();
       design_set = true;
     } else if (arg == "--lock-test") {
       opt.lock_test = next();
       lock_test_set = true;
-    } else if (arg == "--update-golden") {
-      opt.update_golden = true;
     } else if (arg == "--verbose") {
       opt.verbose = true;
     } else if (arg == "--list") {
-      std::printf("wire         encode/decode symmetry + golden schema\n");
       std::printf("locks        rank table + static acquisition order\n");
       std::printf("determinism  wall-clock/rand/unordered-iteration bans\n");
       return 0;
@@ -84,10 +73,9 @@ int main(int argc, char** argv) {
   }
   if (!root.empty() && root.back() != '/') root += '/';
   if (opt.src_dir.find('/') != 0) opt.src_dir = root + opt.src_dir;
-  if (!golden_set) opt.golden = root + "tools/analyze/wire_schema.golden";
   if (!design_set) opt.design = root + "DESIGN.md";
   if (!lock_test_set) opt.lock_test = root + "tests/lock_rank_test.cc";
-  if (passes.empty()) passes = {"wire", "locks", "determinism"};
+  if (passes.empty()) passes = {"locks", "determinism"};
 
   std::vector<std::string> paths = ListSources(opt.src_dir);
   if (paths.empty()) {
@@ -101,22 +89,7 @@ int main(int argc, char** argv) {
 
   std::vector<Finding> findings;
   for (const std::string& pass : passes) {
-    if (pass == "wire") {
-      const SourceFile* proto = nullptr;
-      for (const SourceFile& f : files) {
-        if (f.path.size() >= 13 &&
-            f.path.compare(f.path.size() - 13, 13, "core/proto.cc") == 0) {
-          proto = &f;
-        }
-      }
-      if (proto == nullptr) {
-        std::fprintf(stderr,
-                     "propeller_analyze: core/proto.cc not found under %s\n",
-                     opt.src_dir.c_str());
-        return 2;
-      }
-      RunWireSchemaPass(opt, *proto, &findings);
-    } else if (pass == "locks") {
+    if (pass == "locks") {
       RunLockOrderPass(opt, files, &findings);
     } else if (pass == "determinism") {
       RunDeterminismPass(opt, files, &findings);
@@ -137,7 +110,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "propeller_analyze: %d finding(s)\n", fatal);
     return 1;
   }
-  if (opt.verbose || opt.update_golden) {
+  if (opt.verbose) {
     std::fprintf(stderr, "propeller_analyze: clean (%zu files, %zu passes)\n",
                  files.size(), passes.size());
   }

@@ -455,7 +455,6 @@ FileModel BuildModel(const SourceFile& f) {
                              : MatchBracket(head, open);
           FunctionDef fd;
           if (open != std::string::npos && close != std::string::npos) {
-            fd.params = head.substr(open + 1, close - open - 1);
             std::string chain = ChainBefore(head, open);
             size_t sep = chain.rfind("::");
             if (sep == std::string::npos) {
@@ -471,7 +470,6 @@ FileModel BuildModel(const SourceFile& f) {
           if (fd.class_name.empty() && top.kind == 't' && top.class_idx >= 0) {
             fd.class_name = model.classes[top.class_idx].name;
           }
-          fd.sig_off = top.boundary;
           fd.body_begin = i + 1;
           next.kind = 'f';
           next.func_idx = static_cast<int>(model.functions.size());

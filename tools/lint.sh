@@ -36,9 +36,10 @@ skip_or_fail() {
 
 stage_analyze() {
   # Dependency-free (no clang, no cmake configure needed): compile the
-  # analyzer straight from its sources and run all three passes.  Reuses
-  # the binary from an existing build/ when it is current.
-  note "propeller-analyze (wire schema / lock order / determinism)"
+  # analyzer straight from its sources and run both passes.  Reuses the
+  # binary from an existing build/ when it is current.  The wire layout is
+  # checked by the wire_schema_test ctest, not here.
+  note "propeller-analyze (lock order / determinism)"
   local bin=build/tools/analyze/propeller_analyze
   if [[ ! -x "$bin" || -n $(find tools/analyze -name '*.cc' -newer "$bin" \
         2>/dev/null) ]]; then
@@ -118,8 +119,8 @@ stage_sanitizer() {
 STAGES=("$@")
 if [[ ${#STAGES[@]} -eq 1 && ${STAGES[0]} == --list ]]; then
   cat <<'EOF'
-analyze  repo-invariant static analysis (wire schema, lock order,
-         determinism) — needs only a C++20 compiler, never skipped
+analyze  repo-invariant static analysis (lock order, determinism) —
+         needs only a C++20 compiler, never skipped
 tidy     clang-tidy over src/ (.clang-tidy, warnings-as-errors)
 tsa      Clang -Werror=thread-safety build
 asan     AddressSanitizer preset build + ctest
