@@ -1,4 +1,4 @@
-// Fig. 13 (extension beyond the paper): master metadata scaling.  Two
+// Fig. 13 (extension beyond the paper): master metadata scaling.  Three
 // questions, one figure:
 //
 //  (a) Sharding: an open-loop, arrival-stamped resolve storm (updates +
@@ -10,20 +10,31 @@
 //      offered rate.  BENCH_fig13.json records the curve; the acceptance
 //      line is >= 3x resolve throughput at 8 shards vs 1.
 //
-//  (b) Leases: an end-to-end cluster runs the same steady-state loop
-//      (repeat updates + searches of known files) with placement leases
-//      on and off.  With leases the index-node delegates answer every
-//      resolve and the master's resolve-RPC count stays flat (~0 per op);
-//      without them every op lands on the master.
+//  (b) Read-path caching: an end-to-end cluster runs a steady-state loop
+//      (repeat updates + searches of known files) with read_path_caching
+//      off and on.  Off, every op lands on the master; on, clients answer
+//      repeat resolves from their epoch-keyed placement caches and the
+//      master sees ~one resolve for the whole loop.
+//
+//  (c) What sharding drops from the ACG: the master keeps an ACG edge only
+//      when both files hash to the same shard.  For the git and thrift
+//      build traces this reports the share of edge weight lost at 1, 2, 4
+//      and 8 shards, and the groups one build process's files span after
+//      the master places them (the partitions-touched cost behind Fig. 2(b)).
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <vector>
 
+#include "acg/acg_builder.h"
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "core/cluster.h"
 #include "core/master_node.h"
+#include "fs/vfs.h"
+#include "trace/trace_gen.h"
 
 using namespace propeller;
 
@@ -48,6 +59,15 @@ class StubIndexNode : public net::RpcHandler {
   }
 };
 
+// Registers `stubs` as the master's index nodes (ids 10, 11, ...).
+void AddStubNodes(net::Transport& transport, core::MasterNode& master,
+                  std::vector<StubIndexNode>& stubs) {
+  for (size_t i = 0; i < stubs.size(); ++i) {
+    transport.Register(static_cast<net::NodeId>(10 + i), &stubs[i]);
+    master.AddIndexNode(static_cast<net::NodeId>(10 + i));
+  }
+}
+
 struct StormResult {
   double throughput_qps = 0;
   double p50_s = 0;
@@ -65,10 +85,7 @@ StormResult RunStorm(int shards, uint64_t num_files, uint64_t ops,
   core::MasterNode master(1, &transport, cfg);
   transport.Register(1, &master);
   std::vector<StubIndexNode> stubs(8);
-  for (size_t i = 0; i < stubs.size(); ++i) {
-    transport.Register(static_cast<net::NodeId>(10 + i), &stubs[i]);
-    master.AddIndexNode(static_cast<net::NodeId>(10 + i));
-  }
+  AddStubNodes(transport, master, stubs);
   (void)transport.Call(100, 1, "mn.create_index",
                        core::Encode(core::CreateIndexRequest{
                            {"by_size", index::IndexType::kBTree, {"size"}}}));
@@ -130,7 +147,7 @@ StormResult RunStorm(int shards, uint64_t num_files, uint64_t ops,
   return out;
 }
 
-// --- part (b): lease delegation, end to end --------------------------------
+// --- part (b): read-path caching, end to end -------------------------------
 
 index::FileUpdate Upsert(index::FileId f, int64_t size) {
   index::FileUpdate u;
@@ -138,12 +155,6 @@ index::FileUpdate Upsert(index::FileId f, int64_t size) {
   u.attrs.Set("size", index::AttrValue(size));
   return u;
 }
-
-struct LeaseResult {
-  double master_resolves_per_op = 0;  // steady-state resolve RPCs on the MN
-  uint64_t delegated = 0;             // resolves answered by lease holders
-  uint64_t fallbacks = 0;             // delegated attempts that fell back
-};
 
 uint64_t MasterResolveCalls(const core::PropellerCluster& cluster) {
   auto counters = cluster.Stats().metrics.counters;
@@ -156,12 +167,14 @@ uint64_t MasterResolveCalls(const core::PropellerCluster& cluster) {
   return total;
 }
 
-LeaseResult RunLeaseArm(bool leases, uint64_t num_files, int steady_rounds) {
+// Steady-state master resolve RPCs per op (one op = one update batch or
+// one search).
+double RunCachingArm(bool caching, uint64_t num_files, int steady_rounds) {
   core::ClusterConfig cfg;
   cfg.index_nodes = 8;
   cfg.master.acg_policy.cluster_target = 32;
   cfg.master_shards = 8;
-  cfg.placement_leases = leases;
+  cfg.read_path_caching = caching;
   core::PropellerCluster cluster(cfg);
   (void)cluster.client().CreateIndex(
       {"by_size", index::IndexType::kBTree, {"size"}});
@@ -169,9 +182,8 @@ LeaseResult RunLeaseArm(bool leases, uint64_t num_files, int steady_rounds) {
   for (index::FileId f = 1; f <= num_files; ++f) {
     warm.push_back(Upsert(f, static_cast<int64_t>(f)));
   }
-  // Warm-up: place everything, let a heartbeat grant leases + push the
-  // routing mirrors, then one more round so the client learns the (now
-  // nonzero) holder table from the master's response.
+  // Warm-up: place everything, then one more round so every placement the
+  // loop needs is known.
   (void)cluster.client().BatchUpdate(warm, cluster.now());
   cluster.AdvanceTime(1.0);
   (void)cluster.client().BatchUpdate(warm, cluster.now());
@@ -182,18 +194,85 @@ LeaseResult RunLeaseArm(bool leases, uint64_t num_files, int steady_rounds) {
   for (int i = 0; i < steady_rounds; ++i) {
     (void)cluster.client().BatchUpdate(warm, cluster.now());
     (void)cluster.client().Search(p, "by_size");
-    cluster.AdvanceTime(1.0);  // heartbeats keep renewing the leases
+    cluster.AdvanceTime(1.0);
   }
-  LeaseResult out;
-  out.master_resolves_per_op = double(MasterResolveCalls(cluster) - before) /
-                               double(2 * steady_rounds);
-  auto counters = cluster.Stats().metrics.counters;
-  auto get = [&](const char* k) {
-    auto it = counters.find(k);
-    return it == counters.end() ? uint64_t{0} : it->second;
-  };
-  out.delegated = get("client.resolve.delegated");
-  out.fallbacks = get("client.resolve.fallback");
+  return double(MasterResolveCalls(cluster) - before) /
+         double(2 * steady_rounds);
+}
+
+// --- part (c): ACG locality under sharding ----------------------------------
+
+// Records the files each process opens.
+class ProcessFiles : public fs::AccessListener {
+ public:
+  void OnEvent(const fs::AccessEvent& ev) override {
+    if (ev.type == fs::AccessEvent::Type::kOpen) by_pid[ev.pid].insert(ev.file);
+  }
+  std::map<uint64_t, std::set<index::FileId>> by_pid;
+};
+
+struct AcgTrace {
+  acg::Acg acg;
+  std::vector<std::set<index::FileId>> processes;
+};
+
+// One execution of `profile`: its captured ACG and each process's files.
+AcgTrace CaptureTrace(const trace::AppProfile& profile, uint64_t seed) {
+  fs::Vfs vfs;
+  trace::TraceGenerator gen(profile, seed);
+  (void)gen.Materialize(vfs);
+  acg::AcgBuilder builder;
+  ProcessFiles files;
+  vfs.AddListener(&builder);
+  vfs.AddListener(&files);
+  uint64_t pid = 1;
+  (void)gen.RunExecution(vfs, &pid);
+  AcgTrace out;
+  out.acg = builder.TakeDelta();
+  for (auto& [p, set] : files.by_pid) out.processes.push_back(std::move(set));
+  return out;
+}
+
+struct LocalityResult {
+  double lost_weight_share = 0;  // cross-shard edge weight / total weight
+  double groups_per_process = 0;
+};
+
+// Flushes the trace's ACG to an `shards`-way master (default ACG policy, 8
+// stub nodes), then counts the distinct groups each process's files landed
+// in.
+LocalityResult MeasureLocality(const AcgTrace& t, uint32_t shards) {
+  LocalityResult out;
+  uint64_t lost = 0;
+  t.acg.ForEachEdge([&](index::FileId a, index::FileId b, uint64_t w) {
+    if (core::ShardOfFile(a, shards) != core::ShardOfFile(b, shards)) lost += w;
+  });
+  out.lost_weight_share = double(lost) / double(t.acg.TotalWeight());
+
+  core::MasterConfig cfg;
+  cfg.num_shards = static_cast<int>(shards);
+  net::Transport transport;
+  core::MasterNode master(1, &transport, cfg);
+  transport.Register(1, &master);
+  std::vector<StubIndexNode> stubs(8);
+  AddStubNodes(transport, master, stubs);
+  core::FlushAcgRequest flush;
+  flush.delta = t.acg;
+  (void)transport.Call(100, 1, "mn.flush_acg", core::Encode(flush));
+  core::ResolveUpdateRequest req;
+  req.files = t.acg.SortedVertices();
+  auto resolved = core::Decode<core::ResolveUpdateResponse>(
+      transport.Call(100, 1, "mn.resolve_update", core::Encode(req)).payload);
+  if (!resolved.ok()) return out;
+  std::map<index::FileId, index::GroupId> group_of;
+  for (const auto& pl : resolved->placements) group_of[pl.file] = pl.group;
+  uint64_t touched = 0;
+  for (const std::set<index::FileId>& files : t.processes) {
+    std::set<index::GroupId> groups;
+    for (index::FileId f : files) groups.insert(group_of[f]);
+    touched += groups.size();
+  }
+  out.groups_per_process = double(touched) / double(t.processes.size());
   return out;
 }
 
@@ -202,8 +281,9 @@ LeaseResult RunLeaseArm(bool leases, uint64_t num_files, int steady_rounds) {
 int main() {
   bench::Banner("bench_fig13_master_scaling", "Fig. 13 (extension)",
                 "Sharded master metadata: open-loop resolve throughput vs "
-                "shard count, and lease delegation taking the master out of "
-                "the steady-state resolve path.");
+                "shard count, read-path caching taking the master out of "
+                "the steady-state resolve path, and the ACG locality "
+                "sharding gives up.");
 
   const uint64_t num_files = bench::Scaled(20'000);
   const uint64_t ops = std::max<uint64_t>(bench::Scaled(30'000), 2'000);
@@ -250,22 +330,38 @@ int main() {
   table.Print();
   std::printf("\n8-shard speedup %.2fx (target >= 3x)\n", speedup8);
 
-  // --- lease delegation ---
-  const uint64_t lease_files = std::min<uint64_t>(num_files, 2'000);
+  // --- read-path caching ---
+  const uint64_t caching_files = std::min<uint64_t>(num_files, 2'000);
   const int steady_rounds = 20;
-  LeaseResult off = RunLeaseArm(false, lease_files, steady_rounds);
-  LeaseResult on = RunLeaseArm(true, lease_files, steady_rounds);
+  const double off = RunCachingArm(false, caching_files, steady_rounds);
+  const double on = RunCachingArm(true, caching_files, steady_rounds);
   std::printf(
-      "\nSteady-state master resolve RPCs per op: leases off %.2f, "
-      "leases on %.2f (delegated %llu, fallbacks %llu)\n",
-      off.master_resolves_per_op, on.master_resolves_per_op,
-      (unsigned long long)on.delegated, (unsigned long long)on.fallbacks);
-  json.emplace_back("lease_off_master_resolves_per_op",
-                    off.master_resolves_per_op);
-  json.emplace_back("lease_on_master_resolves_per_op",
-                    on.master_resolves_per_op);
-  json.emplace_back("lease_on_delegated", double(on.delegated));
-  json.emplace_back("lease_on_fallbacks", double(on.fallbacks));
+      "\nSteady-state master resolve RPCs per op: caching off %.3f, "
+      "caching on %.3f\n",
+      off, on);
+  json.emplace_back("caching_off_master_resolves_per_op", off);
+  json.emplace_back("caching_on_master_resolves_per_op", on);
+
+  // --- ACG locality under sharding ---
+  std::printf("\nACG edge weight the sharded master drops, and groups one "
+              "build process's files span:\n");
+  TablePrinter locality(
+      {"app", "shards", "edge weight lost", "groups per process"});
+  const std::pair<const char*, AcgTrace> traces[] = {
+      {"git", CaptureTrace(trace::GitProfile(), 3)},
+      {"thrift", CaptureTrace(trace::ThriftProfile(), 2)}};
+  for (const auto& [app, t] : traces) {
+    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+      LocalityResult r = MeasureLocality(t, shards);
+      locality.AddRow({app, Sprintf("%u", shards),
+                       Sprintf("%.1f%%", 100.0 * r.lost_weight_share),
+                       Sprintf("%.2f", r.groups_per_process)});
+      const std::string p = Sprintf("acg_%s_%u_shards_", app, shards);
+      json.emplace_back(p + "lost_weight_share", r.lost_weight_share);
+      json.emplace_back(p + "groups_per_process", r.groups_per_process);
+    }
+  }
+  locality.Print();
   bench::WriteBenchJson("fig13", json);
   return 0;
 }

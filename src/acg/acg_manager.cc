@@ -122,13 +122,6 @@ std::vector<GroupId> AcgManager::Groups() const {
   return out;
 }
 
-std::vector<std::pair<FileId, GroupId>> AcgManager::FileGroups() const {
-  std::vector<std::pair<FileId, GroupId>> out(file_group_.begin(),
-                                              file_group_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 const Acg* AcgManager::GroupAcg(GroupId group) const {
   auto it = groups_.find(group);
   return it == groups_.end() ? nullptr : &it->second.acg;

@@ -68,10 +68,6 @@ class AcgManager {
   std::optional<GroupId> GroupOf(FileId file) const;
   uint64_t GroupSize(GroupId group) const;
   std::vector<GroupId> Groups() const;
-  // Full file -> group mapping, sorted by file id (stable across runs).
-  // Consumed by the sharded master when it mirrors a shard's placement
-  // state into an index-node lease grant.
-  std::vector<std::pair<FileId, GroupId>> FileGroups() const;
   uint64_t NumFiles() const { return file_group_.size(); }
   // Sum of weights of causal edges that cross group boundaries (the
   // "weight of cut" the partitioning minimizes).

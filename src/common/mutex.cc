@@ -23,8 +23,6 @@ const char* LockRankName(LockRank rank) {
       return "kFaultPlan";
     case LockRank::kIndexNodeAdmission:
       return "kIndexNodeAdmission";
-    case LockRank::kIndexNodeLease:
-      return "kIndexNodeLease";
     case LockRank::kIndexNodeGroups:
       return "kIndexNodeGroups";
     case LockRank::kIndexNodeReplica:

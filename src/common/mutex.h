@@ -57,7 +57,6 @@ enum class LockRank : int {
   kTransportRouting = 20, // net::Transport::mu_ (handler/down-set snapshot)
   kFaultPlan = 25,        // net::FaultPlan::mu_
   kIndexNodeAdmission = 28,  // core::IndexNode::admission_mu_ (virtual queue)
-  kIndexNodeLease = 29,   // core::IndexNode::lease_mu_ (delegated shard mirrors)
   kIndexNodeGroups = 30,  // core::IndexNode::groups_mu_ (shared_mutex)
   kIndexNodeReplica = 32, // core::IndexNode::replica_mu_ (applied-seq map)
   kGroupJournal = 35,     // core::GroupJournal::mu_

@@ -113,8 +113,6 @@ PropellerClient::PropellerClient(NodeId id, net::Transport* transport,
           &metrics_.GetCounter("client.search.stale_replica_retries")),
       shed_searches_(&metrics_.GetCounter("client.search.shed")),
       shed_updates_(&metrics_.GetCounter("client.update.shed")),
-      delegated_resolves_(&metrics_.GetCounter("client.resolve.delegated")),
-      delegated_fallbacks_(&metrics_.GetCounter("client.resolve.fallback")),
       search_latency_(&metrics_.GetHistogram("client.search.latency_s")),
       update_latency_(&metrics_.GetHistogram("client.batch_update.latency_s")),
       branch_latency_(&metrics_.GetHistogram("client.search.branch_latency_s")) {}
@@ -190,9 +188,15 @@ void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
   // Per-shard accept/evict: a shard whose published epoch moved past the
   // cache invalidates only that shard's entries; a shard the response is
   // older on keeps its cached entries and rejects the stale placements.
+  // A shard epoch past the one the cached search targets were resolved at
+  // means this client's own writes may have landed in groups those
+  // targets do not name (read-your-writes), so they are dropped too.
   std::vector<char> accept(n, 0);
   std::vector<char> evict(n, 0);
+  const bool search_cached = search_shard_epochs_.size() == n;
+  bool search_stale = false;
   for (uint32_t s = 0; s < n; ++s) {
+    if (search_cached && eps[s] > search_shard_epochs_[s]) search_stale = true;
     if (eps[s] == 0 || eps[s] < file_shard_epochs_[s]) continue;
     accept[s] = 1;
     if (eps[s] > file_shard_epochs_[s]) {
@@ -200,6 +204,7 @@ void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
       file_shard_epochs_[s] = eps[s];
     }
   }
+  if (search_stale) search_cache_.clear();
   bool any_evict = false;
   for (uint32_t s = 0; s < n; ++s) any_evict = any_evict || evict[s] != 0;
   if (any_evict) {
@@ -223,148 +228,8 @@ void PropellerClient::InvalidateRoutingCache() {
   search_cache_.clear();
   file_cache_.clear();
   // Replica sets are routing too; the floors are not (acked writes stay
-  // acked regardless of where the replicas live now).  Lease holders are
-  // routing as well: a stale route may mean a holder died or lost its
-  // lease, so the next resolve goes to the authoritative master (whose
-  // response re-learns the holders).
+  // acked regardless of where the replicas live now).
   replica_cache_.clear();
-  lease_holders_.clear();
-}
-
-void PropellerClient::StoreLeaseHolders(const std::vector<NodeId>& holders) {
-  if (holders.empty()) return;
-  MutexLock lock(cache_mu_);
-  lease_holders_ = holders;
-}
-
-std::vector<NodeId> PropellerClient::SnapshotLeaseHolders() const {
-  MutexLock lock(cache_mu_);
-  return lease_holders_;
-}
-
-bool PropellerClient::ResolveUpdateDelegated(const std::vector<FileId>& files,
-                                             ResolveUpdateResponse* out,
-                                             sim::Cost* cost) {
-  const std::vector<NodeId> holders = SnapshotLeaseHolders();
-  const uint32_t n = static_cast<uint32_t>(holders.size());
-  if (n == 0) return false;  // no master response seen yet
-  // Partition the batch by lease holder, preserving request order within
-  // each sub-batch.  Any shard without a holder sends the whole batch to
-  // the master: a split answer would still need the master RPC anyway.
-  std::map<NodeId, std::vector<FileId>> by_holder;
-  for (FileId f : files) {
-    const NodeId h = holders[ShardOfFile(f, n)];
-    if (h == 0) return false;
-    by_holder[h].push_back(f);
-  }
-  // Fan out to the holders (simulated latency = the slowest branch; a
-  // refusal is detected at that branch's completion, so the failed
-  // attempt's wait is charged before the master fallback).
-  std::unordered_map<FileId, ResolveUpdateResponse::Placement> got;
-  std::vector<uint64_t> eps(n, 0);
-  std::map<GroupId, GroupReplicaSet> rsets;
-  sim::Cost slowest;
-  for (const auto& [node, flist] : by_holder) {
-    ResolveUpdateRequest rreq;
-    rreq.files = flist;
-    auto call = CallWithRetry(node, "in.resolve_update", Encode(rreq));
-    if (call.cost.seconds() > slowest.seconds()) slowest = call.cost;
-    if (!call.status.ok()) {
-      *cost += slowest;
-      return false;
-    }
-    auto resolved = Decode<ResolveUpdateResponse>(call.payload);
-    if (!resolved.ok()) {
-      *cost += slowest;
-      return false;
-    }
-    for (const auto& p : resolved->placements) got[p.file] = p;
-    const std::vector<uint64_t>& branch_eps = resolved->shard_epochs;
-    for (uint32_t s = 0; s < n && s < branch_eps.size(); ++s) {
-      eps[s] = std::max(eps[s], branch_eps[s]);
-    }
-    for (const GroupReplicaSet& rs : resolved->replicas) rsets[rs.group] = rs;
-  }
-  *cost += slowest;
-  // Reassemble in request order — exactly the shape one master resolve
-  // would have produced.
-  out->placements.clear();
-  out->placements.reserve(files.size());
-  for (FileId f : files) {
-    auto it = got.find(f);
-    if (it == got.end()) return false;
-    out->placements.push_back(it->second);
-  }
-  out->replicas.clear();
-  for (auto& [g, rs] : rsets) out->replicas.push_back(std::move(rs));
-  out->shard_epochs = std::move(eps);
-  delegated_resolves_->Add(1);
-  return true;
-}
-
-bool PropellerClient::ResolveSearchDelegated(const std::string& index_name,
-                                             ResolveSearchResponse* out,
-                                             sim::Cost* cost) {
-  const std::vector<NodeId> holders = SnapshotLeaseHolders();
-  const uint32_t n = static_cast<uint32_t>(holders.size());
-  if (n == 0) return false;  // no master response seen yet
-  std::vector<NodeId> distinct;
-  for (NodeId h : holders) {
-    if (h == 0) return false;
-    distinct.push_back(h);
-  }
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  // Each holder answers for the shards it holds live leases on; the merged
-  // answer is usable only when the union covers every shard (every shard
-  // epoch starts at 1, so covered == nonzero).
-  std::map<NodeId, std::vector<GroupId>> by_node;
-  std::vector<uint64_t> eps(n, 0);
-  std::map<GroupId, GroupReplicaSet> rsets;
-  sim::Cost slowest;
-  const std::string payload = [&] {
-    ResolveSearchRequest rreq;
-    rreq.index_name = index_name;
-    return Encode(rreq);
-  }();
-  for (NodeId node : distinct) {
-    auto call = CallWithRetry(node, "in.resolve_search", std::string(payload));
-    if (call.cost.seconds() > slowest.seconds()) slowest = call.cost;
-    if (!call.status.ok()) {
-      *cost += slowest;
-      return false;
-    }
-    auto resolved = Decode<ResolveSearchResponse>(call.payload);
-    if (!resolved.ok()) {
-      *cost += slowest;
-      return false;
-    }
-    for (const auto& t : resolved->targets) {
-      auto& groups = by_node[t.node];
-      groups.insert(groups.end(), t.groups.begin(), t.groups.end());
-    }
-    const std::vector<uint64_t>& branch_eps = resolved->shard_epochs;
-    for (uint32_t s = 0; s < n && s < branch_eps.size(); ++s) {
-      eps[s] = std::max(eps[s], branch_eps[s]);
-    }
-    for (const GroupReplicaSet& rs : resolved->replicas) rsets[rs.group] = rs;
-  }
-  *cost += slowest;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (eps[s] == 0) return false;  // uncovered shard: lease lapsed mid-merge
-  }
-  out->targets.clear();
-  for (auto& [node, groups] : by_node) {
-    std::sort(groups.begin(), groups.end());
-    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-    out->targets.push_back({node, std::move(groups)});
-  }
-  out->replicas.clear();
-  for (auto& [g, rs] : rsets) out->replicas.push_back(std::move(rs));
-  out->shard_epochs = std::move(eps);
-  delegated_resolves_->Add(1);
-  return true;
 }
 
 void PropellerClient::StoreReplicaSets(
@@ -453,31 +318,20 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     for (const FileUpdate& u : updates) need.push_back(u.file);
   }
 
-  // Resolves placements for `files` — through the lease holders when
-  // delegation is on and they can answer, through the master otherwise —
-  // and merges them into `where` (refreshing the cache and the per-shard
-  // request epochs).
+  // Resolves placements for `files` through the master and merges them
+  // into `where` (refreshing the cache and the per-shard request epochs).
   auto resolve = [&](std::vector<FileId> files) -> Status {
-    ResolveUpdateResponse resolved;
-    bool delegated = false;
-    if (config_.placement_leases) {
-      delegated = ResolveUpdateDelegated(files, &resolved, &cost);
-      if (!delegated) delegated_fallbacks_->Add(1);
-    }
-    if (!delegated) {
-      ResolveUpdateRequest rreq;
-      rreq.files = std::move(files);
-      // Open-loop traffic stamps the resolve's arrival so the master can
-      // model per-shard queueing; 0 (unstamped) otherwise.
-      rreq.arrival_s = admission ? now_s : 0;
-      auto rcall = CallWithRetry(master_, "mn.resolve_update", Encode(rreq));
-      if (!rcall.status.ok()) return rcall.status;
-      cost += rcall.cost;
-      auto decoded = Decode<ResolveUpdateResponse>(rcall.payload);
-      if (!decoded.ok()) return decoded.status();
-      resolved = std::move(*decoded);
-      if (config_.placement_leases) StoreLeaseHolders(resolved.lease_holders);
-    }
+    ResolveUpdateRequest rreq;
+    rreq.files = std::move(files);
+    // Open-loop traffic stamps the resolve's arrival so the master can
+    // model per-shard queueing; 0 (unstamped) otherwise.
+    rreq.arrival_s = admission ? now_s : 0;
+    auto rcall = CallWithRetry(master_, "mn.resolve_update", Encode(rreq));
+    if (!rcall.status.ok()) return rcall.status;
+    cost += rcall.cost;
+    auto decoded = Decode<ResolveUpdateResponse>(rcall.payload);
+    if (!decoded.ok()) return decoded.status();
+    const ResolveUpdateResponse& resolved = *decoded;
     for (const auto& p : resolved.placements) {
       where[p.file] = FilePlacement{p.group, p.node};
     }
@@ -839,30 +693,17 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
   uint64_t epoch = 0;
   bool from_cache = false;
   auto resolve = [&]() -> Status {
-    bool delegated = false;
-    if (config_.placement_leases) {
-      ResolveSearchResponse merged;
-      delegated = ResolveSearchDelegated(index_name, &merged, &out.cost);
-      if (delegated) {
-        targets = std::move(merged);
-      } else {
-        delegated_fallbacks_->Add(1);
-      }
-    }
-    if (!delegated) {
-      ResolveSearchRequest rreq;
-      rreq.index_name = index_name;
-      // Open-loop traffic stamps the resolve's arrival so the master can
-      // model per-shard queueing; 0 (unstamped) otherwise.
-      rreq.arrival_s = arrival_s;
-      auto rcall = CallWithRetry(master_, "mn.resolve_search", Encode(rreq));
-      if (!rcall.status.ok()) return rcall.status;
-      out.cost += rcall.cost;
-      auto decoded = Decode<ResolveSearchResponse>(rcall.payload);
-      if (!decoded.ok()) return decoded.status();
-      targets = std::move(*decoded);
-      if (config_.placement_leases) StoreLeaseHolders(targets.lease_holders);
-    }
+    ResolveSearchRequest rreq;
+    rreq.index_name = index_name;
+    // Open-loop traffic stamps the resolve's arrival so the master can
+    // model per-shard queueing; 0 (unstamped) otherwise.
+    rreq.arrival_s = arrival_s;
+    auto rcall = CallWithRetry(master_, "mn.resolve_search", Encode(rreq));
+    if (!rcall.status.ok()) return rcall.status;
+    out.cost += rcall.cost;
+    auto decoded = Decode<ResolveSearchResponse>(rcall.payload);
+    if (!decoded.ok()) return decoded.status();
+    targets = std::move(*decoded);
     // The stamped epoch is a staleness *flag* at the Index Nodes (>0 asks
     // for kStaleLocation on moved groups), so one scalar — the max across
     // shards — serves every shard count.

@@ -69,12 +69,6 @@ struct ClientConfig {
   // hedges slow or failed search branches to each group's first
   // secondary.  PropellerCluster wires this from replication_factor.
   bool replicated = false;
-  // Placement delegation: resolves route to the lease-holding Index Nodes
-  // named by the master's resolve responses ("in.resolve_update" /
-  // "in.resolve_search"), falling back to the master when no holder is
-  // known yet or a delegate refuses (lease expiry, kStaleLocation).
-  // PropellerCluster wires this from its own placement_leases flag.
-  bool placement_leases = false;
   // Hedged-read policy (replicated mode).  A search branch whose primary
   // exceeds the client's observed latency quantile — or fails outright —
   // is re-issued to the secondary replicas; the first complete response
@@ -200,20 +194,11 @@ class PropellerClient {
                             std::unordered_map<FileId, FilePlacement>* where,
                             std::vector<uint64_t>* epochs,
                             std::vector<FileId>* missing);
+  // Memoizes an update resolve's placements per shard; drops the cached
+  // search targets when the response shows a shard epoch newer than
+  // theirs, so the client's next search sees its own writes.
   void StoreFilePlacements(const ResolveUpdateResponse& resp);
 
-  // --- placement delegation (placement_leases) ---
-  // Memoizes the per-shard lease holders a master resolve response names.
-  void StoreLeaseHolders(const std::vector<NodeId>& holders);
-  std::vector<NodeId> SnapshotLeaseHolders() const;
-  // Delegated resolves: partition the request across the lease holders,
-  // fan out "in.resolve_*", and merge the answers.  False = fall back to
-  // the master (no holders known, a holder refused, or partial coverage);
-  // `cost` accumulates whatever the client waited on either way.
-  bool ResolveUpdateDelegated(const std::vector<FileId>& files,
-                              ResolveUpdateResponse* out, sim::Cost* cost);
-  bool ResolveSearchDelegated(const std::string& index_name,
-                              ResolveSearchResponse* out, sim::Cost* cost);
   // Drops both caches — routing proved stale (kStaleLocation) or a cached
   // route hit a dead node; the follow-up resolve refills them.  The
   // read-your-writes floors survive: they describe acknowledged writes,
@@ -255,8 +240,6 @@ class PropellerClient {
   obs::Counter* stale_replica_retries_;
   obs::Counter* shed_searches_;
   obs::Counter* shed_updates_;
-  obs::Counter* delegated_resolves_;
-  obs::Counter* delegated_fallbacks_;
   obs::Histogram* search_latency_;
   obs::Histogram* update_latency_;
   // Per-branch in.search latencies (successful primaries); feeds the
@@ -273,9 +256,6 @@ class PropellerClient {
   std::vector<uint64_t> search_shard_epochs_ GUARDED_BY(cache_mu_);
   std::unordered_map<FileId, FilePlacement> file_cache_ GUARDED_BY(cache_mu_);
   std::vector<uint64_t> file_shard_epochs_ GUARDED_BY(cache_mu_);
-  // Placement delegation: shard -> lease-holding Index Node (0 = none),
-  // as last stamped by a master resolve response; empty until then.
-  std::vector<NodeId> lease_holders_ GUARDED_BY(cache_mu_);
   // Replication: latest known replica set per group (write fan-out) and
   // the highest primary-acked commit sequence per group (read floors).
   std::unordered_map<GroupId, std::vector<NodeId>> replica_cache_

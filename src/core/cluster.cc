@@ -38,11 +38,6 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
     config_.index_node.admission_queue_bound = config_.admission_queue_bound;
   }
   config_.master.num_shards = config_.master_shards;
-  if (config_.placement_leases) {
-    config_.master.placement_leases = true;
-    config_.master.lease_duration_s = config_.lease_duration_s;
-    config_.client.placement_leases = true;
-  }
   config_.master.model_resolve_queue = config_.model_resolve_queue;
   if (config_.segmented_index) config_.index_node.segmented_index = true;
   // The cluster clock drives both heartbeats and the master's failure
@@ -97,15 +92,7 @@ void PropellerCluster::AdvanceTime(double seconds) {
       hb.node = node->id();
       hb.now_s = now_s_;
       hb.groups = node->GroupStats();
-      auto ack = transport_.Call(node->id(), kMasterId, "mn.heartbeat",
-                                 Encode(hb));
-      // Placement leases ride back on the ack: install them on the node so
-      // it can answer delegated resolves.
-      if (config_.placement_leases && ack.status.ok()) {
-        if (auto resp = Decode<HeartbeatResponse>(ack.payload); resp.ok()) {
-          node->InstallLeases(*resp, now_s_);
-        }
-      }
+      transport_.Call(node->id(), kMasterId, "mn.heartbeat", Encode(hb));
     }
   }
 

@@ -83,20 +83,12 @@ struct ClusterConfig {
   // Waiting-line capacity per node; 0 = unbounded (queueing is modeled,
   // nothing sheds — the "admission off" arm of the saturation bench).
   size_t admission_queue_bound = 64;
-  // Sharded master (see DESIGN.md "Sharded master & leases"): the master
+  // Sharded master (see DESIGN.md "Sharded master"): the master
   // hash-partitions its file -> ACG map, group placements, and node loads
   // into this many independently locked shards, each with its own
   // metadata epoch (resolve responses carry one epoch per shard; client
   // caches evict per shard).  1 = the unsharded master.
   int master_shards = 1;
-  // Placement delegation: the master grants each metadata shard as a
-  // time-bounded lease (mirror included) to an Index Node on its
-  // heartbeat; clients send resolves to the lease holders and fall back
-  // to the master only on expiry / kStaleLocation, taking the master out
-  // of the steady-state resolve path entirely.  Off by default.
-  bool placement_leases = false;
-  // Lease duration in cluster-virtual seconds (placement_leases only).
-  double lease_duration_s = 3.0;
   // Model per-shard resolve queueing on the master (virtual time): only
   // meaningful for arrival-stamped open-loop traffic; drives the fig13
   // master-scaling bench on a single-core box.

@@ -29,9 +29,7 @@ IndexNode::IndexNode(NodeId id, IndexNodeConfig config)
       admit_shed_(&metrics_.GetCounter("in.admit.shed")),
       admit_wait_(&metrics_.GetHistogram("in.admit.wait_s")),
       admit_depth_(&metrics_.GetGauge("in.admit.queue_depth")),
-      admit_depth_peak_(&metrics_.GetGauge("in.admit.queue_peak")),
-      resolve_delegated_(&metrics_.GetCounter("in.resolve.delegated")),
-      resolve_stale_(&metrics_.GetCounter("in.resolve.stale")) {
+      admit_depth_peak_(&metrics_.GetGauge("in.admit.queue_peak")) {
   if (config_.parallel_search) {
     search_pool_ = std::make_unique<ThreadPool>(Workers(config_));
   }
@@ -116,8 +114,6 @@ net::RpcHandler::Response IndexNode::Handle(const std::string& method,
   if (method == "in.catch_up") return HandleCatchUp(payload);
   if (method == "in.drop_group") return HandleDropGroup(payload);
   if (method == "in.reset") return HandleReset(payload);
-  if (method == "in.resolve_update") return HandleResolveUpdate(payload);
-  if (method == "in.resolve_search") return HandleResolveSearch(payload);
   return Response{Status::NotFound("unknown method " + method), {}, {}};
 }
 
@@ -305,12 +301,6 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
 net::RpcHandler::Response IndexNode::HandleTick(const std::string& payload) {
   auto req = Decode<TickRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
-  {
-    // Advance the node's view of cluster time so delegated resolves judge
-    // lease expiry even when heartbeats lapse.
-    MutexLock lock(lease_mu_);
-    lease_now_s_ = std::max(lease_now_s_, req->now_s);
-  }
   // Journal compaction must not interleave with the staging path's
   // journal-append + stage pair (the checkpoint would drop an appended
   // record whose update is not yet in the group, or keep one whose update
@@ -604,161 +594,6 @@ net::RpcHandler::Response IndexNode::HandleReset(const std::string& payload) {
   return Response{st, {}, sim::Cost(10e-6)};  // metadata-only work
 }
 
-void IndexNode::InstallLeases(const HeartbeatResponse& resp, double now_s) {
-  MutexLock lock(lease_mu_);
-  lease_now_s_ = std::max(lease_now_s_, now_s);
-  lease_num_shards_ = resp.num_shards;
-  lease_index_names_ = resp.index_names;
-  for (const ShardLeaseGrant& grant : resp.leases) {
-    ShardLease& lease = leases_[grant.shard];
-    lease.epoch = grant.epoch;
-    lease.expiry_s = grant.expiry_s;
-    if (!grant.has_mirror) continue;  // renewal: mirror unchanged
-    lease.group_primary.clear();
-    lease.group_replicas.clear();
-    lease.file_group.clear();
-    for (const auto& gp : grant.groups) lease.group_primary[gp.group] = gp.node;
-    for (const auto& rs : grant.replicas) lease.group_replicas[rs.group] = rs.nodes;
-    lease.file_group.reserve(grant.files.size());
-    for (const auto& fg : grant.files) lease.file_group[fg.file] = fg.group;
-  }
-}
-
-size_t IndexNode::NumLeases() const {
-  MutexLock lock(lease_mu_);
-  size_t live = 0;
-  for (const auto& [shard, lease] : leases_) {
-    if (lease.expiry_s >= lease_now_s_) ++live;
-  }
-  return live;
-}
-
-bool IndexNode::HasLease(uint32_t shard) const {
-  MutexLock lock(lease_mu_);
-  auto it = leases_.find(shard);
-  return it != leases_.end() && it->second.expiry_s >= lease_now_s_;
-}
-
-uint64_t IndexNode::LeaseEpoch(uint32_t shard) const {
-  MutexLock lock(lease_mu_);
-  auto it = leases_.find(shard);
-  return it == leases_.end() ? 0 : it->second.epoch;
-}
-
-net::RpcHandler::Response IndexNode::HandleResolveUpdate(
-    const std::string& payload) {
-  auto req = Decode<ResolveUpdateRequest>(payload);
-  if (!req.ok()) return Response{req.status(), {}, {}};
-  MutexLock lock(lease_mu_);
-  const uint32_t n = lease_num_shards_ == 0 ? 1 : lease_num_shards_;
-  // Every file's lookup is charged even on the refusal path: the node did
-  // the mirror probes before discovering it cannot answer.
-  sim::Cost cost(config_.resolve_lookup_us * 1e-6 *
-                 static_cast<double>(req->files.size()));
-  auto refuse = [&](const char* why) {
-    resolve_stale_->Add(1);
-    return Response{Status::StaleLocation(why), {}, cost};
-  };
-  ResolveUpdateResponse resp;
-  resp.placements.resize(req->files.size());
-  std::vector<uint64_t> epochs(n, 0);
-  std::vector<GroupId> touched;
-  bool have_replicas = false;
-  for (size_t i = 0; i < req->files.size(); ++i) {
-    const FileId file = req->files[i];
-    const uint32_t shard = ShardOfFile(file, n);
-    auto lit = leases_.find(shard);
-    if (lit == leases_.end() || lit->second.expiry_s < lease_now_s_) {
-      return refuse("no live lease for file's metadata shard");
-    }
-    const ShardLease& lease = lit->second;
-    auto fit = lease.file_group.find(file);
-    if (fit == lease.file_group.end()) {
-      // Unknown to the mirror: only the master may place a new file.
-      return refuse("file not in lease mirror");
-    }
-    auto git = lease.group_primary.find(fit->second);
-    if (git == lease.group_primary.end()) {
-      return refuse("group not in lease mirror");
-    }
-    resp.placements[i] = {file, fit->second, git->second};
-    epochs[shard] = lease.epoch;
-    touched.push_back(fit->second);
-    have_replicas = have_replicas || !lease.group_replicas.empty();
-  }
-  if (have_replicas) {
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    for (GroupId g : touched) {
-      auto lit = leases_.find(ShardOfGroup(g, n));
-      if (lit == leases_.end()) continue;
-      auto rit = lit->second.group_replicas.find(g);
-      if (rit == lit->second.group_replicas.end()) continue;
-      resp.replicas.push_back(GroupReplicaSet{g, rit->second});
-    }
-  }
-  resp.shard_epochs = std::move(epochs);
-  resolve_delegated_->Add(1);
-  return Response{Status::Ok(), Encode(resp), cost};
-}
-
-net::RpcHandler::Response IndexNode::HandleResolveSearch(
-    const std::string& payload) {
-  auto req = Decode<ResolveSearchRequest>(payload);
-  if (!req.ok()) return Response{req.status(), {}, {}};
-  MutexLock lock(lease_mu_);
-  const uint32_t n = lease_num_shards_ == 0 ? 1 : lease_num_shards_;
-  auto refuse = [&](const char* why, sim::Cost cost) {
-    resolve_stale_->Add(1);
-    return Response{Status::StaleLocation(why), {}, cost};
-  };
-  if (!req->index_name.empty()) {
-    // The mirror's catalog may lag a concurrent create_index; refuse so
-    // the client falls back to the master's authoritative answer.
-    bool known = false;
-    for (const auto& name : lease_index_names_) {
-      if (name == req->index_name) { known = true; break; }
-    }
-    if (!known) return refuse("index not in lease catalog", sim::Cost());
-  }
-  // Answer for every shard with a live lease; the client merges responses
-  // across holders and falls back to the master unless the union covers
-  // all shards.
-  std::map<NodeId, std::vector<GroupId>> by_node;
-  std::vector<uint64_t> epochs(n, 0);
-  uint64_t covered_groups = 0;
-  for (const auto& [shard, lease] : leases_) {
-    if (lease.expiry_s < lease_now_s_) continue;
-    epochs[shard % n] = lease.epoch;
-    for (const auto& [group, node] : lease.group_primary) {
-      by_node[node].push_back(group);
-      ++covered_groups;
-    }
-  }
-  bool any = false;
-  for (uint64_t e : epochs) any = any || e != 0;
-  if (!any) return refuse("no live leases", sim::Cost());
-  sim::Cost cost(config_.resolve_lookup_us * 1e-6 *
-                 static_cast<double>(covered_groups + 1));
-  ResolveSearchResponse resp;
-  for (auto& [node, groups] : by_node) {
-    resp.targets.push_back({node, std::move(groups)});
-  }
-  for (const auto& [shard, lease] : leases_) {
-    if (lease.expiry_s < lease_now_s_) continue;
-    for (const auto& [group, nodes] : lease.group_replicas) {
-      resp.replicas.push_back(GroupReplicaSet{group, nodes});
-    }
-  }
-  std::sort(resp.replicas.begin(), resp.replicas.end(),
-            [](const GroupReplicaSet& a, const GroupReplicaSet& b) {
-              return a.group < b.group;
-            });
-  resp.shard_epochs = std::move(epochs);
-  resolve_delegated_->Add(1);
-  return Response{Status::Ok(), Encode(resp), cost};
-}
-
 size_t IndexNode::NumGroups() const {
   ReaderMutexLock lock(groups_mu_);
   return groups_.size();
@@ -829,15 +664,6 @@ Status IndexNode::CrashAndRecover() {
 }
 
 Status IndexNode::Reset() {
-  // Lease soft state does not survive a reset: the node rejoins with no
-  // delegation rights and waits for a fresh heartbeat grant.  (lease_mu_
-  // ranks below groups_mu_, so clear it before taking the map lock.)
-  {
-    MutexLock lock(lease_mu_);
-    leases_.clear();
-    lease_index_names_.clear();
-    lease_num_shards_ = 0;
-  }
   WriterMutexLock lock(groups_mu_);
   groups_.clear();
   {

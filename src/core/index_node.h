@@ -22,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -85,10 +84,6 @@ struct IndexNodeConfig {
   // 0 = unbounded: queueing delay is still modeled, nothing is ever shed
   // — the "admission off" configuration of the saturation bench.
   size_t admission_queue_bound = 64;
-  // Placement delegation: per-file lookup cost of a delegated resolve
-  // answered from a lease mirror (mirrors the master's lookup_us so the
-  // simulated resolve latency does not change with who answers).
-  double resolve_lookup_us = 0.3;
 };
 
 class IndexNode : public net::RpcHandler {
@@ -116,18 +111,6 @@ class IndexNode : public net::RpcHandler {
   // to model a permanent machine loss.
   Status Reset();
 
-  // Placement delegation (sharded master): installs/renews the metadata
-  // shard leases granted on a heartbeat response.  A grant with a mirror
-  // replaces the shard's cached placement state; a bare renewal only
-  // extends the expiry.  `now_s` advances the node's view of cluster time
-  // (delegated resolves judge lease expiry against it).
-  void InstallLeases(const HeartbeatResponse& resp, double now_s);
-
-  // --- lease accessors (tests) ---
-  size_t NumLeases() const;
-  bool HasLease(uint32_t shard) const;
-  uint64_t LeaseEpoch(uint32_t shard) const;
-
   // Node-local metrics: the registry shared with this node's groups, plus
   // page-cache counters injected from the IoContext at snapshot time.
   // Cache stats survive Reset() (PageCache keeps its monotone counters), so
@@ -151,13 +134,6 @@ class IndexNode : public net::RpcHandler {
   Response HandleCatchUp(const std::string& payload);
   Response HandleDropGroup(const std::string& payload);
   Response HandleReset(const std::string& payload);
-  // Delegated placement resolves (in.resolve_update / in.resolve_search):
-  // answered purely from the lease mirrors under lease_mu_ — no group or
-  // master state is touched.  kStaleLocation when a needed shard's lease
-  // is missing/expired or a file is unknown to the mirror; the client
-  // falls back to the master.
-  Response HandleResolveUpdate(const std::string& payload);
-  Response HandleResolveSearch(const std::string& payload);
 
   // Map lookup; shared hold suffices.
   index::IndexGroup* Find(GroupId id) REQUIRES_SHARED(groups_mu_);
@@ -213,25 +189,6 @@ class IndexNode : public net::RpcHandler {
   mutable Mutex admission_mu_{LockRank::kIndexNodeAdmission,
                               "IndexNode::admission_mu_"};
   sim::ServerQueue admission_ GUARDED_BY(admission_mu_);
-  // Placement-lease soft state (delegation).  One mirror per metadata
-  // shard this node currently holds a lease for; all of it is disposable —
-  // expiry (or Reset) simply sends clients back to the master.  Separate
-  // low-rank mutex: delegated resolves never touch group state, and the
-  // heartbeat path installs leases without holding groups_mu_.
-  struct ShardLease {
-    uint64_t epoch = 0;
-    double expiry_s = 0;
-    std::map<GroupId, NodeId> group_primary;            // mirror
-    std::map<GroupId, std::vector<NodeId>> group_replicas;  // replication
-    std::unordered_map<FileId, GroupId> file_group;     // mirror
-  };
-  mutable Mutex lease_mu_{LockRank::kIndexNodeLease, "IndexNode::lease_mu_"};
-  uint32_t lease_num_shards_ GUARDED_BY(lease_mu_) = 0;
-  std::vector<std::string> lease_index_names_ GUARDED_BY(lease_mu_);
-  std::map<uint32_t, ShardLease> leases_ GUARDED_BY(lease_mu_);
-  // Last cluster time this node observed (heartbeat responses, in.tick);
-  // delegated resolves judge lease expiry against it.
-  double lease_now_s_ GUARDED_BY(lease_mu_) = 0;
   obs::MetricsRegistry metrics_;
   obs::Counter* searches_;
   obs::Counter* stage_batches_;
@@ -242,8 +199,6 @@ class IndexNode : public net::RpcHandler {
   obs::Histogram* admit_wait_;
   obs::Gauge* admit_depth_;       // waiting-line depth after latest arrival
   obs::Gauge* admit_depth_peak_;  // high-water mark of the waiting line
-  obs::Counter* resolve_delegated_;  // resolves answered from a lease mirror
-  obs::Counter* resolve_stale_;      // resolves refused with kStaleLocation
 };
 
 }  // namespace propeller::core

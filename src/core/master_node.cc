@@ -17,10 +17,6 @@ MasterNode::MasterNode(NodeId id, net::Transport* transport, MasterConfig config
       metadata_flushes_(&metrics_.GetCounter("mn.metadata.flushes")),
       recoveries_(&metrics_.GetCounter("mn.recoveries")),
       groups_recovered_(&metrics_.GetCounter("mn.groups_recovered")),
-      lease_granted_(&metrics_.GetCounter("master.lease.granted")),
-      lease_renewed_(&metrics_.GetCounter("master.lease.renewed")),
-      lease_expired_(&metrics_.GetCounter("master.lease.expired")),
-      lease_stale_(&metrics_.GetCounter("master.lease.stale")),
       handle_latency_(&metrics_.GetHistogram("mn.handle.latency_s")),
       shard_queue_wait_(&metrics_.GetHistogram("mn.shard.queue_wait_s")) {
   if (config_.num_shards < 1) config_.num_shards = 1;
@@ -132,18 +128,6 @@ double MasterNode::ChargeShardQueue(Shard& shard, uint32_t shard_index,
   return wait;
 }
 
-template <typename ResponseT>
-void MasterNode::StampLeaseHolders(ResponseT& resp) {
-  if (!config_.placement_leases) return;
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  resp.lease_holders.resize(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    resp.lease_holders[s] = shard.lease_holder;
-  }
-}
-
 net::RpcHandler::Response MasterNode::Handle(const std::string& method,
                                              const std::string& payload) {
   handle_calls_->Add(1);
@@ -203,7 +187,6 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
   shard.group_replicas[group] = std::move(placed);
   mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
   ++shard.metadata_epoch;  // new group visible to searches
-  ++shard.mirror_epoch;
   return primary;
 }
 
@@ -269,7 +252,6 @@ sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
     shard.group_replicas.erase(merge.from);
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
     ++shard.metadata_epoch;  // group dissolved; cached placements are stale
-    ++shard.mirror_epoch;
   }
   return cost;
 }
@@ -294,13 +276,11 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
   }
 
   std::vector<uint64_t> epochs(n, 0);
-  bool lease_covered = false;
   double queue_wait = 0;
   for (uint32_t s = 0; s < n; ++s) {
     if (by_shard[s].empty()) continue;  // epoch 0: no statement on shard s
     Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
-    if (shard.lease_holder != 0) lease_covered = true;
     for (size_t idx : by_shard[s]) {
       FileId f = req->files[idx];
       auto group = shard.acg.GroupOf(f);
@@ -312,10 +292,6 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
         auto result = shard.acg.ApplyDelta(singleton);
         cost += ApplyAcgResult(shard, result, catalog);
         group = shard.acg.GroupOf(f);
-        // The file -> group map changed even when the file joined an
-        // existing group (no metadata_epoch move, cached placements stay
-        // valid) — but a delegate's mirror must learn the new file.
-        ++shard.mirror_epoch;
       }
       sim::Cost place_cost;
       auto node = EnsureGroupPlaced(shard, *group, catalog, place_cost);
@@ -344,10 +320,6 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
   }
   cost += sim::Cost(queue_wait);
   resp.shard_epochs = std::move(epochs);
-  // The master answered a resolve a delegate holds a lease for — counted
-  // so "leases keep the master out of the steady state" is checkable.
-  if (lease_covered) lease_stale_->Add(1);
-  StampLeaseHolders(resp);
   MaybeFlushMetadata(cost);
   return Response{Status::Ok(), Encode(resp), cost};
 }
@@ -375,13 +347,11 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   std::unordered_map<NodeId, std::vector<GroupId>> by_node;
   uint64_t total_groups = 0;
   std::vector<uint64_t> epochs(n, 0);
-  bool lease_covered = false;
   double queue_wait = 0;
   ResolveSearchResponse resp;
   for (uint32_t s = 0; s < n; ++s) {
     Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
-    if (shard.lease_holder != 0) lease_covered = true;
     for (const auto& [group, replicas] : shard.group_replicas) {
       by_node[replicas.front()].push_back(group);
     }
@@ -411,8 +381,6 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   std::sort(resp.targets.begin(), resp.targets.end(),
             [](const auto& a, const auto& b) { return a.node < b.node; });
   resp.shard_epochs = std::move(epochs);
-  if (lease_covered) lease_stale_->Add(1);
-  StampLeaseHolders(resp);
   sim::Cost cost(config_.lookup_us / 1e6 *
                  static_cast<double>(total_groups + 1));
   cost += sim::Cost(queue_wait);
@@ -439,7 +407,6 @@ net::RpcHandler::Response MasterNode::HandleCreateIndex(
     Shard& shard = *sp;
     MutexLock lock(shard.mu_);
     ++shard.metadata_epoch;
-    ++shard.mirror_epoch;
     for (const auto& [group, replicas] : shard.group_replicas) {
       placed.emplace_back(group, replicas);
     }
@@ -559,7 +526,6 @@ sim::Cost MasterNode::RunSplitMaintenanceShard(
     cost += in_call.cost;
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
     ++shard.metadata_epoch;  // files moved to the split-off group
-    ++shard.mirror_epoch;
   }
   return cost;
 }
@@ -665,7 +631,6 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
       BumpNodeLoad(shard, idlest, 1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
       ++shard.metadata_epoch;  // group changed nodes: cached routing stale
-      ++shard.mirror_epoch;
       ++moved;
     }
   }
@@ -673,42 +638,6 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
   MaybeFlushMetadata(flush_cost);
   if (cost != nullptr) *cost += flush_cost;
   return moved;
-}
-
-ShardLeaseGrant MasterNode::BuildLeaseGrant(Shard& shard, uint32_t shard_index,
-                                            NodeId holder, double now_s) {
-  ShardLeaseGrant grant;
-  grant.shard = shard_index;
-  grant.epoch = shard.metadata_epoch;
-  grant.expiry_s = now_s + config_.lease_duration_s;
-  const bool is_new = shard.lease_holder != holder;
-  shard.lease_holder = holder;
-  shard.lease_expiry_s = grant.expiry_s;
-  (is_new ? lease_granted_ : lease_renewed_)->Add(1);
-  // Push the routing mirror only when the delegate has never seen this
-  // shard or its mirror version moved — steady-state renewals are
-  // near-empty.  mirror_epoch (not metadata_epoch) is the gate: a new
-  // file joining an existing group moves only the former.
-  if (is_new || shard.lease_pushed_epoch != shard.mirror_epoch) {
-    grant.has_mirror = true;
-    std::vector<GroupId> groups;
-    groups.reserve(shard.group_replicas.size());
-    for (const auto& [group, replicas] : shard.group_replicas) {
-      groups.push_back(group);
-    }
-    std::sort(groups.begin(), groups.end());
-    for (GroupId g : groups) {
-      grant.groups.push_back({g, shard.group_replicas.at(g).front()});
-    }
-    if (config_.replication_factor > 1) {
-      CollectReplicaSets(shard, groups, grant.replicas);
-    }
-    for (const auto& [file, group] : shard.acg.FileGroups()) {
-      grant.files.push_back({file, group});
-    }
-    shard.lease_pushed_epoch = shard.mirror_epoch;
-  }
-  return grant;
 }
 
 net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload) {
@@ -721,8 +650,6 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
   // were re-homed while it was dead, wipe it (in.reset) so stale replicas
   // cannot resurface, then re-admit it to the placement pool.
   bool needs_reset = false;
-  size_t pos = ~size_t{0};
-  size_t n_nodes = 0;
   {
     MutexLock lock(liveness_mu_);
     auto dead_it = dead_.find(req->node);
@@ -731,13 +658,6 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
       dead_.erase(dead_it);
     }
     last_heartbeat_s_[req->node] = req->now_s;
-    n_nodes = index_nodes_.size();
-    for (size_t i = 0; i < n_nodes; ++i) {
-      if (index_nodes_[i] == req->node) {
-        pos = i;
-        break;
-      }
-    }
   }
   if (needs_reset) {
     auto call = transport_->Call(id_, req->node, "in.reset",
@@ -760,26 +680,7 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
     SetNodeLoad(shard, req->node, counts[s], /*eligible=*/true);
   }
 
-  HeartbeatResponse hresp;
-  hresp.num_shards = n;
-  if (!config_.placement_leases) {
-    return Response{Status::Ok(), Encode(hresp), cost};
-  }
-
-  // Lease grants ride on the heartbeat response: shard s is delegated
-  // round-robin to index_nodes_[s mod n_nodes].
-  for (const IndexSpec& spec : CatalogSnapshot()) {
-    hresp.index_names.push_back(spec.name);
-  }
-  if (pos != ~size_t{0} && n_nodes > 0) {
-    for (uint32_t s = static_cast<uint32_t>(pos); s < n;
-         s += static_cast<uint32_t>(n_nodes)) {
-      Shard& shard = *shards_[s];
-      MutexLock lock(shard.mu_);
-      hresp.leases.push_back(BuildLeaseGrant(shard, s, req->node, req->now_s));
-    }
-  }
-  return Response{Status::Ok(), Encode(hresp), cost};
+  return Response{Status::Ok(), {}, cost};
 }
 
 net::RpcHandler::Response MasterNode::HandleTick(const std::string& payload) {
@@ -802,20 +703,6 @@ net::RpcHandler::Response MasterNode::HandleTick(const std::string& payload) {
     cost += sim::Cost(config_.lookup_us / 1e6);
     RecoverDeadNode(n, req->now_s, cost);
   }
-  // Lease housekeeping: a holder that stopped heartbeating (without being
-  // declared dead yet, e.g. a partition) lets its lease lapse; the master
-  // resumes answering for the shard.
-  if (config_.placement_leases) {
-    for (auto& sp : shards_) {
-      Shard& shard = *sp;
-      MutexLock lock(shard.mu_);
-      if (shard.lease_holder != 0 && shard.lease_expiry_s < req->now_s) {
-        shard.lease_holder = 0;
-        shard.lease_pushed_epoch = 0;
-        lease_expired_->Add(1);
-      }
-    }
-  }
   return Response{Status::Ok(), {}, cost};
 }
 
@@ -837,8 +724,8 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
 
   // Collect the dead node's groups per shard (sorted; shard-major order is
-  // the legacy globally-sorted order at n = 1), pull the node out of every
-  // shard's placement index, and revoke any leases it held.
+  // the legacy globally-sorted order at n = 1) and pull the node out of
+  // every shard's placement index.
   std::vector<std::vector<GroupId>> groups(n);
   size_t total = 0;
   for (uint32_t s = 0; s < n; ++s) {
@@ -855,11 +742,6 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
     auto it = shard.node_load.find(node);
     if (it != shard.node_load.end()) {
       shard.load_index.erase({it->second, node});
-    }
-    if (shard.lease_holder == node) {
-      shard.lease_holder = 0;
-      shard.lease_pushed_epoch = 0;
-      lease_expired_->Add(1);
     }
   }
 
@@ -926,7 +808,6 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
         BumpNodeLoad(shard, node, -1);
         mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
         ++shard.metadata_epoch;  // group re-homed onto a survivor
-        ++shard.mirror_epoch;
         ++event.groups_moved;
         continue;
       }
@@ -1009,7 +890,6 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
       BumpNodeLoad(shard, node, -1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
       ++shard.metadata_epoch;  // replica set changed; cached routing stale
-      ++shard.mirror_epoch;
       ++event.groups_moved;
     }
   }
@@ -1072,12 +952,6 @@ uint64_t MasterNode::MetadataEpochOfShard(uint32_t shard_index) const {
   const Shard& shard = *shards_.at(shard_index);
   MutexLock lock(shard.mu_);
   return shard.metadata_epoch;
-}
-
-NodeId MasterNode::LeaseHolderOfShard(uint32_t shard_index) const {
-  const Shard& shard = *shards_.at(shard_index);
-  MutexLock lock(shard.mu_);
-  return shard.lease_holder;
 }
 
 std::string MasterNode::SnapshotMetadata() const {
@@ -1150,14 +1024,10 @@ Status MasterNode::RestoreMetadata(const std::string& payload) {
     // Rebuild the ACG manager from the per-group subgraphs, preserving the
     // original group ids (and this shard's id residue class).
     shard.acg = acg::AcgManager(config_.acg_policy, s + 1, n);
-    shard.lease_holder = 0;
-    shard.lease_expiry_s = 0;
-    shard.lease_pushed_epoch = 0;
     // Restore one *past* the flushed epoch: the image may predate
     // un-flushed mutations, so a failed-over master must not re-issue an
     // epoch clients may already hold for newer state.
     if (s < shard_epochs.size()) shard.metadata_epoch = shard_epochs[s] + 1;
-    ++shard.mirror_epoch;  // restored state: any pushed mirror is stale
   }
   // Placement table and load view: one load unit per copy.
   for (GroupReplicaSet& rs : sets) {

@@ -80,15 +80,6 @@ struct MasterConfig {
   // virtually busy is charged the wait.  Off (default) resolve costs are
   // unchanged even for stamped traffic.
   bool model_resolve_queue = false;
-  // --- placement leases (delegated resolves) ---
-  // Grant index nodes time-bounded placement leases on their heartbeats
-  // (shard s is assigned round-robin to index_nodes_[s mod n]); a leased
-  // node mirrors the shard's routing state and answers in.resolve_search /
-  // in.resolve_update directly, taking the master out of the steady-state
-  // resolve path.  Clients fall back to the master on lease expiry or
-  // kStaleLocation.
-  bool placement_leases = false;
-  double lease_duration_s = 3.0;
 };
 
 class MasterNode : public net::RpcHandler {
@@ -128,8 +119,6 @@ class MasterNode : public net::RpcHandler {
   // MetadataEpochOfShard.
   uint64_t MetadataEpoch() const;
   uint64_t MetadataEpochOfShard(uint32_t shard) const;
-  // Current lease holder of `shard` (0 = none / leases off).
-  NodeId LeaseHolderOfShard(uint32_t shard) const;
 
   // Serialized metadata image (what the periodic flush writes); paired
   // with RestoreMetadata for master-recovery tests.
@@ -181,7 +170,7 @@ class MasterNode : public net::RpcHandler {
   }
 
   // Master-side metrics (per-method call counts, handle latency,
-  // metadata flushes, recovery totals, lease lifecycle).
+  // metadata flushes, recovery totals).
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::MetricsSnapshot MetricsSnapshot() const { return metrics_.Snapshot(); }
 
@@ -216,18 +205,6 @@ class MasterNode : public net::RpcHandler {
     // arrival-stamped resolve starts when the previous one finishes and is
     // charged the wait — a hot shard shows up as queueing delay.
     sim::ServerQueue resolve_queue GUARDED_BY(mu_){1};
-    // Mirror version of this shard: bumps on EVERY file -> group / group
-    // -> node mutation, including ones that don't invalidate client caches
-    // (a new file joining an existing group never moves metadata_epoch,
-    // but a delegate's mirror must still learn it).  Gates lease mirror
-    // re-pushes; never published on the wire.
-    uint64_t mirror_epoch GUARDED_BY(mu_) = 1;
-    // Placement-lease bookkeeping (placement_leases): current delegate,
-    // its lease deadline, and the mirror_epoch of the last mirror pushed
-    // to it (a renewal re-pushes the mirror only when that moved).
-    NodeId lease_holder GUARDED_BY(mu_) = 0;
-    double lease_expiry_s GUARDED_BY(mu_) = 0;
-    uint64_t lease_pushed_epoch GUARDED_BY(mu_) = 0;
   };
 
   Response HandleResolveUpdate(const std::string& payload);
@@ -286,14 +263,6 @@ class MasterNode : public net::RpcHandler {
   // returns the queueing wait in seconds.
   double ChargeShardQueue(Shard& shard, uint32_t shard_index, double arrival_s,
                           double service_s) REQUIRES(shard.mu_);
-  // Fills the per-shard lease holders of a resolve response (left empty
-  // with leases off).
-  template <typename ResponseT>
-  void StampLeaseHolders(ResponseT& resp);
-  // Builds this shard's lease grant for `holder` (called on heartbeat).
-  ShardLeaseGrant BuildLeaseGrant(Shard& shard, uint32_t shard_index,
-                                  NodeId holder, double now_s)
-      REQUIRES(shard.mu_);
   void MaybeFlushMetadata(sim::Cost& cost);
   sim::Cost RunSplitMaintenanceShard(Shard& shard,
                                      const std::vector<IndexSpec>& catalog)
@@ -341,10 +310,6 @@ class MasterNode : public net::RpcHandler {
   obs::Counter* metadata_flushes_;
   obs::Counter* recoveries_;
   obs::Counter* groups_recovered_;
-  obs::Counter* lease_granted_;
-  obs::Counter* lease_renewed_;
-  obs::Counter* lease_expired_;
-  obs::Counter* lease_stale_;
   obs::Histogram* handle_latency_;
   obs::Histogram* shard_queue_wait_;
   // Per-shard contention counters ("mn.shard.<i>.contended"): stamped

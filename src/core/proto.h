@@ -10,7 +10,7 @@
 //   Index:   in.create_group    in.stage_updates   in.search
 //            in.tick            in.migrate_out     in.install_group
 //            in.recover_group   in.reset           in.catch_up
-//            in.drop_group      in.resolve_update  in.resolve_search
+//            in.drop_group
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,7 @@ using net::NodeId;
 // ---- layout convention ----
 // Every message has one fixed layout: its Fields() list, each field always
 // written, so a configuration flag changes field values, never which
-// fields are on the wire (the one conditional section, a lease grant's
-// mirror, is declared with If behind its own has_mirror byte).  Decode
-// rejects bytes left over and flag bytes other than 0 or 1.  The rendered
+// fields are on the wire.  Decode rejects bytes left over and flag bytes other than 0 or 1.  The rendered
 // layout of every message is pinned by tests/wire_schema.golden.
 
 // The types embedded whole that keep their own codec (they are journaled
@@ -75,8 +73,8 @@ struct WireName<acg::Acg> {
 // in the write quorum) and the rest are secondaries (hedge / failover
 // targets).  Resolve responses carry the per-group replica sets (empty
 // when unreplicated).
-// Resolve responses, the lease mirror on heartbeat acks, and the master's
-// metadata image all carry replica sets in this one layout.
+// Resolve responses and the master's metadata image both carry replica
+// sets in this one layout.
 struct GroupReplicaSet {
   GroupId group = 0;
   std::vector<NodeId> nodes;  // nodes[0] = primary
@@ -93,9 +91,7 @@ struct GroupReplicaSet {
 // shard ShardOfFile(file, N) and a group allocated by shard s carries id
 // ≡ s + 1 (mod N), so ShardOfGroup inverts the assignment without a
 // lookup.  Each shard keeps its own epoch, so a client invalidates only the
-// shard whose placement actually changed.  With placement leases on,
-// `lease_holders` names each shard's current lease holder (0 = none) so
-// clients can send resolves to the delegate; it is empty with leases off.
+// shard whose placement actually changed.
 inline uint32_t ShardOfFile(FileId file, uint32_t num_shards) {
   if (num_shards <= 1) return 0;
   // splitmix64 finalizer: stable across platforms (std::hash is not).
@@ -140,15 +136,13 @@ struct ResolveUpdateResponse {
   std::vector<Placement> placements;
   // Full replica sets for the groups named above (empty = unreplicated).
   std::vector<GroupReplicaSet> replicas;
-  // Per-shard epochs + lease holders (see the conventions above).
+  // Per-shard epochs (see the conventions above).
   std::vector<uint64_t> shard_epochs;
-  std::vector<NodeId> lease_holders;
   template <class V>
   void Fields(V& v) {
     v(placements, "placements");
     v(replicas, "replicas");
     v(shard_epochs, "shard_epochs");
-    v(lease_holders, "lease_holders");
   }
 };
 
@@ -181,15 +175,13 @@ struct ResolveSearchResponse {
   // Full replica sets per group (empty = unreplicated); clients hedge
   // slow/failed primary branches to nodes[1].
   std::vector<GroupReplicaSet> replicas;
-  // Per-shard epochs + lease holders (see the conventions above).
+  // Per-shard epochs (see the conventions above).
   std::vector<uint64_t> shard_epochs;
-  std::vector<NodeId> lease_holders;
   template <class V>
   void Fields(V& v) {
     v(targets, "targets");
     v(replicas, "replicas");
     v(shard_epochs, "shard_epochs");
-    v(lease_holders, "lease_holders");
   }
 };
 
@@ -214,6 +206,7 @@ struct FlushAcgRequest {
 // ---- mn.heartbeat ----
 // Also the master's liveness signal: `now_s` stamps the node's
 // last-heartbeat time, which mn.tick compares against the miss threshold.
+// The master acks with an empty payload.
 struct HeartbeatRequest {
   NodeId node = 0;
   double now_s = 0;  // cluster virtual time the heartbeat was sent
@@ -236,65 +229,6 @@ struct HeartbeatRequest {
     v(groups, "groups");
   }
 };
-// With placement leases on, the master rides its lease grants on the
-// heartbeat ack.  A grant names a metadata shard the node may answer
-// resolves for until `expiry_s`, and — only when the shard's epoch moved
-// since the last push — a mirror of the shard's routing state (group ->
-// primary, replica sets, file -> group) the node serves those resolves
-// from.  Steady state (no metadata churn) renewals carry no mirror, so the
-// per-heartbeat cost stays near a bare ack.  With leases off the ack is
-// just the header: the shard count and two empty lists.
-struct ShardLeaseGrant {
-  uint32_t shard = 0;
-  uint64_t epoch = 0;   // the mirror's epoch (what delegated answers stamp)
-  double expiry_s = 0;  // lease valid until this cluster time
-  bool has_mirror = false;
-  struct GroupPrimary {
-    GroupId group = 0;
-    NodeId node = 0;
-    template <class V>
-    void Fields(V& v) {
-      v(group, "group");
-      v(node, "node");
-    }
-  };
-  std::vector<GroupPrimary> groups;        // mirror: group -> primary
-  std::vector<GroupReplicaSet> replicas;   // mirror: full sets (replication)
-  struct FileGroup {
-    FileId file = 0;
-    GroupId group = 0;
-    template <class V>
-    void Fields(V& v) {
-      v(file, "file");
-      v(group, "group");
-    }
-  };
-  std::vector<FileGroup> files;            // mirror: file -> group
-  template <class V>
-  void Fields(V& v) {
-    v(shard, "shard");
-    v(epoch, "epoch");
-    v(expiry_s, "expiry_s");
-    v(has_mirror, "has_mirror");
-    v.If(has_mirror, [&] {
-      v(groups, "groups");
-      v(replicas, "replicas");
-      v(files, "files");
-    });
-  }
-};
-struct HeartbeatResponse {
-  uint32_t num_shards = 0;  // the master's metadata shard count
-  std::vector<std::string> index_names;  // catalog names for delegated checks
-  std::vector<ShardLeaseGrant> leases;
-  template <class V>
-  void Fields(V& v) {
-    v(num_shards, "num_shards");
-    v(index_names, "index_names");
-    v(leases, "leases");
-  }
-};
-
 // ---- in.create_group ----
 struct CreateGroupRequest {
   GroupId group = 0;

@@ -20,9 +20,6 @@
 //   struct with Fields  its fields in order, no header
 //   own-codec type      its Serialize / Deserialize (IndexSpec, FileUpdate,
 //                       Predicate, Acg: journaled outside the wire too)
-//
-// A section present only under a flag decoded before it is declared with
-// `v.If(flag, [&] { ... })`; the dump marks its fields `opt`.
 #pragma once
 
 #include <concepts>
@@ -54,8 +51,6 @@ namespace wire_internal {
 struct Probe {
   template <class T>
   void operator()(T&, const char*);
-  template <class F>
-  void If(bool, F&&);
 };
 }  // namespace wire_internal
 
@@ -82,10 +77,6 @@ class WireEncoder {
   template <class T>
   void operator()(const T& field, const char* /*name*/) {
     Put(field);
-  }
-  template <class F>
-  void If(bool present, F&& section) {
-    if (present) section();
   }
 
   void Put(uint8_t v) { w_.PutU8(v); }
@@ -128,10 +119,6 @@ class WireDecoder {
   void operator()(T& field, const char* /*name*/) {
     if (status_.ok()) status_ = Get(field);
   }
-  template <class F>
-  void If(bool present, F&& section) {
-    if (present && status_.ok()) section();
-  }
 
   Status Get(uint8_t& v) { return r_.GetU8(v); }
   Status Get(bool& v) {
@@ -173,7 +160,7 @@ class WireDecoder {
 
 // Renders a message's layout one field per line, in wire order: a vector
 // shows its u32 count, then its elements marked `rep`; a nested struct's
-// fields carry its path (`replicas.nodes`); a section under If is `opt`.
+// fields carry its path (`replicas.nodes`).
 class WireSchemaDumper {
  public:
   explicit WireSchemaDumper(std::string& out) : out_(out) {}
@@ -182,18 +169,10 @@ class WireSchemaDumper {
   void operator()(const T& field, const char* name) {
     Dump(field, prefix_ + name);
   }
-  template <class F>
-  void If(bool /*present*/, F&& section) {
-    const bool outer = optional_;
-    optional_ = true;
-    section();
-    optional_ = outer;
-  }
 
  private:
   void Line(std::string_view type, const std::string& path) {
     out_ += "  ";
-    if (optional_) out_ += "opt ";
     if (repeated_) out_ += "rep ";
     out_.append(type);
     out_ += ' ';
@@ -230,7 +209,6 @@ class WireSchemaDumper {
 
   std::string& out_;
   std::string prefix_;
-  bool optional_ = false;
   bool repeated_ = false;
 };
 

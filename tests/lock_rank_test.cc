@@ -28,7 +28,6 @@ TEST(LockRankTableTest, MatchesDesignDocOrder) {
       LockRank::kTransportRouting,// net::Transport::mu_
       LockRank::kFaultPlan,       // net::FaultPlan::mu_
       LockRank::kIndexNodeAdmission, // core::IndexNode::admission_mu_
-      LockRank::kIndexNodeLease,  // core::IndexNode::lease_mu_
       LockRank::kIndexNodeGroups, // core::IndexNode::groups_mu_
       LockRank::kIndexNodeReplica,// core::IndexNode::replica_mu_
       LockRank::kGroupJournal,    // core::GroupJournal::mu_
@@ -61,7 +60,6 @@ TEST(LockRankTableTest, NamesAreStable) {
                "kIndexNodeAdmission");
   EXPECT_STREQ(LockRankName(LockRank::kMasterLiveness), "kMasterLiveness");
   EXPECT_STREQ(LockRankName(LockRank::kMasterShard), "kMasterShard");
-  EXPECT_STREQ(LockRankName(LockRank::kIndexNodeLease), "kIndexNodeLease");
   EXPECT_STREQ(LockRankName(LockRank::kAttrNames), "kAttrNames");
   EXPECT_STREQ(LockRankName(LockRank::kUnranked), "kUnranked");
 }

@@ -1,11 +1,9 @@
-// Sharded master & placement leases (DESIGN.md "Sharded master & leases"):
-// per-shard epoch isolation, lease grant / renewal / expiry / revocation,
-// delegated resolves answering bit-equal to the master, the shards=1
-// off-mode staying bit-identical, and concurrent resolves staying clean
-// under TSan (the `master` ctest label / tsan-master preset).
+// Sharded master (DESIGN.md "Sharded master"): per-shard epoch isolation,
+// the per-shard resolve queue model, the shards=1 off-mode staying
+// bit-identical, and concurrent resolves staying clean under TSan (the
+// `master` ctest label, run by the tsan preset).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <map>
 #include <thread>
@@ -37,12 +35,6 @@ std::vector<FileId> FilesOfShard(uint32_t shard, uint32_t n, size_t count) {
     if (ShardOfFile(f, n) == shard) out.push_back(f);
   }
   return out;
-}
-
-uint64_t Counter(const PropellerCluster& cluster, const std::string& name) {
-  auto counters = cluster.Stats().metrics.counters;
-  auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
 }
 
 // --- direct master tests (stub index nodes) ------------------------------
@@ -136,190 +128,11 @@ TEST_F(ShardedMasterTest, GroupIdsNeverCollideAcrossShards) {
   ASSERT_TRUE(decoded.ok());
   for (const auto& p : decoded->placements) {
     // A shard's groups carry its residue class, so the file's shard and
-    // its group's shard must coincide — the invariant delegated routing
-    // and per-shard cache eviction both lean on.
+    // its group's shard must coincide — the invariant per-shard cache
+    // eviction leans on.
     EXPECT_EQ(ShardOfGroup(p.group, kShards), ShardOfFile(p.file, kShards))
         << "file " << p.file << " group " << p.group;
   }
-}
-
-TEST_F(ShardedMasterTest, LeaseLapsesWithoutRenewal) {
-  MasterConfig cfg = Config();
-  cfg.placement_leases = true;
-  cfg.lease_duration_s = 2.0;
-  net::Transport transport;
-  StubIndexNode stub;
-  MasterNode master(1, &transport, cfg);
-  transport.Register(1, &master);
-  transport.Register(10, &stub);
-  master.AddIndexNode(10);
-
-  // One heartbeat grants every shard to the only node.
-  HeartbeatRequest hb;
-  hb.node = 10;
-  hb.now_s = 1.0;
-  ASSERT_TRUE(transport.Call(10, 1, "mn.heartbeat", Encode(hb)).status.ok());
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(master.LeaseHolderOfShard(s), 10u);
-  }
-
-  // No renewal: the failure-detector tick past expiry lapses every lease.
-  TickRequest tick;
-  tick.now_s = 10.0;
-  ASSERT_TRUE(transport.Call(1, 1, "mn.tick", Encode(tick)).status.ok());
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(master.LeaseHolderOfShard(s), 0u) << "shard " << s;
-  }
-  EXPECT_GE(master.MetricsSnapshot().counters.at("master.lease.expired"),
-            kShards);
-}
-
-// --- cluster tests (leases + delegation end to end) ----------------------
-
-ClusterConfig LeaseConfig(int shards) {
-  ClusterConfig cfg;
-  cfg.index_nodes = 4;
-  cfg.master.acg_policy.cluster_target = 10;
-  cfg.master_shards = shards;
-  cfg.placement_leases = true;
-  cfg.lease_duration_s = 3.0;
-  return cfg;
-}
-
-TEST(MasterLeaseTest, HeartbeatsGrantAndRenewShardLeases) {
-  PropellerCluster cluster(LeaseConfig(4));
-  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
-  std::vector<FileUpdate> updates;
-  for (FileId f = 1; f <= 40; ++f) updates.push_back(Upsert(f, 100));
-  ASSERT_TRUE(
-      cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
-
-  cluster.AdvanceTime(1.0);  // first heartbeat round: grants
-  for (uint32_t s = 0; s < 4; ++s) {
-    const NodeId holder = cluster.master().LeaseHolderOfShard(s);
-    EXPECT_NE(holder, 0u) << "shard " << s << " never granted";
-    // Round-robin delegation: shard s -> node s % n.
-    IndexNode& node = cluster.index_node(s % cluster.num_index_nodes());
-    EXPECT_EQ(holder, node.id());
-    EXPECT_TRUE(node.HasLease(s));
-    EXPECT_EQ(node.LeaseEpoch(s), cluster.master().MetadataEpochOfShard(s));
-  }
-  EXPECT_GE(Counter(cluster, "master.lease.granted"), 4u);
-
-  const uint64_t renewed_before = Counter(cluster, "master.lease.renewed");
-  cluster.AdvanceTime(2.0);  // two more heartbeat rounds: renewals
-  EXPECT_GT(Counter(cluster, "master.lease.renewed"), renewed_before);
-  for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_NE(cluster.master().LeaseHolderOfShard(s), 0u);
-  }
-}
-
-TEST(MasterLeaseTest, NodeDeathRevokesItsLeases) {
-  ClusterConfig cfg = LeaseConfig(4);
-  cfg.recovery_journal = true;  // groups survive the kill
-  PropellerCluster cluster(cfg);
-  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
-  std::vector<FileUpdate> updates;
-  for (FileId f = 1; f <= 40; ++f) updates.push_back(Upsert(f, 100));
-  ASSERT_TRUE(
-      cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
-  cluster.AdvanceTime(1.0);
-  const NodeId victim = cluster.master().LeaseHolderOfShard(0);
-  ASSERT_EQ(victim, cluster.index_node(0).id());
-
-  const uint64_t expired_before = Counter(cluster, "master.lease.expired");
-  cluster.KillIndexNode(0);
-  // Enough missed heartbeats for the failure detector to declare it dead.
-  for (int i = 0; i < 6; ++i) cluster.AdvanceTime(1.0);
-  EXPECT_GT(Counter(cluster, "master.lease.expired"), expired_before);
-  // The dead node's shards are unheld (nobody else heartbeats for them);
-  // its surviving shards keep their holders.
-  EXPECT_EQ(cluster.master().LeaseHolderOfShard(0), 0u);
-  EXPECT_NE(cluster.master().LeaseHolderOfShard(1), 0u);
-
-  // Searches still work: clients fall back to the master for the unheld
-  // shard instead of trusting a dead delegate.
-  Predicate p;
-  p.And("size", CmpOp::kGe, AttrValue(int64_t{100}));
-  auto r = cluster.client().Search(p, "by_size");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->files.size(), 40u);
-}
-
-TEST(MasterLeaseTest, DelegatedResolveMatchesMasterUnderChurn) {
-  PropellerCluster cluster(LeaseConfig(4));
-  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
-
-  std::vector<FileId> known;
-  for (int round = 0; round < 3; ++round) {
-    // Churn: new files placed (and on later rounds, re-placed groups).
-    std::vector<FileUpdate> updates;
-    for (FileId f = 1; f <= 30; ++f) {
-      FileId id = static_cast<FileId>(round) * 100 + f;
-      updates.push_back(Upsert(id, 100));
-      known.push_back(id);
-    }
-    ASSERT_TRUE(
-        cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
-    cluster.AdvanceTime(1.0);  // heartbeat: mirrors re-pushed at new epochs
-
-    // Every known file: the delegate's answer must equal the master's.
-    ResolveUpdateRequest req;
-    req.files = known;
-    auto mcall = cluster.transport().Call(100, PropellerCluster::kMasterId,
-                                          "mn.resolve_update", Encode(req));
-    ASSERT_TRUE(mcall.status.ok());
-    auto mresp = Decode<ResolveUpdateResponse>(mcall.payload);
-    ASSERT_TRUE(mresp.ok());
-
-    for (size_t i = 0; i < known.size(); ++i) {
-      const uint32_t shard = ShardOfFile(known[i], 4);
-      const NodeId holder = cluster.master().LeaseHolderOfShard(shard);
-      ASSERT_NE(holder, 0u);
-      ResolveUpdateRequest dreq;
-      dreq.files = {known[i]};
-      auto dcall = cluster.transport().Call(100, holder, "in.resolve_update",
-                                            Encode(dreq));
-      ASSERT_TRUE(dcall.status.ok()) << dcall.status.ToString();
-      auto dresp = Decode<ResolveUpdateResponse>(dcall.payload);
-      ASSERT_TRUE(dresp.ok());
-      ASSERT_EQ(dresp->placements.size(), 1u);
-      EXPECT_EQ(dresp->placements[0].group, mresp->placements[i].group)
-          << "file " << known[i];
-      EXPECT_EQ(dresp->placements[0].node, mresp->placements[i].node)
-          << "file " << known[i];
-    }
-  }
-}
-
-TEST(MasterLeaseTest, SteadyStateResolvesBypassTheMaster) {
-  PropellerCluster cluster(LeaseConfig(4));
-  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
-  std::vector<FileUpdate> warm;
-  for (FileId f = 1; f <= 40; ++f) warm.push_back(Upsert(f, 100));
-  // Warm-up: place the files, let the heartbeat grant leases and push
-  // mirrors, then one more master round-trip teaches the client the (now
-  // nonzero) lease-holder table.
-  ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
-  cluster.AdvanceTime(1.0);
-  ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
-
-  const uint64_t master_resolves =
-      Counter(cluster, "mn.calls.mn.resolve_update") +
-      Counter(cluster, "mn.calls.mn.resolve_search");
-  Predicate p;
-  p.And("size", CmpOp::kGe, AttrValue(int64_t{100}));
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
-    auto r = cluster.client().Search(p, "by_size");
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->files.size(), 40u);
-  }
-  // Steady state: every resolve was answered by a delegate.
-  EXPECT_EQ(Counter(cluster, "mn.calls.mn.resolve_update") +
-                Counter(cluster, "mn.calls.mn.resolve_search"),
-            master_resolves);
-  EXPECT_GE(Counter(cluster, "client.resolve.delegated"), 20u);
 }
 
 // --- resolve queue model --------------------------------------------------
@@ -400,7 +213,6 @@ TEST(MasterShardOffModeTest, ShardsOneLeasesOffIsBitIdentical) {
     if (configure) {
       // Explicit off-values must not perturb anything the defaults do.
       cfg.master_shards = 1;
-      cfg.placement_leases = false;
       cfg.model_resolve_queue = false;
     }
     PropellerCluster cluster(cfg);
@@ -455,11 +267,13 @@ TEST(MasterShardOffModeTest, ShardedClusterReturnsIdenticalSearchResults) {
   EXPECT_EQ(run(1), run(8));
 }
 
-// --- concurrency (TSan target: tsan-master preset) -----------------------
+// --- concurrency (TSan target: the tsan preset's `master` label) ---------
 
 TEST(MasterShardConcurrencyTest, ConcurrentResolvesAcrossShardsAreClean) {
-  ClusterConfig cfg = LeaseConfig(4);
+  ClusterConfig cfg;
+  cfg.index_nodes = 4;
   cfg.master.acg_policy.cluster_target = 10;
+  cfg.master_shards = 4;
   PropellerCluster cluster(cfg);
   ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
   std::vector<FileUpdate> warm;
@@ -468,8 +282,8 @@ TEST(MasterShardConcurrencyTest, ConcurrentResolvesAcrossShardsAreClean) {
   cluster.AdvanceTime(1.0);
 
   // Hammer the master's resolve surface from several threads while
-  // heartbeats (lease grants) and delegated resolves run: the per-shard
-  // mutexes must keep every path clean with no global lock.
+  // heartbeats run: the per-shard mutexes must keep every path clean with
+  // no global lock.
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cluster, t] {
@@ -491,7 +305,7 @@ TEST(MasterShardConcurrencyTest, ConcurrentResolvesAcrossShardsAreClean) {
       }
     });
   }
-  // Heartbeats concurrently re-grant leases against the resolve storm.
+  // Heartbeats concurrently restamp node loads against the resolve storm.
   std::thread hb([&cluster] {
     for (int i = 0; i < 20; ++i) {
       HeartbeatRequest req;

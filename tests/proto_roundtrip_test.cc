@@ -261,17 +261,12 @@ WireCase Row(std::string name, const T& msg) {
           }};
 }
 
-// Resolve-response routing tail at `shards` metadata shards, with every
-// shard's lease held.
+// Resolve-response routing tail at `shards` metadata shards.
 template <typename ResponseT>
 void FillRouting(ResponseT& resp, uint32_t shards) {
   resp.replicas = {GroupReplicaSet{3, {1, 2}}, GroupReplicaSet{4, {2, 1}}};
   resp.shard_epochs.clear();
-  resp.lease_holders.clear();
-  for (uint32_t s = 0; s < shards; ++s) {
-    resp.shard_epochs.push_back(10 + s);
-    resp.lease_holders.push_back(static_cast<NodeId>(1 + s % 2));
-  }
+  for (uint32_t s = 0; s < shards; ++s) resp.shard_epochs.push_back(10 + s);
 }
 
 std::vector<WireCase> AllCases() {
@@ -320,22 +315,6 @@ std::vector<WireCase> AllCases() {
   hbreq.now_s = 12.5;
   hbreq.groups = {{9, 100, 7}};
   both("HeartbeatRequest", hbreq);
-
-  HeartbeatResponse hbresp;
-  hbresp.num_shards = 4;
-  hbresp.index_names = {"by_size", "by_mtime"};
-  ShardLeaseGrant renewal;
-  renewal.shard = 1;
-  renewal.epoch = 6;
-  renewal.expiry_s = 9.0;
-  ShardLeaseGrant mirror = renewal;
-  mirror.shard = 3;
-  mirror.has_mirror = true;
-  mirror.groups = {{4, 2}};
-  mirror.replicas = {GroupReplicaSet{4, {2, 1}}};
-  mirror.files = {{8, 4}};
-  hbresp.leases = {renewal, mirror};
-  both("HeartbeatResponse", hbresp);
 
   CreateGroupRequest cgreq;
   cgreq.group = 6;
@@ -446,17 +425,6 @@ TEST(ProtoRoundtrip, FlagBytesOtherThanZeroOrOneAreCorruption) {
   auto out = Decode<MigrateOutRequest>(bytes);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
-
-  HeartbeatResponse ack;
-  ack.leases.push_back(ShardLeaseGrant{});
-  bytes = Encode(ack);
-  // u32 num_shards, u32 + u32 list counts, u32 shard, u64 epoch, double.
-  const size_t has_mirror_at = 4 + 4 + 4 + 4 + 8 + 8;
-  ASSERT_EQ(bytes.size(), has_mirror_at + 1);
-  bytes[has_mirror_at] = '\xff';
-  auto hb = Decode<HeartbeatResponse>(bytes);
-  ASSERT_FALSE(hb.ok());
-  EXPECT_EQ(hb.status().code(), StatusCode::kCorruption);
 }
 
 // --- byte pin: every encoding against digests of the committed layout ---
@@ -534,8 +502,6 @@ TEST(ProtoBytePin, EveryEncodingMatchesItsPinnedDigest) {
       {"FlushAcgRequest/set", 0x51c7e26e9427ac2eull},
       {"HeartbeatRequest/default", 0x88201fb960ff6465ull},
       {"HeartbeatRequest/set", 0x5f64d88ccca0905bull},
-      {"HeartbeatResponse/default", 0x5467b0da1d106495ull},
-      {"HeartbeatResponse/set", 0xfd5f0c87be7393d0ull},
       {"InstallGroupRequest/default", 0x88201fb960ff6465ull},
       {"InstallGroupRequest/set", 0xe1eb983491d71f08ull},
       {"MetadataImage", 0xb4f6a578b8ebd939ull},
@@ -550,16 +516,16 @@ TEST(ProtoBytePin, EveryEncodingMatchesItsPinnedDigest) {
       {"ResetNodeRequest", 0xcbf29ce484222325ull},
       {"ResolveSearchRequest/default", 0x5467b0da1d106495ull},
       {"ResolveSearchRequest/set", 0x63add5e8c1cb7610ull},
-      {"ResolveSearchResponse/N=1/default", 0x88201fb960ff6465ull},
-      {"ResolveSearchResponse/N=1/set", 0xae49cafee3ecdedbull},
-      {"ResolveSearchResponse/N=4/default", 0x88201fb960ff6465ull},
-      {"ResolveSearchResponse/N=4/set", 0x71772c8f784cc6b0ull},
+      {"ResolveSearchResponse/N=1/default", 0x5467b0da1d106495ull},
+      {"ResolveSearchResponse/N=1/set", 0xaadd9ad9f2e89d0bull},
+      {"ResolveSearchResponse/N=4/default", 0x5467b0da1d106495ull},
+      {"ResolveSearchResponse/N=4/set", 0xa33fc8531fcc0f54ull},
       {"ResolveUpdateRequest/default", 0x5467b0da1d106495ull},
       {"ResolveUpdateRequest/set", 0xf55dbebd54903fa7ull},
-      {"ResolveUpdateResponse/N=1/default", 0x88201fb960ff6465ull},
-      {"ResolveUpdateResponse/N=1/set", 0x523e616254a038a2ull},
-      {"ResolveUpdateResponse/N=4/default", 0x88201fb960ff6465ull},
-      {"ResolveUpdateResponse/N=4/set", 0xdf0ca940f737f4d9ull},
+      {"ResolveUpdateResponse/N=1/default", 0x5467b0da1d106495ull},
+      {"ResolveUpdateResponse/N=1/set", 0xcbf1fdc7b9f85cd2ull},
+      {"ResolveUpdateResponse/N=4/default", 0x5467b0da1d106495ull},
+      {"ResolveUpdateResponse/N=4/set", 0xe21c0daa2017ad6dull},
       {"SearchRequest/default", 0x17d9c15239d081d5ull},
       {"SearchRequest/set", 0x7dc235d45e5e0941ull},
       {"SearchResponse/default", 0x4d25767f9dce13f5ull},

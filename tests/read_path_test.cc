@@ -12,7 +12,9 @@
 //      results (composes with the recovery journal).
 //   4. Equivalence — caching on/off agree on results; serial and parallel
 //      execution stay bit-identical with caching on.
-//   5. Concurrency — many real threads searching one group under the
+//   5. Read-your-writes — a client's own writes into groups created after
+//      its search targets were cached are found by its next search.
+//   6. Concurrency — many real threads searching one group under the
 //      shared lock (and probing the result cache) race nothing.  Run under
 //      ThreadSanitizer (-DPROPELLER_SANITIZE=thread, see README.md).
 #include <gtest/gtest.h>
@@ -282,10 +284,56 @@ TEST(ReadPathCachingTest, CachingOnStaysBitIdenticalAcrossExecutionModes) {
   }
 }
 
+// --- 5. read-your-writes across new groups --------------------------------
+
+// Parameter: master shard count.
+class ReadPathCachingTest : public ::testing::TestWithParam<int> {};
+
+// Each round writes files no group holds yet, so placement opens new
+// groups and bumps the shard epochs; the client's own update resolve sees
+// the new epochs, so its next search must not fan out to the cached
+// targets that predate those groups.
+TEST_P(ReadPathCachingTest, OwnWritesIntoNewGroupsAreSearchable) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 8;
+  cfg.read_path_caching = true;
+  cfg.master_shards = GetParam();
+  cfg.master.acg_policy.cluster_target = 32;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
+                  .ok());
+  Predicate all;
+  all.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{0}));
+  std::set<FileId> acked;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<FileUpdate> updates;
+    for (int i = 0; i < 50; ++i) {
+      FileUpdate u;
+      u.file = static_cast<FileId>(round * 50 + i + 1);
+      u.attrs.Set("size", index::AttrValue(static_cast<int64_t>(u.file)));
+      updates.push_back(std::move(u));
+    }
+    ASSERT_TRUE(cluster.client().BatchUpdate(updates, cluster.now()).ok());
+    for (const FileUpdate& u : updates) acked.insert(u.file);
+    cluster.AdvanceTime(0.25);
+    auto found = cluster.client().Search(all, "by_size");
+    ASSERT_TRUE(found.ok());
+    const std::set<FileId> hits(found->files.begin(), found->files.end());
+    size_t missing = 0;
+    for (FileId f : acked) missing += hits.count(f) == 0u ? 1 : 0;
+    EXPECT_EQ(missing, 0u) << "round " << round << " of " << acked.size()
+                           << " acknowledged files";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MasterShards, ReadPathCachingTest,
+                         ::testing::Values(1, 8));
+
 }  // namespace
 }  // namespace propeller::core
 
-// --- 5. group-level concurrency & result-cache semantics --------------------
+// --- 6. group-level concurrency & result-cache semantics --------------------
 
 namespace propeller::index {
 namespace {

@@ -31,7 +31,6 @@ std::string RenderSchema() {
   Render<DropGroupRequest>(messages, "DropGroupRequest");
   Render<FlushAcgRequest>(messages, "FlushAcgRequest");
   Render<HeartbeatRequest>(messages, "HeartbeatRequest");
-  Render<HeartbeatResponse>(messages, "HeartbeatResponse");
   Render<InstallGroupRequest>(messages, "InstallGroupRequest");
   Render<MetadataImage>(messages, "MetadataImage");
   Render<MigrateOutRequest>(messages, "MigrateOutRequest");
