@@ -274,8 +274,8 @@ std::vector<std::pair<std::string, double>> TailLatencyComparison() {
   auto build = [&](bool hedged) {
     core::ClusterConfig cfg;
     cfg.index_nodes = kNodes;
-    cfg.replication_factor = 2;
-    cfg.hedged_reads = hedged;
+    cfg.master.replication_factor = 2;
+    cfg.client.hedge.enabled = hedged;
     cfg.master.acg_policy.cluster_target = files / kNodes;
     cfg.master.acg_policy.merge_limit = files / kNodes;
     cfg.index_node.io.cache_pages = 1u << 20;

@@ -126,7 +126,7 @@ int main() {
     cfg.net.bandwidth_mb_per_s = 4000;
     cfg.master.acg_policy.cluster_target = kGroupSize;
     cfg.master.acg_policy.merge_limit = kGroupSize;
-    cfg.segmented_index = segmented;
+    cfg.index_node.segmented_index = segmented;
     core::PropellerCluster cluster(cfg);
     auto& client = cluster.client();
     (void)client.CreateIndex({"by_size", index::IndexType::kBTree, {"size"}});

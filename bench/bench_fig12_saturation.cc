@@ -52,12 +52,12 @@ load::RunStats RunArm(const ArmConfig& arm,
   cfg.net.latency_us = 3;
   cfg.net.bandwidth_mb_per_s = 4000;
   cfg.admission_control = arm.admission;
-  cfg.admission_queue_bound = arm.queue_bound;
+  cfg.index_node.admission_queue_bound = arm.queue_bound;
   // Segmented groups (write-read decoupling): searches snapshot immutable
   // segments instead of draining the staged batch, so the service-time
   // distribution stays tight and the sweep measures queueing, not the
   // commit barrier's multi-ms drain spikes.
-  cfg.segmented_index = true;
+  cfg.index_node.segmented_index = true;
   core::PropellerCluster cluster(cfg);
   auto& client = cluster.client();
   (void)client.CreateIndex({"by_size", index::IndexType::kBTree, {"size"}});

@@ -173,7 +173,7 @@ double RunCachingArm(bool caching, uint64_t num_files, int steady_rounds) {
   core::ClusterConfig cfg;
   cfg.index_nodes = 8;
   cfg.master.acg_policy.cluster_target = 32;
-  cfg.master_shards = 8;
+  cfg.master.num_shards = 8;
   cfg.read_path_caching = caching;
   core::PropellerCluster cluster(cfg);
   (void)cluster.client().CreateIndex(

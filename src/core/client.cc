@@ -335,24 +335,26 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     for (const auto& p : resolved.placements) {
       where[p.file] = FilePlacement{p.group, p.node};
     }
-    if (config_.replicated) StoreReplicaSets(resolved.replicas);
+    StoreReplicaSets(resolved.replicas);
     if (caching) StoreFilePlacements(resolved);
-    if (caching || config_.replicated) {
-      const std::vector<uint64_t>& eps = resolved.shard_epochs;
-      if (epochs.size() < eps.size()) epochs.resize(eps.size(), 0);
-      for (size_t s = 0; s < eps.size(); ++s) {
-        epochs[s] = std::max(epochs[s], eps[s]);
-      }
+    const std::vector<uint64_t>& eps = resolved.shard_epochs;
+    if (epochs.size() < eps.size()) epochs.resize(eps.size(), 0);
+    for (size_t s = 0; s < eps.size(); ++s) {
+      epochs[s] = std::max(epochs[s], eps[s]);
     }
     return Status::Ok();
   };
   if (!need.empty()) {
     PROPELLER_RETURN_IF_ERROR(resolve(std::move(need)));
   }
-  // Replicated mode: the replica set each shipment must fan to.  Cached
-  // placements reuse the memoized sets; a fresh resolve just refilled them.
-  std::unordered_map<GroupId, std::vector<NodeId>> rsets;
-  if (config_.replicated) rsets = SnapshotReplicaSets();
+  // The replica set each shipment fans to.  Cached placements reuse the
+  // memoized sets; a fresh resolve just refilled them.  The master sends
+  // sets only under replication, so none known means an unreplicated
+  // cluster: every group is a replica set of one and requests carry no
+  // replica role.
+  std::unordered_map<GroupId, std::vector<NodeId>> rsets =
+      SnapshotReplicaSets();
+  const bool replicated = !rsets.empty();
 
   // Bucket updates per group (a group lives on exactly one node): a flat
   // vector filled through a reserved hash index, then whole buckets sorted
@@ -392,12 +394,10 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     NodeId node = 0;
     GroupId group = 0;
     std::vector<std::string> payloads;
-    // Replicated mode: the group's full replica set ([0] = primary = node),
-    // the same batches re-encoded with the secondary role, and the highest
-    // commit sequence the primary acked (the read-your-writes floor).
-    std::vector<NodeId> replicas;
+    // The group's secondaries (none when unreplicated) and the same batches
+    // re-encoded with the secondary role for them.
+    std::vector<NodeId> secondaries;
     std::vector<std::string> secondary_payloads;
-    uint64_t acked_seq = 0;
     sim::Cost cost;
     Status status;
   };
@@ -408,22 +408,16 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
       Shipment s;
       s.node = bucket.node;
       s.group = bucket.group;
-      bool fan = false;
-      if (config_.replicated) {
-        auto it = rsets.find(bucket.group);
-        if (it != rsets.end() && !it->second.empty()) {
-          s.replicas = it->second;
-          // The resolved node is authoritative for where the primary lives
-          // right now; a stale memoized set keeps the secondaries only.
-          s.replicas.front() = bucket.node;
-          s.replicas.erase(std::remove(s.replicas.begin() + 1,
-                                       s.replicas.end(), bucket.node),
-                           s.replicas.end());
-        } else {
-          s.replicas = {bucket.node};
-        }
-        fan = s.replicas.size() > 1;
+      auto it = rsets.find(bucket.group);
+      if (it != rsets.end() && !it->second.empty()) {
+        // The resolved node is authoritative for where the primary lives
+        // right now; a stale memoized set keeps the secondaries only.
+        s.secondaries.assign(it->second.begin() + 1, it->second.end());
+        s.secondaries.erase(std::remove(s.secondaries.begin(),
+                                        s.secondaries.end(), bucket.node),
+                            s.secondaries.end());
       }
+      const bool fan = !s.secondaries.empty();
       for (size_t off = 0; off < bucket.updates.size();
            off += config_.update_batch) {
         StageUpdatesRequest sreq;
@@ -433,10 +427,10 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
         // shard's groups carry its residue class, so the file's shard and
         // the group's shard coincide).
         const auto n = static_cast<uint32_t>(epochs.size());
-        sreq.epoch = (caching || config_.replicated) && n > 0
+        sreq.epoch = (caching || replicated) && n > 0
                          ? epochs[ShardOfGroup(bucket.group, n)]
                          : 0;
-        if (config_.replicated) sreq.replica_role = kReplicaRolePrimary;
+        if (replicated) sreq.replica_role = kReplicaRolePrimary;
         sreq.admission = admission ? 1 : 0;
         size_t end = std::min(off + config_.update_batch, bucket.updates.size());
         sreq.updates.assign(
@@ -478,75 +472,53 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   // When a repair pass may re-ship failed payloads (caching or replicated
   // mode), the sent copies must survive the send: the repair decodes them
   // to recover the original updates.
-  const bool keep_payloads = caching || config_.replicated;
+  const bool keep_payloads = caching || replicated;
   auto ship_all = [&](std::vector<Shipment>& ships,
                       const obs::TraceCursor& base) {
+    // Each batch goes to every replica concurrently (simulated latency =
+    // the slowest copy; the client waits for the quorum, and the quorum
+    // includes the slowest mandatory ack).  The primary's journal append
+    // is the durable copy, so its failure fails the batch outright;
+    // secondaries only count toward quorum.  An unreplicated group is a
+    // set of one: the primary call alone, no secondary ack required.
     auto ship_one = [&](size_t i) {
       obs::ScopedTraceCursor branch(base);
       Shipment& s = ships[i];
-      const bool fan = s.replicas.size() > 1;
       for (size_t b = 0; b < s.payloads.size(); ++b) {
-        if (!fan) {
-          auto call = CallWithRetry(s.node, "in.stage_updates",
-                                    keep_payloads ? std::string(s.payloads[b])
-                                                  : std::move(s.payloads[b]));
-          s.cost += call.cost;
-          if (!call.status.ok()) {
-            s.status = call.status;
-            return;
-          }
-          if (config_.replicated) {
-            // Solo replica set but role-stamped: the primary still acks
-            // the committed sequence for read-your-writes.
-            if (auto resp = Decode<StageUpdatesResponse>(call.payload);
-                resp.ok()) {
-              s.acked_seq = std::max(s.acked_seq, resp->seq);
-              RecordAckedSeq(s.group, resp->seq);
-            }
-          }
-          continue;
-        }
-        // Replica fan-out: the batch goes to every replica concurrently
-        // (simulated latency = the slowest copy; the client waits for the
-        // quorum, and the quorum includes the slowest mandatory ack).  The
-        // primary's journal append is the durable copy, so its failure
-        // fails the batch outright; secondaries only count toward quorum.
         const obs::TraceCursor batch_base = obs::CurrentTrace();
-        net::Transport::CallResult pcall;
-        {
-          obs::ScopedTraceCursor primary_cursor(batch_base);
-          pcall = CallWithRetry(s.replicas[0], "in.stage_updates",
-                                std::string(s.payloads[b]));
-        }
+        auto pcall = CallWithRetry(s.node, "in.stage_updates",
+                                   keep_payloads ? std::string(s.payloads[b])
+                                                 : std::move(s.payloads[b]));
         size_t secondary_acks = 0;
-        sim::Cost secondary_max;
-        for (size_t j = 1; j < s.replicas.size(); ++j) {
+        sim::Cost batch_cost = pcall.cost;  // the slowest copy
+        for (NodeId secondary : s.secondaries) {
           obs::ScopedTraceCursor secondary_cursor(batch_base);
-          auto scall = CallWithRetry(s.replicas[j], "in.stage_updates",
+          auto scall = CallWithRetry(secondary, "in.stage_updates",
                                      std::string(s.secondary_payloads[b]));
-          if (scall.cost.seconds() > secondary_max.seconds()) {
-            secondary_max = scall.cost;
+          if (scall.cost.seconds() > batch_cost.seconds()) {
+            batch_cost = scall.cost;
           }
           if (scall.status.ok()) ++secondary_acks;
         }
-        const sim::Cost batch_cost =
-            sim::Cost::ParallelMax({pcall.cost, secondary_max});
         s.cost += batch_cost;
-        if (obs::CurrentTrace().active()) {
+        if (!s.secondaries.empty() && obs::CurrentTrace().active()) {
           obs::CurrentTrace().now_s = batch_base.now_s + batch_cost.seconds();
         }
         if (!pcall.status.ok()) {
           s.status = pcall.status;
           return;
         }
-        if (auto resp = Decode<StageUpdatesResponse>(pcall.payload);
-            resp.ok()) {
-          s.acked_seq = std::max(s.acked_seq, resp->seq);
-          RecordAckedSeq(s.group, resp->seq);
+        if (replicated) {
+          // Role-stamped: the primary acks the committed sequence, this
+          // client's read-your-writes floor.
+          if (auto resp = Decode<StageUpdatesResponse>(pcall.payload);
+              resp.ok()) {
+            RecordAckedSeq(s.group, resp->seq);
+          }
         }
         // Quorum = primary + floor((r-1)/2) secondaries (r=2 needs the
         // primary alone; r=3 needs one secondary; ...).
-        const size_t required = (s.replicas.size() - 1) / 2;
+        const size_t required = s.secondaries.size() / 2;
         if (secondary_acks < required) {
           s.status = Status::Unavailable(
               "write quorum not reached for group " + std::to_string(s.group) +
@@ -592,7 +564,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     // Replicated mode repairs the same classes even without the placement
     // cache: a quorum miss or a dead primary may mean the master already
     // promoted a secondary — one re-resolve routes to the new primary.
-    if (!caching && !config_.replicated) return false;
+    if (!caching && !replicated) return false;
     return st.code() == StatusCode::kStaleLocation ||
            st.code() == StatusCode::kUnavailable;
   };
@@ -654,7 +626,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
       }
     }
     PROPELLER_RETURN_IF_ERROR(resolve(std::move(files)));
-    if (config_.replicated) rsets = SnapshotReplicaSets();
+    rsets = SnapshotReplicaSets();
     std::vector<Bucket> retry_buckets;
     PROPELLER_RETURN_IF_ERROR(
         make_buckets(std::move(failed_updates), &retry_buckets));
@@ -684,8 +656,6 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
                       clock_s_ != nullptr ? *clock_s_ : 0.0, id_);
   if (!index_name.empty()) root.Tag("index", index_name);
   const bool caching = config_.read_path_caching;
-  const bool replicated = config_.replicated;
-  const bool hedging = replicated && config_.hedge.enabled;
 
   // Routing: the placement cache answers repeat searches without touching
   // the master (read_path_caching); otherwise one resolve RPC, memoized.
@@ -709,7 +679,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
     // shards — serves every shard count.
     epoch = 0;
     for (uint64_t e : targets.shard_epochs) epoch = std::max(epoch, e);
-    if (replicated) StoreReplicaSets(targets.replicas);
+    StoreReplicaSets(targets.replicas);
     if (caching) StoreSearchTargets(index_name, targets);
     return Status::Ok();
   };
@@ -722,6 +692,11 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
   }
 
   for (int attempt = 0;; ++attempt) {
+    // The master attaches replica sets only under replication; with them
+    // come epoch stamps, read-your-writes floors and (unless the hedge
+    // policy is off) hedged branches.
+    const bool replicated = !targets.replicas.empty();
+    const bool hedging = replicated && config_.hedge.enabled;
     // Fan out to every Index Node — concurrently when an RPC pool is
     // attached, serially otherwise.  Payloads are encoded up front and
     // responses aggregated in target order, so both modes produce identical

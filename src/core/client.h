@@ -59,21 +59,25 @@ struct ClientConfig {
   // skip the resolve RPC on repeat requests, stamp the epoch onto
   // in.search / in.stage_updates, and recover from kStaleLocation — or a
   // cached route to an unreachable node — with exactly one re-resolve +
-  // retry.  PropellerCluster wires this from its own flag.
+  // retry.  ClusterConfig::read_path_caching sets this together with the
+  // Index Nodes' result cache.
   bool read_path_caching = false;
-  // Replication (tail-tolerant reads).  On, the client fans every write
-  // shipment to the group's full replica set — the primary's journal
-  // append is the durable copy and its ack carries the commit sequence;
-  // the write succeeds once the primary plus floor((r-1)/2) secondaries
-  // ack — tracks those acked sequences as read-your-writes floors, and
-  // hedges slow or failed search branches to each group's first
-  // secondary.  PropellerCluster wires this from replication_factor.
-  bool replicated = false;
-  // Hedged-read policy (replicated mode).  A search branch whose primary
-  // exceeds the client's observed latency quantile — or fails outright —
-  // is re-issued to the secondary replicas; the first complete response
-  // wins and the loser is accounted as cancelled.
+  // Replication needs no client setting: the client is replicated exactly
+  // when the master's resolve responses carry replica sets (it sends them
+  // only at replication_factor > 1).  Then every write shipment fans to
+  // the group's full replica set — the primary's journal append is the
+  // durable copy and its ack carries the commit sequence; the write
+  // succeeds once the primary plus floor((r-1)/2) secondaries ack — the
+  // acked sequences become read-your-writes floors, and slow or failed
+  // search branches hedge to each group's first secondary.
+  //
+  // Hedged-read policy (replicated reads only).  A search branch whose
+  // primary exceeds the client's observed latency quantile — or fails
+  // outright — is re-issued to the secondary replicas; the first complete
+  // response wins and the loser is accounted as cancelled.
   struct HedgePolicy {
+    // Off, replicated searches still fan writes and honour floors but
+    // never hedge.
     bool enabled = true;
     // Hedge once a branch runs past this quantile of past branch
     // latencies (0.95 = p95).
@@ -205,7 +209,7 @@ class PropellerClient {
   // not routing.
   void InvalidateRoutingCache();
 
-  // --- replication state (replicated mode) ---
+  // --- replication state (resolves carried replica sets) ---
   // Memoizes resolve-provided replica sets / reads them back for write
   // fan-out (search branches take theirs from the resolve response).
   void StoreReplicaSets(const std::vector<GroupReplicaSet>& sets);

@@ -14,7 +14,7 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
     client_pool_ = std::make_unique<ThreadPool>(threads);
     config_.index_node.parallel_search = true;
   }
-  if (config_.replication_factor > 1) {
+  if (config_.master.replication_factor > 1) {
     // The shared journal is the replication log: secondaries catch up from
     // it and promotions replay it, so r > 1 forces it on.
     config_.recovery_journal = true;
@@ -23,26 +23,11 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
     journal_ = std::make_unique<GroupJournal>(config_.index_node.io);
     config_.index_node.recovery_journal = journal_.get();
   }
-  if (config_.replication_factor > 1) {
-    config_.master.replication_factor = config_.replication_factor;
-    config_.index_node.replicated = true;
-    config_.client.replicated = true;
-    config_.client.hedge.enabled = config_.hedged_reads;
-  }
   if (config_.read_path_caching) {
     config_.index_node.result_cache = true;
     config_.client.read_path_caching = true;
   }
-  if (config_.admission_control) {
-    config_.index_node.admission_control = true;
-    config_.index_node.admission_queue_bound = config_.admission_queue_bound;
-  }
-  config_.master.num_shards = config_.master_shards;
-  config_.master.model_resolve_queue = config_.model_resolve_queue;
-  if (config_.segmented_index) config_.index_node.segmented_index = true;
-  // The cluster clock drives both heartbeats and the master's failure
-  // detector; keep the detector's notion of the cadence in sync.
-  config_.master.heartbeat_interval_s = config_.heartbeat_interval_s;
+  if (config_.admission_control) config_.index_node.admission_control = true;
   if (config_.tracing) tracer_.Enable();
   master_ = std::make_unique<MasterNode>(kMasterId, &transport_, config_.master);
   transport_.Register(kMasterId, master_.get());
@@ -83,8 +68,9 @@ void PropellerCluster::AdvanceTime(double seconds) {
     transport_.Call(node->id(), node->id(), "in.tick", payload);
   }
 
-  // Heartbeats (IN -> MN) on the configured cadence.
-  if (now_s_ - last_heartbeat_s_ >= config_.heartbeat_interval_s) {
+  // Heartbeats (IN -> MN) on the cadence the master's failure detector
+  // expects.
+  if (now_s_ - last_heartbeat_s_ >= config_.master.heartbeat_interval_s) {
     last_heartbeat_s_ = now_s_;
     for (auto& node : index_nodes_) {
       if (transport_.IsDown(node->id())) continue;

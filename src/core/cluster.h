@@ -20,13 +20,19 @@
 
 namespace propeller::core {
 
+// One field per mechanism: each role's own settings live in its nested
+// config (master, index_node, client) and reach that role unchanged.  The
+// six top-level switches below remain because each builds a shared object
+// or spans several roles at once.
 struct ClusterConfig {
   int index_nodes = 8;
+  // Per-role settings.  master.heartbeat_interval_s is also the cluster's
+  // heartbeat cadence, and master.replication_factor > 1 turns the
+  // recovery journal on (it is the replication log).
   MasterConfig master;
   IndexNodeConfig index_node;
   ClientConfig client;
   sim::NetParams net;
-  double heartbeat_interval_s = 1.0;
   // Wall-clock parallel execution engine: clients fan per-node RPCs out on
   // a shared thread pool (client.fanout_threads wide, 0 = hardware
   // concurrency) and every Index Node runs per-group searches on its own
@@ -36,7 +42,8 @@ struct ClusterConfig {
   // Shared-storage recovery journal: every update entering any group is
   // replicated to a cluster-owned GroupJournal, letting the master rebuild
   // a dead node's groups on survivors (in.recover_group).  Off by default
-  // — replication costs extra simulated I/O on the staging path.
+  // — replication costs extra simulated I/O on the staging path.  Forced
+  // on when master.replication_factor > 1.
   bool recovery_journal = false;
   // Distributed tracing (src/obs): record a causal span tree for every
   // client request and cluster tick on the cluster's tracer.  Off by
@@ -49,50 +56,11 @@ struct ClusterConfig {
   // routes with one re-resolve + retry), and every group memoizes search
   // results until its next commit.  Off by default.
   bool read_path_caching = false;
-  // Write-read decoupling (see DESIGN.md "Segments & group commit"): every
-  // group runs in segmented mode — immutable committed segments plus a
-  // mutable memtable, snapshot searches that never block on a commit, and
-  // a tiered merge policy bounding per-search read amplification.  With
-  // the recovery journal on, commit-timeout ticks also checkpoint each
-  // sealed group's journal to a base image.  Off by default — when off,
-  // wire bytes, simulated costs, and traces are bit-identical to previous
-  // behavior.
-  bool segmented_index = false;
-  // Tail-tolerant reads (see DESIGN.md "Replication & hedged reads"):
-  // every group lives on this many distinct Index Nodes (nodes[0] = the
-  // primary, the sole journal appender).  Writes fan to the full set and
-  // succeed at quorum (primary + floor((r-1)/2) secondaries); lagging
-  // secondaries catch up from the recovery journal on the commit tick;
-  // node death becomes a promotion + journal catch-up instead of a full
-  // rebuild; clients hedge slow search branches to the secondaries.
-  // Implies recovery_journal (the journal is the replication log).
-  // 1 = off.
-  int replication_factor = 1;
-  // Replicated mode only: hedge a search branch to the group's secondary
-  // when the primary runs past the client's observed latency quantile (or
-  // fails outright).  ClientConfig::hedge holds the tuning knobs.
-  bool hedged_reads = true;
   // Overload protection (see DESIGN.md "Open-loop traffic & admission
-  // control"): every Index Node runs a bounded virtual-time admission
-  // queue in front of its search workers for arrival-stamped requests
-  // (the open-loop traffic engine stamps its ops; ordinary requests are
-  // unstamped and bypass the queue bit-identically).  A full waiting line
-  // sheds with kOverloaded before any work; clients never retry or hedge
-  // shed requests.  Off by default.
+  // control"): sets index_node.admission_control, so every Index Node
+  // queues arrival-stamped requests in virtual time and sheds past
+  // index_node.admission_queue_bound.  Off by default.
   bool admission_control = false;
-  // Waiting-line capacity per node; 0 = unbounded (queueing is modeled,
-  // nothing sheds — the "admission off" arm of the saturation bench).
-  size_t admission_queue_bound = 64;
-  // Sharded master (see DESIGN.md "Sharded master"): the master
-  // hash-partitions its file -> ACG map, group placements, and node loads
-  // into this many independently locked shards, each with its own
-  // metadata epoch (resolve responses carry one epoch per shard; client
-  // caches evict per shard).  1 = the unsharded master.
-  int master_shards = 1;
-  // Model per-shard resolve queueing on the master (virtual time): only
-  // meaningful for arrival-stamped open-loop traffic; drives the fig13
-  // master-scaling bench on a single-core box.
-  bool model_resolve_queue = false;
 };
 
 // Aggregate cluster health / recovery view (see PropellerCluster::Stats).

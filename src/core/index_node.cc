@@ -169,11 +169,10 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
   // client as its read-your-writes floor.  Secondaries stage in memory
   // and count what they applied so floor checks can prove freshness.
   const bool secondary = req.replica_role == kReplicaRoleSecondary;
-  uint64_t acked_seq = 0;
+  uint64_t appended_seq = 0;
   if (config_.recovery_journal != nullptr && !secondary) {
-    cost += config_.recovery_journal->AppendBatch(
-        req.group, req.updates,
-        req.replica_role == kReplicaRolePrimary ? &acked_seq : nullptr);
+    cost += config_.recovery_journal->AppendBatch(req.group, req.updates,
+                                                  &appended_seq);
   }
   const uint64_t count = req.updates.size();
   // StageUpdate also stamps the group's oldest-pending clock (first stager
@@ -183,14 +182,19 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
     cost += group->StageUpdate(std::move(u), req.now_s);
   }
   span.Advance(cost);
-  if (req.replica_role != kReplicaRoleNone) {
+  // The appender has applied everything up to its own append, so
+  // anti-entropy never replays it; only a role-stamped primary acks the
+  // sequence (unstamped responses stay empty).
+  uint64_t acked_seq = 0;
+  if (secondary || config_.recovery_journal != nullptr) {
     MutexLock rlock(replica_mu_);
     uint64_t& applied = applied_seq_[req.group];
     if (secondary) {
       applied += count;
       acked_seq = applied;
     } else {
-      applied = std::max(applied, acked_seq);
+      applied = std::max(applied, appended_seq);
+      if (req.replica_role == kReplicaRolePrimary) acked_seq = appended_seq;
     }
   }
   StageUpdatesResponse resp;
@@ -316,12 +320,14 @@ net::RpcHandler::Response IndexNode::HandleTick(const std::string& payload) {
     ReaderMutexLock lock(groups_mu_);
     cost = TickLocked(req->now_s, /*checkpoint=*/false);
   }
-  // Anti-entropy (replication): close any gap between this replica's
-  // applied sequences and the journal's.  A cheap shared-lock pass detects
+  // Anti-entropy: close any gap between this node's applied sequences and
+  // the journal's.  Every local append advances the applied sequence, so
+  // only copies that missed writes lag — replication's secondaries; a
+  // journal-only cluster never finds lag.  A cheap shared-lock pass detects
   // lag; only when some group is behind do we take the map exclusively to
   // replay (which must not interleave with stagers, who hold groups_mu_
   // shared across their journal-append + stage pair).
-  if (config_.replicated && config_.recovery_journal != nullptr) {
+  if (config_.recovery_journal != nullptr) {
     std::vector<GroupId> lagging;
     {
       ReaderMutexLock lock(groups_mu_);
@@ -425,13 +431,8 @@ net::RpcHandler::Response IndexNode::HandleMigrateOut(const std::string& payload
   }
   cost += group->Commit();
 
-  // Replication: this (primary) copy has applied everything it appended.
-  if (config_.replicated && config_.recovery_journal != nullptr) {
-    const uint64_t seq = config_.recovery_journal->Seq(req->group);
-    MutexLock rlock(replica_mu_);
-    uint64_t& applied = applied_seq_[req->group];
-    applied = std::max(applied, seq);
-  }
+  // This (primary) copy has applied everything it appended.
+  MarkJournalApplied(req->group);
   if (req->drop_group && group->NumFiles() == 0) {
     groups_.erase(req->group);
     MutexLock rlock(replica_mu_);
@@ -455,12 +456,7 @@ net::RpcHandler::Response IndexNode::HandleInstallGroup(const std::string& paylo
     cost += group->StageUpdate(std::move(u));
   }
   cost += group->Commit();
-  if (config_.replicated && config_.recovery_journal != nullptr) {
-    const uint64_t seq = config_.recovery_journal->Seq(req->group);
-    MutexLock rlock(replica_mu_);
-    uint64_t& applied = applied_seq_[req->group];
-    applied = std::max(applied, seq);
-  }
+  MarkJournalApplied(req->group);
   return Response{Status::Ok(), {}, cost};
 }
 
@@ -493,13 +489,16 @@ net::RpcHandler::Response IndexNode::HandleRecoverGroup(const std::string& paylo
       &cost);
   if (!st.ok()) return Response{st, {}, cost};
   cost += group->Commit();
-  if (config_.replicated) {
-    const uint64_t seq = config_.recovery_journal->Seq(req->group);
-    MutexLock rlock(replica_mu_);
-    uint64_t& applied = applied_seq_[req->group];
-    applied = std::max(applied, seq);
-  }
+  MarkJournalApplied(req->group);
   return Response{Status::Ok(), Encode(resp), cost};
+}
+
+void IndexNode::MarkJournalApplied(GroupId gid) {
+  if (config_.recovery_journal == nullptr) return;
+  const uint64_t seq = config_.recovery_journal->Seq(gid);
+  MutexLock rlock(replica_mu_);
+  uint64_t& applied = applied_seq_[gid];
+  applied = std::max(applied, seq);
 }
 
 Status IndexNode::CatchUpGroupLocked(GroupId gid, uint64_t* replayed,
@@ -633,7 +632,7 @@ obs::MetricsSnapshot IndexNode::MetricsSnapshot() const {
       for (const auto& [gid, group] : groups_) segments += group->NumSegments();
       snap.gauges["in.segments"] = static_cast<double>(segments);
     }
-    if (config_.replicated && config_.recovery_journal != nullptr) {
+    if (config_.recovery_journal != nullptr) {
       // Total replica lag: journal records this node's copies have not yet
       // applied (0 = every copy is fresh).
       uint64_t lag = 0;

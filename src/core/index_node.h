@@ -50,7 +50,12 @@ struct IndexNodeConfig {
   // the cluster); when set, every update entering a group is replicated
   // there so in.recover_group can rebuild the group after this node is
   // lost.  Null disables replication — and its extra simulated I/O — on
-  // the staging path.
+  // the staging path.  Replication itself needs no node setting: with a
+  // journal the node tracks how far each of its copies has applied it,
+  // in.tick replays what a copy missed (anti-entropy), role-stamped stage
+  // requests make this copy a primary (acks its commit sequence) or a
+  // secondary (stages without appending), and searches honour the
+  // read-your-writes floors clients attach (kStaleReplica when behind).
   GroupJournal* recovery_journal = nullptr;
   // Enable each group's search-result memo (read_path_caching layer 3).
   // Off, groups never touch the cache and search costs are unchanged.
@@ -67,12 +72,6 @@ struct IndexNodeConfig {
   size_t max_segments = 4;
   double merge_size_ratio = 4.0;
   size_t merge_tier_run = 3;
-  // Replication (tail-tolerant reads): this node may hold secondary
-  // copies of groups.  Role-stamped stage requests update the per-group
-  // applied commit sequence, searches honour read-your-writes floors
-  // (kStaleReplica when behind), and in.tick runs anti-entropy catch-up
-  // from the shared journal.  Requires recovery_journal.
-  bool replicated = false;
   // Overload protection (open-loop traffic): arrival-stamped requests run
   // through a bounded virtual-time admission queue in front of the node's
   // `search_threads` workers.  When the waiting line is full the request
@@ -148,6 +147,9 @@ class IndexNode : public net::RpcHandler {
   // staging path's journal-append + stage pair).
   sim::Cost TickLocked(double now_s, bool checkpoint)
       REQUIRES_SHARED(groups_mu_);
+  // Records that this copy of `gid` has applied the whole journal (after a
+  // migrate-out, install or recovery wrote through it).  No-op without one.
+  void MarkJournalApplied(GroupId gid);
   // Replays the journal records this replica has not yet applied into the
   // (existing) group and advances its applied sequence.  Rebuilds the
   // group from scratch when the journal compacted past the replica's
@@ -176,9 +178,10 @@ class IndexNode : public net::RpcHandler {
                                  "IndexNode::groups_mu_"};
   std::map<GroupId, std::unique_ptr<index::IndexGroup>> groups_
       GUARDED_BY(groups_mu_);
-  // Replication: per-group applied commit sequence (how far this copy has
-  // caught up with the group's journal).  Separate (higher-rank) mutex so
-  // stagers holding groups_mu_ shared can bump it.
+  // Per-group applied journal sequence (how far this copy has caught up
+  // with the group's journal; kept whenever a journal is attached).
+  // Separate (higher-rank) mutex so stagers holding groups_mu_ shared can
+  // bump it.
   mutable Mutex replica_mu_{LockRank::kIndexNodeReplica,
                             "IndexNode::replica_mu_"};
   std::map<GroupId, uint64_t> applied_seq_ GUARDED_BY(replica_mu_);

@@ -154,17 +154,13 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
     return Status::FailedPrecondition("no index nodes");
   }
 
-  // Pick the replica set: the legacy single node at r = 1 (bit-identical
-  // path), else the r least-loaded distinct live nodes (fewer when the
-  // cluster is smaller than r — the set heals up via recovery later).
-  std::vector<NodeId> replicas;
-  if (config_.replication_factor <= 1) {
-    replicas.push_back(LeastLoadedNode(shard));
-  } else {
-    replicas = LeastLoadedNodes(
-        shard, static_cast<size_t>(config_.replication_factor), {});
-    if (replicas.empty()) replicas.push_back(LeastLoadedNode(shard));
-  }
+  // Pick the replica set: the r least-loaded distinct live nodes (fewer
+  // when the cluster is smaller than r — the set heals up via recovery
+  // later).  With every node down, fall back to LeastLoadedNode's pick so
+  // the create RPC below reports the failure.
+  std::vector<NodeId> replicas = LeastLoadedNodes(
+      shard, static_cast<size_t>(std::max(config_.replication_factor, 1)), {});
+  if (replicas.empty()) replicas.push_back(LeastLoadedNode(shard));
 
   CreateGroupRequest req;
   req.group = group;
@@ -442,39 +438,33 @@ net::RpcHandler::Response MasterNode::HandleFlushAcg(const std::string& payload)
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
   sim::Cost cost(config_.lookup_us / 1e6 *
                  static_cast<double>(req->delta.NumEdges() + 1));
-  if (n == 1) {
-    Shard& shard = *shards_[0];
+  // Partition the delta: an edge survives iff both endpoints hash to the
+  // same shard; a cross-shard edge degrades to two bare vertices (the
+  // causal correlation is dropped — the sharding trade-off documented in
+  // DESIGN.md).  Vertex-only entries go to their own shard.  At one
+  // shard the partition is a copy of the delta.  A shard the delta does not
+  // touch runs no split maintenance: it gained no edges to split over.
+  std::vector<acg::Acg> deltas(n);
+  req->delta.ForEachEdge([&](FileId from, FileId to, uint64_t w) {
+    const uint32_t fs = ShardOfFile(from, n);
+    const uint32_t ts = ShardOfFile(to, n);
+    if (fs == ts) {
+      deltas[fs].AddEdge(from, to, w);
+    } else {
+      deltas[fs].AddVertex(from);
+      deltas[ts].AddVertex(to);
+    }
+  });
+  for (FileId f : req->delta.SortedVertices()) {
+    deltas[ShardOfFile(f, n)].AddVertex(f);
+  }
+  for (uint32_t s = 0; s < n; ++s) {
+    if (deltas[s].empty()) continue;
+    Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
-    auto result = shard.acg.ApplyDelta(req->delta);
+    auto result = shard.acg.ApplyDelta(deltas[s]);
     cost += ApplyAcgResult(shard, result, catalog);
     cost += RunSplitMaintenanceShard(shard, catalog);
-  } else {
-    // Partition the delta: an edge survives iff both endpoints hash to the
-    // same shard; a cross-shard edge degrades to two bare vertices (the
-    // causal correlation is dropped — the sharding trade-off documented in
-    // DESIGN.md).  Vertex-only entries go to their own shard.
-    std::vector<acg::Acg> deltas(n);
-    req->delta.ForEachEdge([&](FileId from, FileId to, uint64_t w) {
-      const uint32_t fs = ShardOfFile(from, n);
-      const uint32_t ts = ShardOfFile(to, n);
-      if (fs == ts) {
-        deltas[fs].AddEdge(from, to, w);
-      } else {
-        deltas[fs].AddVertex(from);
-        deltas[ts].AddVertex(to);
-      }
-    });
-    for (FileId f : req->delta.SortedVertices()) {
-      deltas[ShardOfFile(f, n)].AddVertex(f);
-    }
-    for (uint32_t s = 0; s < n; ++s) {
-      if (deltas[s].empty()) continue;
-      Shard& shard = *shards_[s];
-      MutexLock lock(shard.mu_);
-      auto result = shard.acg.ApplyDelta(deltas[s]);
-      cost += ApplyAcgResult(shard, result, catalog);
-      cost += RunSplitMaintenanceShard(shard, catalog);
-    }
   }
   MaybeFlushMetadata(cost);
   return Response{Status::Ok(), {}, cost};

@@ -60,16 +60,20 @@ struct MasterConfig {
   // CPU cost of one routing-table lookup/insert.
   double lookup_us = 0.3;
   // --- failure detection (mn.tick) ---
-  // Expected heartbeat cadence; a node is declared dead once
+  // Heartbeat cadence (PropellerCluster's clock sends heartbeats on it);
+  // a node is declared dead once
   //   now - last_heartbeat > heartbeat_miss_threshold * heartbeat_interval_s.
   double heartbeat_interval_s = 1.0;
   int heartbeat_miss_threshold = 3;
   // --- replication (tail-tolerant reads) ---
-  // Replicas per group (1 = no replication, the legacy behavior).  Each
-  // group's replica set lives on distinct least-loaded nodes; nodes[0] is
-  // the primary (sole journal appender), secondaries serve hedged reads
-  // and turn node-death recovery into a promotion + journal catch-up
-  // instead of a full rebuild.
+  // Replicas per group (1 = no replication).  Each group's replica set
+  // lives on distinct least-loaded nodes; nodes[0] is the primary (sole
+  // journal appender), secondaries serve hedged reads and turn node-death
+  // recovery into a promotion + journal catch-up instead of a full
+  // rebuild.  This is replication's one setting: at r > 1 resolve
+  // responses carry the replica sets, which is what makes clients fan
+  // writes and hedge reads, and PropellerCluster turns the recovery
+  // journal (the replication log) on.
   int replication_factor = 1;
   // --- sharding (see file comment) ---
   // Metadata shards; 1 = the unsharded master.

@@ -68,11 +68,11 @@ struct WireName<acg::Acg> {
 // or an unstamped request.
 
 // ---- replica convention (group replication) ----
-// With ClusterConfig::replication_factor > 1 every group lives on r
+// With MasterConfig::replication_factor > 1 every group lives on r
 // distinct nodes; nodes[0] is the *primary* (sole journal appender, always
 // in the write quorum) and the rest are secondaries (hedge / failover
 // targets).  Resolve responses carry the per-group replica sets (empty
-// when unreplicated).
+// when unreplicated) — the only signal clients take replication from.
 // Resolve responses and the master's metadata image both carry replica
 // sets in this one layout.
 struct GroupReplicaSet {
@@ -86,8 +86,8 @@ struct GroupReplicaSet {
 };
 
 // ---- shard convention (sharded master) ----
-// The master hash-partitions its metadata into N = ClusterConfig::
-// master_shards shards (N = 1 is the unsharded master): a file belongs to
+// The master hash-partitions its metadata into N = MasterConfig::
+// num_shards shards (N = 1 is the unsharded master): a file belongs to
 // shard ShardOfFile(file, N) and a group allocated by shard s carries id
 // ≡ s + 1 (mod N), so ShardOfGroup inverts the assignment without a
 // lookup.  Each shard keeps its own epoch, so a client invalidates only the

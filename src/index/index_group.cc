@@ -111,22 +111,6 @@ IndexGroup::IndexGroup(GroupId id, sim::IoContext* io,
   }
 }
 
-namespace {
-
-IndexGroupOptions LegacyOptions(obs::MetricsRegistry* metrics,
-                                bool enable_result_cache) {
-  IndexGroupOptions options;
-  options.metrics = metrics;
-  options.result_cache = enable_result_cache;
-  return options;
-}
-
-}  // namespace
-
-IndexGroup::IndexGroup(GroupId id, sim::IoContext* io,
-                       obs::MetricsRegistry* metrics, bool enable_result_cache)
-    : IndexGroup(id, io, LegacyOptions(metrics, enable_result_cache)) {}
-
 IndexGroup::NamedIndex IndexGroup::BindIndex(const IndexSpec& spec) {
   NamedIndex idx;
   idx.spec = spec;

@@ -145,11 +145,9 @@ struct IndexGroupOptions {
 
 class IndexGroup {
  public:
-  IndexGroup(GroupId id, sim::IoContext* io, const IndexGroupOptions& options);
-  // Legacy convenience form (commit-barrier mode).
+  // Default options: commit-barrier mode, no metrics, no result cache.
   IndexGroup(GroupId id, sim::IoContext* io,
-             obs::MetricsRegistry* metrics = nullptr,
-             bool enable_result_cache = false);
+             const IndexGroupOptions& options = {});
 
   // Not movable: the group owns a mutex (groups live behind unique_ptr on
   // their Index Node, so moves are never needed).

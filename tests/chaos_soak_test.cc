@@ -80,7 +80,7 @@ class ChaosSoak {
     cfg.master.acg_policy.merge_limit = 1000;
     cfg.parallel_execution = true;
     cfg.recovery_journal = true;
-    cfg.replication_factor = replication_factor;
+    cfg.master.replication_factor = replication_factor;
     cfg.client.allow_partial_search = true;
     cfg.client.retry.max_attempts = 3;
     cluster_ = std::make_unique<PropellerCluster>(cfg);

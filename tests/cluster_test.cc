@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "core/cluster.h"
+#include "net/fault.h"
 #include "trace/trace_gen.h"
 
 namespace propeller::core {
@@ -398,6 +401,146 @@ TEST_F(ClusterTest, EndToEndTraceWorkflow) {
   const auto& mgr = cluster_.master().acg_manager();
   EXPECT_GT(mgr.IntraGroupWeight(), 0u);
   EXPECT_LT(mgr.CrossGroupWeight(), mgr.IntraGroupWeight() / 5);
+}
+
+// --- one setting per mechanism: nested role settings reach their roles ---
+
+uint64_t Counter(const obs::MetricsSnapshot& snap, const std::string& name) {
+  auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(ClusterConfigTest, MasterShardCountReachesTheMaster) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 2;
+  cfg.master.num_shards = 4;
+  PropellerCluster cluster(cfg);
+  EXPECT_EQ(cluster.master().num_shards(), 4);
+}
+
+// Replication follows from the master's replica count alone (the client
+// learns it from the replica sets in resolve responses); the client's own
+// hedge switch then decides whether a straggler's branches hedge.
+TEST(ClusterConfigTest, ClientHedgeSwitchHoldsUnderReplication) {
+  auto hedges = [](bool hedge_enabled) -> uint64_t {
+    ClusterConfig cfg;
+    cfg.index_nodes = 4;
+    cfg.master.replication_factor = 2;
+    cfg.master.acg_policy.cluster_target = 50;
+    cfg.master.acg_policy.merge_limit = 50;
+    cfg.client.hedge.enabled = hedge_enabled;
+    cfg.client.hedge.min_samples = 4;
+    cfg.client.hedge.min_s = 1e-6;
+    // A fast network leaves branch latency to the handlers, which is what
+    // the straggler's slowness multiplies.
+    cfg.net.latency_us = 3;
+    cfg.net.bandwidth_mb_per_s = 4000;
+    PropellerCluster cluster(cfg);
+    EXPECT_NE(cluster.recovery_journal(), nullptr)
+        << "r > 1 turns the replication log on";
+    auto& client = cluster.client();
+    EXPECT_TRUE(client.CreateIndex(SizeIndex()).ok());
+    std::vector<FileUpdate> updates;
+    for (FileId f = 1; f <= 400; ++f) {
+      updates.push_back(Upsert(f, static_cast<int64_t>(f * 10), 0, "/r/f"));
+    }
+    EXPECT_TRUE(client.BatchUpdate(std::move(updates), cluster.now()).ok());
+    cluster.AdvanceTime(6.0);
+
+    Predicate p;
+    p.And("size", CmpOp::kGe, AttrValue(int64_t{1}));
+    // Warm searches train the hedge quantile past the cold first touch.
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(client.Search(p, "by_size").ok());
+    }
+    // One 40x straggler, the primary of the first group node 0 hosts.
+    auto stats = cluster.index_node(0).GroupStats();
+    EXPECT_FALSE(stats.empty());
+    if (stats.empty()) return 0;
+    const NodeId slow =
+        cluster.master().ReplicasOfGroup(stats[0].group).front();
+    auto plan = std::make_shared<net::FaultPlan>(1);
+    plan->SetNodeSlowness(slow, 40.0);
+    cluster.transport().SetFaultPlan(plan);
+    for (int i = 0; i < 4; ++i) {
+      auto r = client.Search(p, "by_size");
+      EXPECT_TRUE(r.ok());
+      if (r.ok()) {
+        EXPECT_EQ(r->files.size(), 400u);
+      }
+    }
+    return Counter(client.MetricsSnapshot(), "client.search.hedges");
+  };
+  EXPECT_GE(hedges(true), 1u) << "a replicated client hedges the straggler";
+  EXPECT_EQ(hedges(false), 0u) << "hedge.enabled = false must stay off";
+}
+
+TEST(ClusterConfigTest, NodeAdmissionBoundReachesTheNodes) {
+  // A stamped flood: 40 searches arriving at one instant on nodes with 16
+  // workers each.  A waiting line of 64 absorbs it; a line of 1 sheds.
+  auto shed = [](size_t bound) -> uint64_t {
+    ClusterConfig cfg;
+    cfg.index_nodes = 2;
+    cfg.master.acg_policy.cluster_target = 50;
+    cfg.admission_control = true;
+    cfg.index_node.admission_queue_bound = bound;
+    PropellerCluster cluster(cfg);
+    auto& client = cluster.client();
+    EXPECT_TRUE(client.CreateIndex(SizeIndex()).ok());
+    std::vector<FileUpdate> updates;
+    for (FileId f = 1; f <= 200; ++f) {
+      updates.push_back(Upsert(f, static_cast<int64_t>(f), 0, "/a/f"));
+    }
+    EXPECT_TRUE(client.BatchUpdate(std::move(updates), cluster.now()).ok());
+    cluster.AdvanceTime(6.0);
+    Predicate p;
+    p.And("size", CmpOp::kGe, AttrValue(int64_t{1}));
+    const double arrival = cluster.now() + 1.0;
+    for (int i = 0; i < 40; ++i) (void)client.Search(p, "by_size", arrival);
+    return Counter(cluster.Stats().metrics, "in.admit.shed");
+  };
+  EXPECT_EQ(shed(64), 0u);
+  EXPECT_GT(shed(1), 0u);
+}
+
+// Journal-only cluster (r = 1): the node derives replication from its
+// journal, and since it appended every record itself it has nothing to
+// catch up — anti-entropy must never replay the journal into its groups.
+TEST(ClusterConfigTest, JournalOnlyClusterNeverReplaysItsJournal) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 4;
+  cfg.master.acg_policy.cluster_target = 10;
+  cfg.recovery_journal = true;
+  PropellerCluster cluster(cfg);
+  auto& client = cluster.client();
+  ASSERT_TRUE(client.CreateIndex(SizeIndex()).ok());
+  constexpr uint64_t kFiles = 120;
+  std::vector<FileUpdate> updates;
+  for (FileId f = 1; f <= kFiles; ++f) {
+    updates.push_back(Upsert(f, static_cast<int64_t>(f), 0, "/j/f"));
+  }
+  ASSERT_TRUE(client.BatchUpdate(std::move(updates), cluster.now()).ok());
+  for (int i = 0; i < 10; ++i) cluster.AdvanceTime(1.0);
+
+  EXPECT_EQ(cluster.Stats().journal_records, kFiles);
+  uint64_t hosted = 0;
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    IndexNode& node = cluster.index_node(i);
+    for (const auto& stat : node.GroupStats()) hosted += stat.files;
+    const obs::MetricsSnapshot snap = node.MetricsSnapshot();
+    EXPECT_EQ(Counter(snap, "in.replica.catch_ups"), 0u) << "node " << i;
+    auto lag = snap.gauges.find("in.replica.lag");
+    if (lag != snap.gauges.end()) {
+      EXPECT_EQ(lag->second, 0.0) << "node " << i;
+    }
+  }
+  EXPECT_EQ(hosted, kFiles) << "every file lives in exactly one group";
+  Predicate p;
+  p.And("size", CmpOp::kGe, AttrValue(int64_t{1}));
+  auto r = client.Search(p, "by_size");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->files.size(), kFiles);
+  for (FileId f = 1; f <= kFiles; ++f) EXPECT_EQ(r->files[f - 1], f);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(FailoverTest, CatalogSurvivesFailover) {
 TEST(FailoverTest, ShardedFailoverKeepsNodeLoads) {
   ClusterConfig cfg = Config();
   cfg.index_nodes = 2;
-  cfg.master_shards = 2;
+  cfg.master.num_shards = 2;
   cfg.master.acg_policy.cluster_target = 1;  // one group per new file
   PropellerCluster cluster(cfg);
   auto& client = cluster.client();

@@ -234,7 +234,7 @@ TEST(AdmissionTest, BoundedQueueNeverExceedsBoundAndSheds) {
   cfg.index_nodes = 2;
   cfg.master.acg_policy.cluster_target = 50;
   cfg.admission_control = true;
-  cfg.admission_queue_bound = 4;
+  cfg.index_node.admission_queue_bound = 4;
   PropellerCluster cluster(cfg);
   RunStats stats = Flood(cluster);
 
@@ -267,12 +267,12 @@ TEST(AdmissionTest, UnboundedQueueModelsWaitingButNeverSheds) {
     cfg.index_nodes = 2;
     cfg.master.acg_policy.cluster_target = 50;
     cfg.admission_control = true;
-    cfg.admission_queue_bound = bound;
+    cfg.index_node.admission_queue_bound = bound;
     // Segmented groups and a fast network keep the non-queue latency
     // components tight (snapshot reads instead of commit-barrier drains,
     // microsecond transfers instead of a ~0.5ms fixed overhead), so the
     // p99 comparison below measures queueing delay and nothing else.
-    cfg.segmented_index = true;
+    cfg.index_node.segmented_index = true;
     cfg.net.latency_us = 3;
     cfg.net.bandwidth_mb_per_s = 4000;
     PropellerCluster cluster(cfg);
@@ -299,7 +299,7 @@ TEST(AdmissionTest, DeterministicRunToRun) {
     cfg.index_nodes = 2;
     cfg.master.acg_policy.cluster_target = 50;
     cfg.admission_control = true;
-    cfg.admission_queue_bound = 4;
+    cfg.index_node.admission_queue_bound = 4;
     PropellerCluster cluster(cfg);
     return Flood(cluster);
   };
@@ -332,7 +332,7 @@ TEST(AdmissionTest, SeededFloodIsPinned) {
   cfg.index_nodes = 2;
   cfg.master.acg_policy.cluster_target = 50;
   cfg.admission_control = true;
-  cfg.admission_queue_bound = 4;
+  cfg.index_node.admission_queue_bound = 4;
   PropellerCluster cluster(cfg);
   RunStats stats = Flood(cluster);
   ASSERT_EQ(cluster.num_index_nodes(), 2u);
@@ -358,7 +358,8 @@ TEST(AdmissionTest, UnstampedTrafficIsBitIdenticalWithAdmissionOn) {
     cfg.index_nodes = 2;
     cfg.master.acg_policy.cluster_target = 50;
     cfg.admission_control = admission;
-    cfg.admission_queue_bound = 1;  // tightest bound: would shed if consulted
+    // Tightest bound: would shed if consulted.
+    cfg.index_node.admission_queue_bound = 1;
     PropellerCluster cluster(cfg);
     (void)cluster.client().CreateIndex(SizeIndex());
     workload::DatasetSpec dspec;
@@ -428,7 +429,7 @@ TEST(OpenLoopSoakTest, ZeroAcknowledgedWriteLossAcrossWipeAndRecovery) {
   cfg.master.acg_policy.merge_limit = 1000;
   cfg.recovery_journal = true;
   cfg.admission_control = true;
-  cfg.admission_queue_bound = 32;
+  cfg.index_node.admission_queue_bound = 32;
   PropellerCluster cluster(cfg);
   ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
   cluster.AdvanceTime(1.0);

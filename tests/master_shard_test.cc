@@ -212,8 +212,8 @@ TEST(MasterShardOffModeTest, ShardsOneLeasesOffIsBitIdentical) {
     cfg.master.acg_policy.cluster_target = 10;
     if (configure) {
       // Explicit off-values must not perturb anything the defaults do.
-      cfg.master_shards = 1;
-      cfg.model_resolve_queue = false;
+      cfg.master.num_shards = 1;
+      cfg.master.model_resolve_queue = false;
     }
     PropellerCluster cluster(cfg);
     (void)cluster.client().CreateIndex(SizeIndex());
@@ -248,7 +248,7 @@ TEST(MasterShardOffModeTest, ShardedClusterReturnsIdenticalSearchResults) {
     ClusterConfig cfg;
     cfg.index_nodes = 4;
     cfg.master.acg_policy.cluster_target = 10;
-    cfg.master_shards = shards;
+    cfg.master.num_shards = shards;
     PropellerCluster cluster(cfg);
     (void)cluster.client().CreateIndex(SizeIndex());
     std::vector<FileUpdate> updates;
@@ -273,7 +273,7 @@ TEST(MasterShardConcurrencyTest, ConcurrentResolvesAcrossShardsAreClean) {
   ClusterConfig cfg;
   cfg.index_nodes = 4;
   cfg.master.acg_policy.cluster_target = 10;
-  cfg.master_shards = 4;
+  cfg.master.num_shards = 4;
   PropellerCluster cluster(cfg);
   ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
   std::vector<FileUpdate> warm;

@@ -93,7 +93,7 @@ TEST(ParallelSearchTest, SegmentedModeIsBitIdenticalAcrossExecutionModes) {
   // staged-overlay reads, seals, and merges.
   auto build = [](bool parallel) {
     ClusterConfig cfg = MakeConfig(parallel);
-    cfg.segmented_index = true;
+    cfg.index_node.segmented_index = true;
     auto cluster = std::make_unique<PropellerCluster>(cfg);
     EXPECT_TRUE(
         cluster->client()

@@ -297,7 +297,7 @@ TEST_P(ReadPathCachingTest, OwnWritesIntoNewGroupsAreSearchable) {
   ClusterConfig cfg;
   cfg.index_nodes = 8;
   cfg.read_path_caching = true;
-  cfg.master_shards = GetParam();
+  cfg.master.num_shards = GetParam();
   cfg.master.acg_policy.cluster_target = 32;
   PropellerCluster cluster(cfg);
   ASSERT_TRUE(cluster.client()
@@ -349,7 +349,7 @@ FileUpdate Upsert(FileId f, int64_t size, std::string path) {
 TEST(GroupResultCacheTest, HitsUntilCommitInvalidates) {
   sim::IoContext io;
   obs::MetricsRegistry metrics;
-  IndexGroup group(1, &io, &metrics, /*enable_result_cache=*/true);
+  IndexGroup group(1, &io, {.metrics = &metrics, .result_cache = true});
   ASSERT_TRUE(
       group.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
   for (FileId f = 1; f <= 50; ++f) {
@@ -421,7 +421,7 @@ TEST(GroupResultCacheTest, EmptyCommitIsEpochNeutralAndKeepsCacheWarm) {
 TEST(GroupResultCacheTest, DisabledCacheNeverEngages) {
   sim::IoContext io;
   obs::MetricsRegistry metrics;
-  IndexGroup group(1, &io, &metrics, /*enable_result_cache=*/false);
+  IndexGroup group(1, &io, {.metrics = &metrics, .result_cache = false});
   ASSERT_TRUE(
       group.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
   group.StageUpdate(Upsert(1, 100, "/a"));
@@ -444,7 +444,7 @@ TEST(GroupResultCacheTest, DisabledCacheNeverEngages) {
 TEST(GroupSharedLockTest, ConcurrentSameGroupReadersAgree) {
   sim::IoContext io;
   obs::MetricsRegistry metrics;
-  IndexGroup group(1, &io, &metrics, /*enable_result_cache=*/true);
+  IndexGroup group(1, &io, {.metrics = &metrics, .result_cache = true});
   ASSERT_TRUE(
       group.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
   for (FileId f = 1; f <= 500; ++f) {
@@ -480,7 +480,7 @@ TEST(GroupSharedLockTest, ConcurrentSameGroupReadersAgree) {
 
 TEST(GroupSharedLockTest, ReadersRaceAWriterSafely) {
   sim::IoContext io;
-  IndexGroup group(1, &io, nullptr, /*enable_result_cache=*/true);
+  IndexGroup group(1, &io, {.result_cache = true});
   ASSERT_TRUE(
       group.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
   constexpr FileId kBase = 300;

@@ -208,7 +208,7 @@ TEST(RecoveryTest, JournalCompactionTruncatesAtSealAndStillConverges) {
   // stops growing with update volume — and recovery after a permanent
   // node loss must converge to the same state as before.
   ClusterConfig cfg = RecoveryConfig(true);
-  cfg.segmented_index = true;
+  cfg.index_node.segmented_index = true;
   PropellerCluster cluster(RecoveryConfig(true));
   PropellerCluster compacting(cfg);
 

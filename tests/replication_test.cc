@@ -42,8 +42,8 @@ constexpr char kQuery[] = "size>16m";
 ClusterConfig MakeConfig(int replication_factor, bool hedged = true) {
   ClusterConfig cfg;
   cfg.index_nodes = 4;
-  cfg.replication_factor = replication_factor;
-  cfg.hedged_reads = hedged;
+  cfg.master.replication_factor = replication_factor;
+  cfg.client.hedge.enabled = hedged;
   cfg.recovery_journal = true;
   cfg.master.acg_policy.cluster_target = 200;
   cfg.master.acg_policy.merge_limit = 200;
