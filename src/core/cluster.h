@@ -41,7 +41,7 @@ struct ClusterConfig {
   bool parallel_execution = false;
   // Shared-storage recovery journal: every update entering any group is
   // replicated to a cluster-owned GroupJournal, letting the master rebuild
-  // a dead node's groups on survivors (in.recover_group).  Off by default
+  // a dead node's groups on survivors (in.catch_up).  Off by default
   // — replication costs extra simulated I/O on the staging path.  Forced
   // on when master.replication_factor > 1.
   bool recovery_journal = false;

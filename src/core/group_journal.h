@@ -9,7 +9,7 @@
 // metadata to.  Replaying a group's full journal through a fresh
 // IndexGroup reproduces its committed *and* staged state, which is how
 // the master re-homes a dead node's groups onto survivors
-// (in.recover_group) without talking to the lost machine.
+// (in.catch_up) without talking to the lost machine.
 //
 // The journal is keyed by group, not node, so migrations need no special
 // handling: a move appends the source's delete records and the target's

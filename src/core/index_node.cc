@@ -110,7 +110,6 @@ net::RpcHandler::Response IndexNode::Handle(const std::string& method,
   if (method == "in.tick") return HandleTick(payload);
   if (method == "in.migrate_out") return HandleMigrateOut(payload);
   if (method == "in.install_group") return HandleInstallGroup(payload);
-  if (method == "in.recover_group") return HandleRecoverGroup(payload);
   if (method == "in.catch_up") return HandleCatchUp(payload);
   if (method == "in.drop_group") return HandleDropGroup(payload);
   if (method == "in.reset") return HandleReset(payload);
@@ -169,12 +168,24 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
   // client as its read-your-writes floor.  Secondaries stage in memory
   // and count what they applied so floor checks can prove freshness.
   const bool secondary = req.replica_role == kReplicaRoleSecondary;
-  uint64_t appended_seq = 0;
+  const uint64_t count = req.updates.size();
+  uint64_t acked_seq = 0;
   if (config_.recovery_journal != nullptr && !secondary) {
+    // The appender has applied its own records, so a copy that was current
+    // stays current and anti-entropy never replays it.  A copy that missed
+    // earlier records (an empty replacement, a survivor whose promotion
+    // catch-up failed) must not step over them: it stays behind and the
+    // next in.tick replays the gap.  Appending under replica_mu_ keeps
+    // concurrent stagers' steps in journal order.  Only a role-stamped
+    // primary acks the sequence (unstamped responses stay empty).
+    MutexLock rlock(replica_mu_);
+    uint64_t appended_seq = 0;
     cost += config_.recovery_journal->AppendBatch(req.group, req.updates,
                                                   &appended_seq);
+    uint64_t& applied = applied_seq_[req.group];
+    if (applied + count >= appended_seq) applied = appended_seq;
+    if (req.replica_role == kReplicaRolePrimary) acked_seq = appended_seq;
   }
-  const uint64_t count = req.updates.size();
   // StageUpdate also stamps the group's oldest-pending clock (first stager
   // after a commit claims the commit-timeout slot) — atomically with the
   // staging itself, under the group mutex.
@@ -182,20 +193,11 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
     cost += group->StageUpdate(std::move(u), req.now_s);
   }
   span.Advance(cost);
-  // The appender has applied everything up to its own append, so
-  // anti-entropy never replays it; only a role-stamped primary acks the
-  // sequence (unstamped responses stay empty).
-  uint64_t acked_seq = 0;
-  if (secondary || config_.recovery_journal != nullptr) {
+  if (secondary) {
     MutexLock rlock(replica_mu_);
     uint64_t& applied = applied_seq_[req.group];
-    if (secondary) {
-      applied += count;
-      acked_seq = applied;
-    } else {
-      applied = std::max(applied, appended_seq);
-      if (req.replica_role == kReplicaRolePrimary) acked_seq = appended_seq;
-    }
+    applied += count;
+    acked_seq = applied;
   }
   StageUpdatesResponse resp;
   resp.seq = acked_seq;
@@ -397,10 +399,19 @@ net::RpcHandler::Response IndexNode::HandleMigrateOut(const std::string& payload
   auto req = Decode<MigrateOutRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   WriterMutexLock lock(groups_mu_);
+  sim::Cost cost;
+  if (config_.recovery_journal != nullptr) {
+    // A copy that has not yet replayed the journal (an empty replacement
+    // waiting for its first in.tick) would hand off a partial group that
+    // the install then marks as current: replay the gap first.  A current
+    // copy pays nothing here.
+    Status st = CatchUpGroupLocked(req->group, nullptr, &cost);
+    if (!st.ok()) return Response{st, {}, cost};
+  }
   index::IndexGroup* group = Find(req->group);
   if (group == nullptr) return Response{Status::NotFound("no such group"), {}, {}};
 
-  sim::Cost cost = group->Commit();  // migrate committed state only
+  cost += group->Commit();  // migrate committed state only
 
   MigrateOutResponse resp;
   std::unordered_set<FileId> wanted(req->files.begin(), req->files.end());
@@ -458,39 +469,6 @@ net::RpcHandler::Response IndexNode::HandleInstallGroup(const std::string& paylo
   cost += group->Commit();
   MarkJournalApplied(req->group);
   return Response{Status::Ok(), {}, cost};
-}
-
-net::RpcHandler::Response IndexNode::HandleRecoverGroup(const std::string& payload) {
-  auto req = Decode<RecoverGroupRequest>(payload);
-  if (!req.ok()) return Response{req.status(), {}, {}};
-  if (config_.recovery_journal == nullptr) {
-    return Response{
-        Status::FailedPrecondition("node has no recovery journal attached"),
-        {},
-        {}};
-  }
-  WriterMutexLock lock(groups_mu_);
-  Status st = EnsureGroup(req->group, req->specs);
-  if (!st.ok()) return Response{st, {}, {}};
-  index::IndexGroup* group = Find(req->group);
-
-  // Replay the group's full journal history.  Note: the replay stages
-  // copies straight into the group — not back into the journal — so
-  // recovery does not double-append.
-  RecoverGroupResponse resp;
-  sim::Cost cost;
-  st = config_.recovery_journal->Replay(
-      req->group,
-      [&](const FileUpdate& u) {
-        cost += group->StageUpdate(FileUpdate(u));
-        ++resp.records_replayed;
-        return Status::Ok();
-      },
-      &cost);
-  if (!st.ok()) return Response{st, {}, cost};
-  cost += group->Commit();
-  MarkJournalApplied(req->group);
-  return Response{Status::Ok(), Encode(resp), cost};
 }
 
 void IndexNode::MarkJournalApplied(GroupId gid) {

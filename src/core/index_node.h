@@ -48,7 +48,7 @@ struct IndexNodeConfig {
   bool parallel_search = false;
   // Shared-storage recovery journal (not owned, shared by every node in
   // the cluster); when set, every update entering a group is replicated
-  // there so in.recover_group can rebuild the group after this node is
+  // there so in.catch_up can rebuild the group after this node is
   // lost.  Null disables replication — and its extra simulated I/O — on
   // the staging path.  Replication itself needs no node setting: with a
   // journal the node tracks how far each of its copies has applied it,
@@ -129,7 +129,6 @@ class IndexNode : public net::RpcHandler {
   Response HandleTick(const std::string& payload);
   Response HandleMigrateOut(const std::string& payload);
   Response HandleInstallGroup(const std::string& payload);
-  Response HandleRecoverGroup(const std::string& payload);
   Response HandleCatchUp(const std::string& payload);
   Response HandleDropGroup(const std::string& payload);
   Response HandleReset(const std::string& payload);

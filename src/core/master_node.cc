@@ -186,6 +186,28 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
   return primary;
 }
 
+MasterNode::MoveLegs MasterNode::MoveGroupData(
+    NodeId src, const MigrateOutRequest& out_req, NodeId dst, GroupId into,
+    const std::vector<IndexSpec>& catalog, sim::Cost& cost) {
+  MoveLegs legs;
+  auto out_call = transport_->Call(id_, src, "in.migrate_out", Encode(out_req));
+  cost += out_call.cost;
+  legs.migrate_out = out_call.status;
+  if (!legs.migrate_out.ok()) return legs;
+  auto out_resp = Decode<MigrateOutResponse>(out_call.payload);
+  legs.migrate_out = out_resp.status();
+  if (!legs.migrate_out.ok()) return legs;
+
+  InstallGroupRequest in_req;
+  in_req.group = into;
+  in_req.specs = catalog;
+  in_req.records = std::move(out_resp->records);
+  auto in_call = transport_->Call(id_, dst, "in.install_group", Encode(in_req));
+  cost += in_call.cost;
+  legs.install = in_call.status;
+  return legs;
+}
+
 sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
                                      const acg::AcgManager::ApplyResult& result,
                                      const std::vector<IndexSpec>& catalog) {
@@ -217,23 +239,13 @@ sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
     MigrateOutRequest out_req;
     out_req.group = merge.from;
     out_req.drop_group = true;
-    auto out_call =
-        transport_->Call(id_, from_node, "in.migrate_out", Encode(out_req));
-    cost += out_call.cost;
-    if (!out_call.status.ok()) {
-      PLOG(WARNING) << "migrate_out failed: " << out_call.status.ToString();
+    Status moved =
+        MoveGroupData(from_node, out_req, *into_node, merge.into, catalog, cost)
+            .migrate_out;
+    if (!moved.ok()) {
+      PLOG(WARNING) << "migrate_out failed: " << moved.ToString();
       continue;
     }
-    auto out_resp = Decode<MigrateOutResponse>(out_call.payload);
-    if (!out_resp.ok()) continue;
-
-    InstallGroupRequest in_req;
-    in_req.group = merge.into;
-    in_req.specs = catalog;
-    in_req.records = std::move(out_resp->records);
-    auto in_call =
-        transport_->Call(id_, *into_node, "in.install_group", Encode(in_req));
-    cost += in_call.cost;
 
     // Secondaries discard their copies of the dissolved group; the data
     // now lives under `into` (whose secondaries converge from the journal).
@@ -500,20 +512,10 @@ sim::Cost MasterNode::RunSplitMaintenanceShard(
     MigrateOutRequest out_req;
     out_req.group = plan.group;
     out_req.files = plan.move_out;
-    auto out_call =
-        transport_->Call(id_, src_node, "in.migrate_out", Encode(out_req));
-    cost += out_call.cost;
-    if (!out_call.status.ok()) continue;
-    auto out_resp = Decode<MigrateOutResponse>(out_call.payload);
-    if (!out_resp.ok()) continue;
-
-    InstallGroupRequest in_req;
-    in_req.group = plan.new_group;
-    in_req.specs = catalog;
-    in_req.records = std::move(out_resp->records);
-    auto in_call =
-        transport_->Call(id_, *dst, "in.install_group", Encode(in_req));
-    cost += in_call.cost;
+    if (!MoveGroupData(src_node, out_req, *dst, plan.new_group, catalog, cost)
+             .migrate_out.ok()) {
+      continue;
+    }
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
     ++shard.metadata_epoch;  // files moved to the split-off group
   }
@@ -522,6 +524,8 @@ sim::Cost MasterNode::RunSplitMaintenanceShard(
 
 size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
   size_t moved = 0;
+  sim::Cost unused;
+  sim::Cost& total = cost != nullptr ? *cost : unused;
   {
     Shard& s0 = *shards_[0];
     MutexLock lock(s0.mu_);
@@ -598,21 +602,9 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
       MigrateOutRequest out_req;
       out_req.group = victim;
       out_req.drop_group = true;
-      auto out_call =
-          transport_->Call(id_, busiest, "in.migrate_out", Encode(out_req));
-      if (cost != nullptr) *cost += out_call.cost;
-      if (!out_call.status.ok()) break;
-      auto out_resp = Decode<MigrateOutResponse>(out_call.payload);
-      if (!out_resp.ok()) break;
-
-      InstallGroupRequest in_req;
-      in_req.group = victim;
-      in_req.specs = catalog;
-      in_req.records = std::move(out_resp->records);
-      auto in_call =
-          transport_->Call(id_, idlest, "in.install_group", Encode(in_req));
-      if (cost != nullptr) *cost += in_call.cost;
-      if (!in_call.status.ok()) break;
+      MoveLegs legs =
+          MoveGroupData(busiest, out_req, idlest, victim, catalog, total);
+      if (!legs.migrate_out.ok() || !legs.install.ok()) break;
 
       // The old primary dropped its copy (drop_group above); the idlest
       // node takes over as primary and any secondaries are untouched.
@@ -624,9 +616,7 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
       ++moved;
     }
   }
-  sim::Cost flush_cost;
-  MaybeFlushMetadata(flush_cost);
-  if (cost != nullptr) *cost += flush_cost;
+  MaybeFlushMetadata(total);
   return moved;
 }
 
@@ -701,8 +691,8 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
                 << config_.heartbeat_miss_threshold
                 << " heartbeats; declaring dead";
   recoveries_->Add(1);
-  // The nested in.recover_group / in.create_group transport calls advance
-  // the ambient clock themselves, so this span's extent is the whole
+  // The nested in.catch_up / in.create_group transport calls advance the
+  // ambient clock themselves, so this span's extent is the whole
   // re-homing sweep.
   obs::SpanGuard span("mn.recover_node", node, id_);
   span.Tag("dead_node", static_cast<uint64_t>(node));
@@ -753,129 +743,72 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
     return;
   }
 
-  const bool replicated = config_.replication_factor > 1;
+  // One path at every replication factor (r = 1 is a set of one): the
+  // lost copy is a hole in the group's replica set, and the set heals
+  // back to `want` copies through in.catch_up.  Losing the primary
+  // promotes the first survivor, which replays the journal tail it
+  // missed; fresh copies are seeded on live non-members (applied seq 0 =
+  // full replay, or a rebuild when the journal was checkpointed).
+  const size_t want =
+      static_cast<size_t>(std::max(config_.replication_factor, 1));
   for (uint32_t s = 0; s < n; ++s) {
     if (groups[s].empty()) continue;
     Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
     for (GroupId g : groups[s]) {
-      if (!replicated) {
-        NodeId target = LeastLoadedNode(shard);
-        RecoverGroupRequest rreq;
-        rreq.group = g;
-        rreq.specs = catalog;
-        auto call =
-            transport_->Call(id_, target, "in.recover_group", Encode(rreq));
+      auto catch_up = [&](NodeId target, const char* what) {
+        CatchUpRequest creq;
+        creq.group = g;
+        creq.specs = catalog;
+        auto call = transport_->Call(id_, target, "in.catch_up", Encode(creq));
         cost += call.cost;
         event.cost += call.cost;
-        if (call.status.ok()) {
-          if (auto resp = Decode<RecoverGroupResponse>(call.payload);
-              resp.ok()) {
-            event.records_restored += resp->records_replayed;
-          }
-        } else {
-          // No journal on the survivor (or the call failed): keep routing
-          // valid with an empty replacement group.  The data is lost,
-          // exactly as it would be without a shared-storage journal.
-          PLOG(WARNING) << "recover_group " << g << " on node " << target
-                        << " failed (" << call.status.ToString()
-                        << "); creating empty replacement";
-          CreateGroupRequest creq;
-          creq.group = g;
-          creq.specs = catalog;
-          auto fallback =
-              transport_->Call(id_, target, "in.create_group", Encode(creq));
-          cost += fallback.cost;
-          event.cost += fallback.cost;
-          if (!fallback.status.ok()) {
-            PLOG(WARNING) << "replacement group " << g << " creation failed: "
-                          << fallback.status.ToString();
-            continue;  // leave the mapping; a later tick may retry placement
-          }
+        if (!call.status.ok()) {
+          PLOG(WARNING) << what << " for group " << g << " on node " << target
+                        << " failed: " << call.status.ToString();
+          return false;
         }
-        shard.group_replicas[g] = {target};
-        BumpNodeLoad(shard, target, 1);
-        BumpNodeLoad(shard, node, -1);
-        mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-        ++shard.metadata_epoch;  // group re-homed onto a survivor
-        ++event.groups_moved;
-        continue;
-      }
-
-      // Replicated: recovery is replica-set surgery, not a full rebuild.
-      // Losing the primary promotes a surviving secondary (journal
-      // catch-up closes its lag); the degraded set then heals with a fresh
-      // replica seeded from the journal on a non-member survivor.
+        if (auto resp = Decode<CatchUpResponse>(call.payload); resp.ok()) {
+          event.records_restored += resp->records_replayed;
+        }
+        return true;
+      };
       std::vector<NodeId>& replicas = shard.group_replicas[g];
       const bool was_primary = replicas.front() == node;
       replicas.erase(std::remove(replicas.begin(), replicas.end(), node),
                      replicas.end());
-      if (replicas.empty()) {
-        // Every copy died at once: fall back to the journal rebuild.
-        NodeId target = LeastLoadedNode(shard);
-        RecoverGroupRequest rreq;
-        rreq.group = g;
-        rreq.specs = catalog;
-        auto call =
-            transport_->Call(id_, target, "in.recover_group", Encode(rreq));
-        cost += call.cost;
-        event.cost += call.cost;
-        if (call.status.ok()) {
-          if (auto resp = Decode<RecoverGroupResponse>(call.payload);
-              resp.ok()) {
-            event.records_restored += resp->records_replayed;
-          }
-          replicas.push_back(target);
-          BumpNodeLoad(shard, target, 1);
-        } else {
-          PLOG(WARNING) << "replicated recover_group " << g << " on node "
-                        << target << " failed: " << call.status.ToString();
-          replicas.push_back(node);  // keep the mapping; a later tick retries
-          continue;
-        }
-      } else if (was_primary) {
-        // Promote replicas.front(): replay the journal tail it has not yet
-        // applied so reads see every committed (primary-acked) update.
-        CatchUpRequest creq;
-        creq.group = g;
-        creq.specs = catalog;
-        auto call = transport_->Call(id_, replicas.front(), "in.catch_up",
-                                     Encode(creq));
-        cost += call.cost;
-        event.cost += call.cost;
-        if (call.status.ok()) {
-          if (auto resp = Decode<CatchUpResponse>(call.payload); resp.ok()) {
-            event.records_restored += resp->records_replayed;
-          }
-        } else {
-          PLOG(WARNING) << "promotion catch-up for group " << g << " on node "
-                        << replicas.front()
-                        << " failed: " << call.status.ToString();
-        }
+      if (was_primary && !replicas.empty()) {
+        catch_up(replicas.front(), "promotion catch-up");
       }
-      // Heal the replication degree: seed replacements from the journal on
-      // live non-members (in.catch_up creates the group when absent).
-      const size_t want = static_cast<size_t>(config_.replication_factor);
       if (replicas.size() < want) {
         for (NodeId fresh :
              LeastLoadedNodes(shard, want - replicas.size(), replicas)) {
-          CatchUpRequest creq;
-          creq.group = g;
-          creq.specs = catalog;
-          auto call = transport_->Call(id_, fresh, "in.catch_up", Encode(creq));
-          cost += call.cost;
-          event.cost += call.cost;
-          if (!call.status.ok()) {
-            PLOG(WARNING) << "replica seed for group " << g << " on node "
-                          << fresh << " failed: " << call.status.ToString();
-            continue;
-          }
-          if (auto resp = Decode<CatchUpResponse>(call.payload); resp.ok()) {
-            event.records_restored += resp->records_replayed;
-          }
+          if (!catch_up(fresh, "replica seed")) continue;
           replicas.push_back(fresh);
           BumpNodeLoad(shard, fresh, 1);
         }
+      }
+      if (replicas.empty()) {
+        // No copy could be seeded (no journal attached, or every seed
+        // failed): keep routing valid with an empty replacement.  Without
+        // a journal the data is lost; with one, the replacement's next
+        // in.tick anti-entropy pass replays it (its applied seq is 0).
+        const NodeId target = LeastLoadedNode(shard);
+        CreateGroupRequest creq;
+        creq.group = g;
+        creq.specs = catalog;
+        auto call =
+            transport_->Call(id_, target, "in.create_group", Encode(creq));
+        cost += call.cost;
+        event.cost += call.cost;
+        if (!call.status.ok()) {
+          PLOG(WARNING) << "replacement group " << g << " creation failed: "
+                        << call.status.ToString();
+          replicas.push_back(node);  // keep the mapping
+          continue;
+        }
+        replicas.push_back(target);
+        BumpNodeLoad(shard, target, 1);
       }
       BumpNodeLoad(shard, node, -1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);

@@ -230,8 +230,9 @@ class MasterNode : public net::RpcHandler {
   // brief mu_ before taking any shard mutex.
   std::vector<IndexSpec> CatalogSnapshot() const;
 
-  // Declares `node` dead and re-homes its groups onto the least-loaded
-  // live survivors.  Appends a RecoveryEvent.
+  // Declares `node` dead and heals every replica set it belonged to back
+  // to max(r, 1) copies on the least-loaded live survivors (in.catch_up).
+  // Appends a RecoveryEvent.
   void RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost);
 
   // Ensures `group` exists on some Index Node; creates it (with the
@@ -257,6 +258,19 @@ class MasterNode : public net::RpcHandler {
                           const std::vector<GroupId>& groups,
                           std::vector<GroupReplicaSet>& out) const
       REQUIRES(shard.mu_);
+  // One group move: in.migrate_out (`out_req`) on `src`, then
+  // in.install_group of the returned records as group `into` on `dst`.
+  // Adds each leg's cost to `cost`; the install leg runs only when the
+  // migrate_out leg succeeded.  Callers keep their own failure policy and
+  // bookkeeping.
+  struct MoveLegs {
+    Status migrate_out;
+    Status install;
+  };
+  MoveLegs MoveGroupData(NodeId src, const MigrateOutRequest& out_req,
+                         NodeId dst, GroupId into,
+                         const std::vector<IndexSpec>& catalog,
+                         sim::Cost& cost);
   // Applies AcgManager placement/merge decisions: creates groups, moves
   // merged files' index data between nodes.
   sim::Cost ApplyAcgResult(Shard& shard,

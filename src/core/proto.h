@@ -9,8 +9,7 @@
 //            mn.flush_acg       mn.heartbeat       mn.tick
 //   Index:   in.create_group    in.stage_updates   in.search
 //            in.tick            in.migrate_out     in.install_group
-//            in.recover_group   in.reset           in.catch_up
-//            in.drop_group
+//            in.catch_up        in.reset           in.drop_group
 #pragma once
 
 #include <cstdint>
@@ -384,33 +383,14 @@ struct InstallGroupRequest {
   }
 };
 
-// ---- in.recover_group ----
-// Master -> survivor node after a node death: rebuild `group` by
-// replaying the shared-storage recovery journal (FailedPrecondition when
-// the node has no journal attached).
-struct RecoverGroupRequest {
-  GroupId group = 0;
-  std::vector<IndexSpec> specs;
-  template <class V>
-  void Fields(V& v) {
-    v(group, "group");
-    v(specs, "specs");
-  }
-};
-struct RecoverGroupResponse {
-  uint64_t records_replayed = 0;
-  template <class V>
-  void Fields(V& v) {
-    v(records_replayed, "records_replayed");
-  }
-};
-
 // ---- in.catch_up ----
 // Master -> replica: close the gap between the replica's applied commit
-// sequence and the journal's.  Used when promoting a surviving replica
-// after a node death and when seeding a brand-new replica (applied seq 0 =
-// full replay).  Unlike in.recover_group it replays only the missing tail
-// when the replica already holds a prefix (per-replica journal cursors).
+// sequence and the journal's — the one way a node death is healed, at
+// every replication factor.  Promoting a surviving replica replays only
+// the missing tail (per-replica journal cursors); seeding a brand-new copy
+// creates the group and replays it in full (applied seq 0), or rebuilds it
+// from the base image when the journal was checkpointed.
+// FailedPrecondition when the node has no journal attached.
 struct CatchUpRequest {
   GroupId group = 0;
   std::vector<IndexSpec> specs;

@@ -208,17 +208,6 @@ TEST(ProtoRoundtrip, InstallGroupRequest) {
   ExpectRoundtrip(req);
 }
 
-TEST(ProtoRoundtrip, RecoverGroup) {
-  RecoverGroupRequest req;
-  req.group = 2;
-  req.specs = {MakeSpec("a")};
-  ExpectRoundtrip(req);
-
-  RecoverGroupResponse resp;
-  resp.records_replayed = 31;
-  ExpectRoundtrip(resp);
-}
-
 TEST(ProtoRoundtrip, CatchUp) {
   CatchUpRequest req;
   req.group = 2;
@@ -366,15 +355,6 @@ std::vector<WireCase> AllCases() {
   igreq.records = {MakeUpdate(3)};
   both("InstallGroupRequest", igreq);
 
-  RecoverGroupRequest rgreq;
-  rgreq.group = 2;
-  rgreq.specs = {MakeSpec("a")};
-  both("RecoverGroupRequest", rgreq);
-
-  RecoverGroupResponse rgresp;
-  rgresp.records_replayed = 31;
-  both("RecoverGroupResponse", rgresp);
-
   CatchUpRequest cureq;
   cureq.group = 2;
   cureq.specs = {MakeSpec("a")};
@@ -509,10 +489,6 @@ TEST(ProtoBytePin, EveryEncodingMatchesItsPinnedDigest) {
       {"MigrateOutRequest/set", 0x8329c57e94363385ull},
       {"MigrateOutResponse/default", 0x4d25767f9dce13f5ull},
       {"MigrateOutResponse/set", 0x8e779fbd9ec2ae0dull},
-      {"RecoverGroupRequest/default", 0x5467b0da1d106495ull},
-      {"RecoverGroupRequest/set", 0xda6206d67cde6d42ull},
-      {"RecoverGroupResponse/default", 0xa8c7f832281a39c5ull},
-      {"RecoverGroupResponse/set", 0x335a4bf00dbb4e7aull},
       {"ResetNodeRequest", 0xcbf29ce484222325ull},
       {"ResolveSearchRequest/default", 0x5467b0da1d106495ull},
       {"ResolveSearchRequest/set", 0x63add5e8c1cb7610ull},

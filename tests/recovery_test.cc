@@ -53,6 +53,12 @@ size_t NodeWithGroups(PropellerCluster& cluster) {
   return 0;
 }
 
+uint64_t CatchUps(IndexNode& node) {
+  const obs::MetricsSnapshot snap = node.MetricsSnapshot();
+  auto it = snap.counters.find("in.replica.catch_ups");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
 // Advances the cluster clock in heartbeat-sized steps.
 void Tick(PropellerCluster& cluster, int steps) {
   for (int i = 0; i < steps; ++i) cluster.AdvanceTime(1.0);
@@ -127,6 +133,26 @@ TEST(RecoveryTest, JournalRecoveryRestoresAllDataAfterPermanentLoss) {
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.groups_recovered, event.groups_moved);
   EXPECT_EQ(stats.records_restored, event.records_restored);
+
+  // r = 1 heals through the replica-set path: each re-homed group is a set
+  // of one seeded by a single in.catch_up, which leaves the new copy's
+  // applied sequence at the journal's, so later anti-entropy passes never
+  // replay it a second time.
+  std::vector<uint64_t> catch_ups;
+  uint64_t total_catch_ups = 0;
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    const obs::MetricsSnapshot snap = cluster.index_node(i).MetricsSnapshot();
+    auto lag = snap.gauges.find("in.replica.lag");
+    ASSERT_NE(lag, snap.gauges.end()) << "node " << i;
+    EXPECT_EQ(lag->second, 0.0) << "node " << i;
+    catch_ups.push_back(CatchUps(cluster.index_node(i)));
+    total_catch_ups += catch_ups.back();
+  }
+  EXPECT_EQ(total_catch_ups, event.groups_moved);
+  Tick(cluster, 10);
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    EXPECT_EQ(CatchUps(cluster.index_node(i)), catch_ups[i]) << "node " << i;
+  }
 }
 
 TEST(RecoveryTest, WithoutJournalRoutingStaysValidButDataIsLost) {

@@ -10,7 +10,9 @@
 //      sequences the client tracks as read-your-writes floors.
 //   3. Promotion — wiping a node permanently turns recovery into replica
 //      promotion + journal catch-up; no acknowledged write is lost and the
-//      dead node leaves every replica set.
+//      dead node leaves every replica set, even when every copy of a group
+//      dies, the master's journal replays fail, and a write or a move
+//      reaches the empty replacement before it has replayed the journal.
 //   4. Read-your-writes — a lagging secondary answers kStaleReplica for a
 //      floor it has not applied, and anti-entropy catch-up (in.tick)
 //      closes the gap.
@@ -278,6 +280,109 @@ TEST(ReplicationTest, WipingAnyNodePromotesReplicasWithoutDataLoss) {
   ASSERT_TRUE(final.ok());
   EXPECT_TRUE(std::find(final->files.begin(), final->files.end(),
                         FileId{9'000'001}) != final->files.end());
+}
+
+// Both copies of some groups die together while every journal replay the
+// master asks for fails.  No copy can be seeded, so each such group gets
+// an empty replacement that the next anti-entropy tick fills from the
+// journal; nothing stays mapped to a dead node.
+TEST(ReplicationTest, LosingEveryCopyWhileReplaysFailStillRehomesTheGroup) {
+  auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/2));
+  auto parsed = ParseQuery(kQuery, 1'000'000);
+  ASSERT_TRUE(parsed.ok());
+  auto before = cluster->client().Search(parsed->predicate);
+  ASSERT_TRUE(before.ok());
+  ASSERT_FALSE(before->files.empty());
+
+  const NodeId dead0 = cluster->index_node(0).id();
+  const NodeId dead1 = cluster->index_node(1).id();
+  const std::set<GroupId> groups = AllGroups(*cluster);
+  std::vector<GroupId> lost;  // groups whose every copy dies
+  for (GroupId g : groups) {
+    auto replicas = cluster->master().ReplicasOfGroup(g);
+    std::sort(replicas.begin(), replicas.end());
+    if (replicas == std::vector<NodeId>{dead0, dead1}) lost.push_back(g);
+  }
+  ASSERT_FALSE(lost.empty())
+      << "no group lives on exactly nodes 0 and 1; the scenario is vacuous";
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  net::FaultRule rule;
+  rule.src = PropellerCluster::kMasterId;
+  rule.method = "in.catch_up";
+  rule.fail_prob = 1;
+  plan->AddRule(rule);
+  cluster->transport().SetFaultPlan(plan);
+
+  cluster->KillIndexNode(0, /*wipe=*/true);
+  cluster->KillIndexNode(1, /*wipe=*/true);
+  int ticks = 0;
+  while (!cluster->master().IsNodeDead(dead0) ||
+         !cluster->master().IsNodeDead(dead1)) {
+    ASSERT_LT(ticks, 6) << "the master never declared both nodes dead";
+    cluster->AdvanceTime(1.0);
+    ++ticks;
+  }
+  // A write reaches each lost group's empty replacement before any in.tick
+  // has replayed its history.  The append must not mark the replacement as
+  // current, or anti-entropy would never restore the earlier records.
+  std::vector<FileId> expected = before->files;
+  FileId next_file = 9'600'000;
+  for (GroupId g : lost) {
+    const auto replicas = cluster->master().ReplicasOfGroup(g);
+    ASSERT_EQ(replicas.size(), 1u) << "group " << g;
+    StageUpdatesRequest sreq;
+    sreq.group = g;
+    sreq.now_s = cluster->now();
+    sreq.replica_role = kReplicaRolePrimary;
+    FileUpdate u;
+    u.file = next_file++;
+    u.attrs.Set("size", AttrValue(int64_t{32} << 20));
+    sreq.updates.push_back(u);
+    expected.push_back(u.file);
+    auto staged = cluster->transport().Call(100, replicas.front(),
+                                            "in.stage_updates", Encode(sreq));
+    ASSERT_TRUE(staged.status.ok()) << staged.status.ToString();
+  }
+  std::sort(expected.begin(), expected.end());
+  // Moving a group off a replacement in the same window must hand off its
+  // whole history, not just the one new record.
+  {
+    const NodeId holder = cluster->master().ReplicasOfGroup(lost.front())[0];
+    MigrateOutRequest out;
+    out.group = lost.front();
+    auto moved = cluster->transport().Call(100, holder, "in.migrate_out",
+                                           Encode(out));
+    ASSERT_TRUE(moved.status.ok()) << moved.status.ToString();
+    auto records = Decode<MigrateOutResponse>(moved.payload);
+    ASSERT_TRUE(records.ok());
+    EXPECT_GT(records->records.size(), 1u);
+    InstallGroupRequest in;
+    in.group = lost.front();
+    in.records = std::move(records->records);
+    ASSERT_TRUE(cluster->transport()
+                    .Call(100, holder, "in.install_group", Encode(in))
+                    .status.ok());
+  }
+  for (; ticks < 6; ++ticks) cluster->AdvanceTime(1.0);
+  plan->ClearRules();
+  for (int i = 0; i < 2; ++i) cluster->AdvanceTime(1.0);
+  ASSERT_TRUE(cluster->master().IsNodeDead(dead0));
+  ASSERT_TRUE(cluster->master().IsNodeDead(dead1));
+
+  for (GroupId g : groups) {
+    auto replicas = cluster->master().ReplicasOfGroup(g);
+    ASSERT_FALSE(replicas.empty()) << "group " << g;
+    for (NodeId n : replicas) {
+      EXPECT_NE(n, dead0) << "group " << g;
+      EXPECT_NE(n, dead1) << "group " << g;
+    }
+  }
+  auto after = cluster->client().Search(parsed->predicate);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  std::vector<FileId> found = after->files;
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, expected);
 }
 
 // --- 4. read-your-writes across a lagging replica ---------------------------

@@ -35,8 +35,6 @@ std::string RenderSchema() {
   Render<MetadataImage>(messages, "MetadataImage");
   Render<MigrateOutRequest>(messages, "MigrateOutRequest");
   Render<MigrateOutResponse>(messages, "MigrateOutResponse");
-  Render<RecoverGroupRequest>(messages, "RecoverGroupRequest");
-  Render<RecoverGroupResponse>(messages, "RecoverGroupResponse");
   Render<ResetNodeRequest>(messages, "ResetNodeRequest");
   Render<ResolveSearchRequest>(messages, "ResolveSearchRequest");
   Render<ResolveSearchResponse>(messages, "ResolveSearchResponse");
