@@ -3,7 +3,9 @@
 // seeded FaultPlan — must yield a single causal span tree covering the
 // client, the master, and the index nodes, with simulated timestamps that
 // are bit-identical across runs and across the serial / parallel execution
-// engines.
+// engines.  A second scenario drives every client fan-out repair path
+// (update repair, hedge, search repair) and pins its Chrome trace by
+// digest, so the traces also hold still across commits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 
 #include "core/cluster.h"
 #include "net/fault.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 
 namespace propeller::core {
@@ -26,7 +29,7 @@ using index::CmpOp;
 constexpr NodeId kDropNode = PropellerCluster::kFirstIndexNodeId;       // 10
 constexpr NodeId kDelayNode = PropellerCluster::kFirstIndexNodeId + 1;  // 11
 
-std::unique_ptr<PropellerCluster> BuildCluster(bool parallel) {
+ClusterConfig TracedConfig(bool parallel) {
   ClusterConfig cfg;
   cfg.index_nodes = 4;
   cfg.tracing = true;
@@ -38,6 +41,10 @@ std::unique_ptr<PropellerCluster> BuildCluster(bool parallel) {
   cfg.master.acg_policy.cluster_target = 8;
   cfg.master.acg_policy.split_threshold = 1000;
   cfg.master.acg_policy.merge_limit = 1000;
+  return cfg;
+}
+
+std::unique_ptr<PropellerCluster> BuildCluster(const ClusterConfig& cfg) {
   auto cluster = std::make_unique<PropellerCluster>(cfg);
   EXPECT_TRUE(cluster->client()
                   .CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
@@ -92,7 +99,7 @@ bool HasTag(const obs::Span& s, const std::string& k, const std::string& v) {
 }
 
 TEST(ObsTraceTest, SearchWithRetryAndDelayYieldsOneCausalTree) {
-  auto cluster = BuildCluster(/*parallel=*/false);
+  auto cluster = BuildCluster(TracedConfig(/*parallel=*/false));
   std::vector<obs::Span> spans = TracedFaultySearch(*cluster);
   ASSERT_FALSE(spans.empty());
 
@@ -168,7 +175,7 @@ TEST(ObsTraceTest, SearchWithRetryAndDelayYieldsOneCausalTree) {
 // same simulated timestamps, same tags — doubles compared exactly.
 TEST(ObsTraceTest, TracesAreBitIdenticalAcrossRunsAndEngines) {
   auto run = [](bool parallel) {
-    auto cluster = BuildCluster(parallel);
+    auto cluster = BuildCluster(TracedConfig(parallel));
     return TracedFaultySearch(*cluster);
   };
   std::vector<obs::Span> a = run(false);
@@ -193,6 +200,135 @@ TEST(ObsTraceTest, TracesAreBitIdenticalAcrossRunsAndEngines) {
   };
   expect_identical(a, b, "serial-vs-serial");
   expect_identical(a, c, "serial-vs-parallel");
+}
+
+// --- cross-commit pin ---------------------------------------------------
+
+// 64-bit FNV-1a, as ProtoBytePin digests wire bytes.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t ClientCounter(PropellerClient& client, const std::string& k) {
+  auto snap = client.MetricsSnapshot();
+  auto it = snap.counters.find(k);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// Appends the spans of one client operation to `spans`: the tracer is
+// cleared first, so background ticks before it do not count.
+template <class Op>
+void TraceOf(PropellerCluster& cluster, std::vector<obs::Span>* spans, Op op) {
+  cluster.tracer().Clear();
+  op();
+  std::vector<obs::Span> recorded = cluster.tracer().Spans();
+  spans->insert(spans->end(), recorded.begin(), recorded.end());
+}
+
+// Every client fan-out path, traced.  On a replicated cluster (r = 2): a
+// write whose primary drops every stage attempt (retries, then the update
+// repair), and a search whose first branch's primary drops every attempt
+// (retries, then a winning hedge).  On a caching cluster: a search whose
+// cached route names a node that died and came back empty (the search
+// repair).  Returns the Chrome trace of those three operations.
+std::string RepairPathsTrace(bool parallel) {
+  Predicate all;
+  all.And("size", CmpOp::kGe, AttrValue(int64_t{1}));
+  std::vector<obs::Span> spans;
+  {
+    ClusterConfig cfg = TracedConfig(parallel);
+    cfg.master.replication_factor = 2;
+    auto cluster = BuildCluster(cfg);
+    PropellerClient& client = cluster->client();
+
+    ResolveUpdateRequest where;
+    where.files = {1};
+    auto placed = Decode<ResolveUpdateResponse>(
+        cluster->transport()
+            .Call(100, PropellerCluster::kMasterId, "mn.resolve_update",
+                  Encode(where))
+            .payload);
+    EXPECT_TRUE(placed.ok() && placed->placements.size() == 1u);
+    if (!placed.ok() || placed->placements.size() != 1u) return {};
+    auto plan = std::make_shared<net::FaultPlan>(7);
+    plan->AddRule(net::FaultRule{.dst = placed->placements[0].node,
+                                 .method = "in.stage_updates",
+                                 .drop_prob = 1.0,
+                                 .max_triggers = 3});
+    cluster->transport().SetFaultPlan(plan);
+    TraceOf(*cluster, &spans, [&] {
+      FileUpdate u;
+      u.file = 1;
+      u.attrs.Set("size", AttrValue(int64_t{5000}));
+      auto r = client.BatchUpdate({u}, cluster->now());
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    });
+    EXPECT_EQ(ClientCounter(client, "client.placement_cache.stale_retries"),
+              1u);
+
+    auto targets = Decode<ResolveSearchResponse>(
+        cluster->transport()
+            .Call(100, PropellerCluster::kMasterId, "mn.resolve_search",
+                  Encode(ResolveSearchRequest{}))
+            .payload);
+    EXPECT_TRUE(targets.ok() && !targets->targets.empty());
+    if (!targets.ok() || targets->targets.empty()) return {};
+    plan = std::make_shared<net::FaultPlan>(7);
+    plan->AddRule(net::FaultRule{.dst = targets->targets[0].node,
+                                 .method = "in.search",
+                                 .drop_prob = 1.0,
+                                 .max_triggers = 3});
+    cluster->transport().SetFaultPlan(plan);
+    TraceOf(*cluster, &spans, [&] {
+      auto r = client.Search(all, "by_size");
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) {
+        EXPECT_EQ(r->files.size(), 64u);
+      }
+    });
+    cluster->transport().SetFaultPlan(nullptr);
+    EXPECT_EQ(ClientCounter(client, "client.search.hedge_wins"), 1u);
+  }
+  {
+    ClusterConfig cfg = TracedConfig(parallel);
+    cfg.read_path_caching = true;
+    cfg.recovery_journal = true;
+    auto cluster = BuildCluster(cfg);
+    PropellerClient& client = cluster->client();
+    EXPECT_TRUE(client.Search(all, "by_size").ok());  // fills the cache
+    cluster->KillIndexNode(1);
+    cluster->AdvanceTime(4.0);
+    cluster->ReviveIndexNode(1);
+    cluster->AdvanceTime(1.0);
+    TraceOf(*cluster, &spans, [&] {
+      auto r = client.Search(all, "by_size");
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) {
+        EXPECT_EQ(r->files.size(), 64u);
+      }
+    });
+    EXPECT_EQ(ClientCounter(client, "client.placement_cache.stale_retries"),
+              1u);
+  }
+  return obs::SpansToChromeTrace(spans);
+}
+
+// The traces of the repair paths, pinned by digest: a refactor of the
+// client fan-out must leave every span, id, timestamp and tag in place,
+// on both execution engines.
+TEST(ObsTracePin, RepairPathsTraceMatchesItsPinnedDigest) {
+  constexpr uint64_t kPinned = 0x87911b6e331aba4dull;
+  for (bool parallel : {false, true}) {
+    const uint64_t digest = Fnv1a(RepairPathsTrace(parallel));
+    EXPECT_EQ(digest, kPinned)
+        << (parallel ? "parallel" : "serial") << " engine: 0x" << std::hex
+        << digest << "ull";
+  }
 }
 
 }  // namespace

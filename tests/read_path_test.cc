@@ -207,6 +207,42 @@ TEST(ReadPathCachingTest, StaleRouteAfterRecoveryRepairsWithOneResolve) {
   EXPECT_EQ(MasterCounter(*cluster, "mn.calls.mn.resolve_search"), 2u);
 }
 
+// The write-side twin: a BatchUpdate whose cached placements name a node
+// that died and whose groups the master re-homed.  The shipments to the
+// dead node come back UNAVAILABLE, and one repair pass (drop the cache,
+// re-resolve the failed files, re-ship them) lands every update.
+TEST(ReadPathCachingTest, BatchUpdateThroughDeadCachedRouteRepairsOnce) {
+  ClusterConfig cfg = MakeConfig(/*caching=*/true);
+  cfg.recovery_journal = true;
+  auto cluster = MakeLoadedCluster(cfg);
+  cluster->KillIndexNode(1);
+  cluster->AdvanceTime(4.0);
+  ASSERT_EQ(cluster->master().DeadNodes().size(), 1u);
+
+  // Every base file again, now with a size no base file has.
+  const int64_t kHuge = int64_t{1} << 40;
+  std::vector<FileUpdate> rows = workload::SyntheticRows(1, kBaseFiles, Spec());
+  for (FileUpdate& u : rows) u.attrs.Set("size", index::AttrValue(kHuge));
+  const uint64_t resolves =
+      MasterCounter(*cluster, "mn.calls.mn.resolve_update");
+  auto updated = cluster->client().BatchUpdate(rows, cluster->now());
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(
+      ClientCounter(cluster->client(), "client.placement_cache.stale_retries"),
+      1u);
+  // The cache answered the first pass; the repair re-resolved once.
+  EXPECT_EQ(MasterCounter(*cluster, "mn.calls.mn.resolve_update"),
+            resolves + 1);
+
+  cluster->AdvanceTime(6.0);
+  Predicate huge;
+  huge.And("size", index::CmpOp::kGe, index::AttrValue(kHuge));
+  auto found = cluster->client().Search(huge);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found->files.size(), kBaseFiles)
+      << "every update must be searchable after the repair";
+}
+
 TEST(ReadPathCachingTest, IndexNodeRejectsStaleEpochRequests) {
   auto cluster = MakeLoadedCluster(MakeConfig(/*caching=*/true));
   const NodeId node = PropellerCluster::kFirstIndexNodeId;

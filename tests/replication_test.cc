@@ -7,7 +7,9 @@
 //      so the unreplicated wire format is byte-identical to before.
 //   2. Quorum writes — at r=2 every group lives on two distinct nodes,
 //      both replicas hold the data, and the primary acks journal commit
-//      sequences the client tracks as read-your-writes floors.
+//      sequences the client tracks as read-your-writes floors.  A
+//      dropped primary stage lands on the one repair pass; a missed
+//      quorum fails naming the group.
 //   3. Promotion — wiping a node permanently turns recovery into replica
 //      promotion + journal catch-up; no acknowledged write is lost and the
 //      dead node leaves every replica set, even when every copy of a group
@@ -15,10 +17,12 @@
 //      reaches the empty replacement before it has replayed the journal.
 //   4. Read-your-writes — a lagging secondary answers kStaleReplica for a
 //      floor it has not applied, and anti-entropy catch-up (in.tick)
-//      closes the gap.
+//      closes the gap.  A search routed to a promoted copy below the
+//      floor re-resolves and retries exactly once.
 //   5. Hedged reads — a sustained straggler primary makes the client hedge
 //      to the secondary; every fired hedge is a win or a cancellation, the
 //      result set stays exact, and hedging strictly beats not hedging.
+//      When primary and hedge both fail, the primary's error is returned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,6 +88,37 @@ uint64_t NodeCounter(IndexNode& node, const std::string& k) {
   auto snap = node.MetricsSnapshot();
   auto it = snap.counters.find(k);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+// The group the master placed `file` in (0 if the resolve failed).
+GroupId GroupOfFile(PropellerCluster& cluster, FileId file) {
+  ResolveUpdateRequest req;
+  req.files = {file};
+  auto call = cluster.transport().Call(100, PropellerCluster::kMasterId,
+                                       "mn.resolve_update", Encode(req));
+  if (!call.status.ok()) return 0;
+  auto resp = Decode<ResolveUpdateResponse>(call.payload);
+  if (!resp.ok() || resp->placements.size() != 1) return 0;
+  return resp->placements.front().group;
+}
+
+// One upsert of `file` with a size no base file has.
+constexpr int64_t kHugeSize = int64_t{1} << 40;
+std::vector<FileUpdate> HugeUpdate(FileId file) {
+  FileUpdate u;
+  u.file = file;
+  u.attrs.Set("size", AttrValue(kHugeSize));
+  return {u};
+}
+
+Predicate HugeFiles() {
+  Predicate p;
+  p.And("size", CmpOp::kGe, AttrValue(kHugeSize));
+  return p;
+}
+
+size_t IndexOf(NodeId node) {
+  return static_cast<size_t>(node - PropellerCluster::kFirstIndexNodeId);
 }
 
 // All group ids currently hosted anywhere in the cluster.
@@ -230,6 +265,71 @@ TEST(ReplicationTest, WritesLandOnDistinctReplicasWithAckedSeqs) {
   ASSERT_TRUE(plain.ok());
   ASSERT_FALSE(plain->files.empty());
   EXPECT_EQ(replicated->files, plain->files);
+}
+
+// The primary drops every attempt of a write's stage request.  The batch
+// comes back UNAVAILABLE, and the one repair pass (re-resolve, re-ship the
+// failed shipment) lands it once the drops stop.
+TEST(ReplicationTest, DroppedPrimaryStageLandsOnTheRepairPass) {
+  ClusterConfig cfg = MakeConfig(/*replication_factor=*/2);
+  auto cluster = MakeLoadedCluster(cfg);
+  const FileId file = 1;
+  const GroupId g = GroupOfFile(*cluster, file);
+  ASSERT_NE(g, 0u);
+  const NodeId primary = cluster->master().ReplicasOfGroup(g).front();
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  plan->AddRule(net::FaultRule{
+      .dst = primary,
+      .method = "in.stage_updates",
+      .drop_prob = 1.0,
+      .max_triggers = static_cast<uint64_t>(cfg.client.retry.max_attempts)});
+  cluster->transport().SetFaultPlan(plan);
+  auto updated = cluster->client().BatchUpdate(HugeUpdate(file),
+                                               cluster->now());
+  cluster->transport().SetFaultPlan(nullptr);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(
+      ClientCounter(cluster->client(), "client.placement_cache.stale_retries"),
+      1u);
+
+  cluster->AdvanceTime(6.0);
+  auto found = cluster->client().Search(HugeFiles());
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found->files, (std::vector<FileId>{file}));
+}
+
+// r = 3 needs the primary plus one secondary.  When both secondaries fail
+// every attempt, the write fails UNAVAILABLE and names the group, after
+// one repair pass that misses the quorum the same way.
+TEST(ReplicationTest, WriteQuorumMissFailsNamingTheGroup) {
+  auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/3));
+  const FileId file = 1;
+  const GroupId g = GroupOfFile(*cluster, file);
+  ASSERT_NE(g, 0u);
+  const std::vector<NodeId> replicas = cluster->master().ReplicasOfGroup(g);
+  ASSERT_EQ(replicas.size(), 3u);
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  for (size_t i = 1; i < replicas.size(); ++i) {
+    plan->AddRule(net::FaultRule{.dst = replicas[i],
+                                 .method = "in.stage_updates",
+                                 .fail_prob = 1.0});
+  }
+  cluster->transport().SetFaultPlan(plan);
+  auto updated = cluster->client().BatchUpdate(HugeUpdate(file),
+                                               cluster->now());
+  cluster->transport().SetFaultPlan(nullptr);
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(updated.status().code(), StatusCode::kUnavailable);
+  const std::string message = updated.status().ToString();
+  EXPECT_NE(message.find("write quorum not reached for group " +
+                         std::to_string(g)),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(
+      ClientCounter(cluster->client(), "client.placement_cache.stale_retries"),
+      1u);
 }
 
 // --- 3. promotion after permanent node loss ---------------------------------
@@ -446,6 +546,61 @@ TEST(ReplicationTest, LaggingReplicaAnswersStaleAndCatchesUpOnTick) {
                         FileId{9'500'000}) != resp->files.end());
 }
 
+// A write reaches only its primary (the secondary is down), then the
+// primary dies while the secondary is still down.  The master promotes the
+// secondary, but its promotion catch-up fails, so the promoted copy is
+// below the client's read floor.  The search that routes to it re-resolves
+// and retries once, never loops, and the copy's next anti-entropy tick
+// closes the gap.
+TEST(ReplicationTest, SearchOnPromotedCopyBelowTheFloorRetriesOnce) {
+  auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/2,
+                                              /*hedged=*/false));
+  const FileId file = 1;
+  const GroupId g = GroupOfFile(*cluster, file);
+  ASSERT_NE(g, 0u);
+  const std::vector<NodeId> replicas = cluster->master().ReplicasOfGroup(g);
+  ASSERT_EQ(replicas.size(), 2u);
+  const NodeId primary = replicas[0];
+  const NodeId secondary = replicas[1];
+
+  // At r = 2 the quorum is the primary alone.
+  cluster->KillIndexNode(IndexOf(secondary));
+  ASSERT_TRUE(cluster->client().BatchUpdate(HugeUpdate(file),
+                                            cluster->now()).ok());
+
+  // The secondary (still unreachable, so it neither ticks nor answers the
+  // promotion catch-up) reports in, so only the primary misses heartbeats.
+  cluster->KillIndexNode(IndexOf(primary));
+  HeartbeatRequest hb;
+  hb.node = secondary;
+  hb.now_s = cluster->now() + 4.0;
+  hb.groups = cluster->index_node(IndexOf(secondary)).GroupStats();
+  ASSERT_TRUE(cluster->transport()
+                  .Call(secondary, PropellerCluster::kMasterId, "mn.heartbeat",
+                        Encode(hb))
+                  .status.ok());
+  cluster->AdvanceTime(4.0);
+  ASSERT_TRUE(cluster->master().IsNodeDead(primary));
+  ASSERT_FALSE(cluster->master().IsNodeDead(secondary));
+  ASSERT_EQ(cluster->master().ReplicasOfGroup(g).front(), secondary);
+  cluster->ReviveIndexNode(IndexOf(secondary));
+
+  auto stale = cluster->client().Search(HugeFiles());
+  EXPECT_EQ(
+      ClientCounter(cluster->client(), "client.search.stale_replica_retries"),
+      1u);
+  ASSERT_FALSE(stale.ok()) << "nothing closed the gap between the attempts";
+  EXPECT_EQ(stale.status().code(), StatusCode::kStaleReplica);
+
+  cluster->AdvanceTime(1.0);
+  auto caught_up = cluster->client().Search(HugeFiles());
+  ASSERT_TRUE(caught_up.ok()) << caught_up.status().ToString();
+  EXPECT_EQ(caught_up->files, (std::vector<FileId>{file}));
+  EXPECT_EQ(
+      ClientCounter(cluster->client(), "client.search.stale_replica_retries"),
+      1u);
+}
+
 // --- 5. hedged reads under a sustained straggler -----------------------------
 
 TEST(ReplicationTest, HedgeFiresOnStragglerAndAccountingBalances) {
@@ -504,6 +659,67 @@ TEST(ReplicationTest, HedgeFiresOnStragglerAndAccountingBalances) {
   EXPECT_EQ(slow_tail->files, expected);
   EXPECT_LT(tail->cost.seconds(), slow_tail->cost.seconds());
   EXPECT_EQ(ClientCounter(unhedged->client(), "client.search.hedges"), 0u);
+}
+
+// The first search branch's primary drops every attempt and its hedge's
+// secondaries fail every attempt too.  The search fails with the primary's
+// error, and the fired hedge counts as cancelled.  (Serial engine: the
+// first branch runs, hedge included, before any other branch calls the
+// secondaries.)
+TEST(ReplicationTest, HedgeWithBothSidesFailedReturnsThePrimaryError) {
+  ClusterConfig cfg = MakeConfig(/*replication_factor=*/2);
+  auto cluster = MakeLoadedCluster(cfg);
+  auto parsed = ParseQuery(kQuery, 1'000'000);
+  ASSERT_TRUE(parsed.ok());
+
+  ResolveSearchRequest rreq;
+  auto rcall = cluster->transport().Call(100, PropellerCluster::kMasterId,
+                                         "mn.resolve_search", Encode(rreq));
+  ASSERT_TRUE(rcall.status.ok());
+  auto targets = Decode<ResolveSearchResponse>(rcall.payload);
+  ASSERT_TRUE(targets.ok());
+  ASSERT_GT(targets->targets.size(), 1u);
+  const NodeId first = targets->targets[0].node;
+  std::set<NodeId> hedge_nodes;
+  for (GroupId g : targets->targets[0].groups) {
+    for (const GroupReplicaSet& rs : targets->replicas) {
+      if (rs.group == g && rs.nodes.size() > 1) hedge_nodes.insert(rs.nodes[1]);
+    }
+  }
+  ASSERT_FALSE(hedge_nodes.empty());
+
+  const auto attempts = static_cast<uint64_t>(cfg.client.retry.max_attempts);
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  plan->AddRule(net::FaultRule{.dst = first,
+                               .method = "in.search",
+                               .drop_prob = 1.0,
+                               .max_triggers = attempts});
+  for (NodeId n : hedge_nodes) {
+    plan->AddRule(net::FaultRule{.dst = n,
+                                 .method = "in.search",
+                                 .fail_prob = 1.0,
+                                 .max_triggers = attempts});
+  }
+  cluster->transport().SetFaultPlan(plan);
+  auto r = cluster->client().Search(parsed->predicate);
+  cluster->transport().SetFaultPlan(nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  const std::string message = r.status().ToString();
+  EXPECT_NE(message.find("node " + std::to_string(first)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("request dropped"), std::string::npos) << message;
+  EXPECT_EQ(message.find("injected failure"), std::string::npos) << message;
+
+  const uint64_t hedges =
+      ClientCounter(cluster->client(), "client.search.hedges");
+  const uint64_t wins =
+      ClientCounter(cluster->client(), "client.search.hedge_wins");
+  const uint64_t cancelled =
+      ClientCounter(cluster->client(), "client.search.hedge_cancelled");
+  EXPECT_EQ(hedges, 1u);
+  EXPECT_EQ(wins, 0u);
+  EXPECT_EQ(wins + cancelled, hedges);
 }
 
 // --- 6. off-mode bit-identity ------------------------------------------------
