@@ -6,6 +6,8 @@
 #include <tuple>
 #include <utility>
 
+#include "obs/fork_join.h"
+
 namespace propeller::core {
 
 namespace {
@@ -26,6 +28,26 @@ double JitterFraction(uint64_t seed, net::NodeId node,
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   x ^= x >> 31;
   return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+// The join of a fan-out forked at `base`: contiguous branches to one node
+// ran back to back on it, and nodes ran in parallel, so the client resumes
+// when the slowest node is done.  Moves the ambient clock to that instant
+// and returns the fan-out's simulated latency.
+template <class B>
+sim::Cost Join(const std::vector<B>& branches, const obs::TraceCursor& base) {
+  std::vector<sim::Cost> per_node;
+  per_node.reserve(branches.size());
+  for (size_t i = 0; i < branches.size(); ++i) {
+    if (i == 0 || branches[i].node != branches[i - 1].node) {
+      per_node.push_back(branches[i].cost);
+    } else {
+      per_node.back() += branches[i].cost;
+    }
+  }
+  const sim::Cost slowest = sim::Cost::ParallelMax(per_node);
+  obs::AdvanceTo(base, slowest.seconds());
+  return slowest;
 }
 
 }  // namespace
@@ -239,10 +261,16 @@ void PropellerClient::StoreReplicaSets(
   for (const GroupReplicaSet& rs : sets) replica_cache_[rs.group] = rs.nodes;
 }
 
-std::unordered_map<GroupId, std::vector<NodeId>>
-PropellerClient::SnapshotReplicaSets() const {
+std::vector<std::vector<NodeId>> PropellerClient::ReplicaSetsOf(
+    const std::vector<GroupId>& groups, bool* any_known) const {
+  std::vector<std::vector<NodeId>> sets(groups.size());
   MutexLock lock(cache_mu_);
-  return replica_cache_;
+  *any_known = !replica_cache_.empty();
+  for (size_t i = 0; i < groups.size(); ++i) {
+    auto it = replica_cache_.find(groups[i]);
+    if (it != replica_cache_.end()) sets[i] = it->second;
+  }
+  return sets;
 }
 
 void PropellerClient::RecordAckedSeq(GroupId group, uint64_t seq) {
@@ -252,10 +280,17 @@ void PropellerClient::RecordAckedSeq(GroupId group, uint64_t seq) {
   floor = std::max(floor, seq);
 }
 
-std::unordered_map<GroupId, uint64_t> PropellerClient::SnapshotSeqFloors()
-    const {
+std::unordered_map<GroupId, uint64_t> PropellerClient::SeqFloorsOf(
+    const ResolveSearchResponse& targets) const {
+  std::unordered_map<GroupId, uint64_t> floors;
   MutexLock lock(cache_mu_);
-  return seq_floor_;
+  for (const auto& target : targets.targets) {
+    for (GroupId g : target.groups) {
+      auto it = seq_floor_.find(g);
+      if (it != seq_floor_.end() && it->second > 0) floors[g] = it->second;
+    }
+  }
+  return floors;
 }
 
 double PropellerClient::HedgeThreshold() const {
@@ -290,6 +325,46 @@ Result<sim::Cost> PropellerClient::CreateIndex(const IndexSpec& spec) {
   auto call = CallWithRetry(master_, "mn.create_index", Encode(req));
   if (!call.status.ok()) return call.status;
   return call.cost;
+}
+
+template <class B, class Run, class Repairable, class Reroute, class Settle>
+Status PropellerClient::FanOut(std::vector<B>& branches, bool fail_fast,
+                               const Run& run, const Repairable& repairable,
+                               const Reroute& reroute, const Settle& settle,
+                               sim::Cost* cost) {
+  for (bool repaired = false;; repaired = true) {
+    // Fork: every branch starts from the cursor captured at the fan-out
+    // instant — in serial mode too — so span timestamps mirror the cost
+    // model (branches run concurrently) regardless of execution order.
+    const obs::TraceCursor base = obs::CurrentTrace();
+    obs::ForkBranches(rpc_pool_, branches.size(), base, run);
+
+    // Sort failures.  A shed branch (kOverloaded) is never repaired: the
+    // node refused the work because its queue is full, and re-offering it
+    // at once is the retry storm admission control exists to prevent.
+    bool repair = false;
+    bool fatal = false;
+    for (const B& b : branches) {
+      if (b.status.ok()) continue;
+      if (!repaired && b.status.code() != StatusCode::kOverloaded &&
+          repairable(b)) {
+        repair = true;
+      } else {
+        fatal = true;
+      }
+    }
+    if (repair && !(fatal && fail_fast)) {
+      // Repair once: the client waited on the whole fan-out, so its slowest
+      // branch lands in the cost before the re-resolve.  Never a loop.
+      *cost += Join(branches, base);
+      InvalidateRoutingCache();
+      PROPELLER_RETURN_IF_ERROR(reroute(branches));
+      continue;
+    }
+    PROPELLER_RETURN_IF_ERROR(settle(branches));
+    *cost += Join(branches, base);
+    return Status::Ok();
+  }
 }
 
 Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
@@ -347,302 +422,202 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   if (!need.empty()) {
     PROPELLER_RETURN_IF_ERROR(resolve(std::move(need)));
   }
-  // The replica set each shipment fans to.  Cached placements reuse the
-  // memoized sets; a fresh resolve just refilled them.  The master sends
-  // sets only under replication, so none known means an unreplicated
-  // cluster: every group is a replica set of one and requests carry no
-  // replica role.
-  std::unordered_map<GroupId, std::vector<NodeId>> rsets =
-      SnapshotReplicaSets();
-  const bool replicated = !rsets.empty();
 
-  // Bucket updates per group (a group lives on exactly one node): a flat
-  // vector filled through a reserved hash index, then whole buckets sorted
-  // by (node, group) — the same deterministic shipment order the previous
-  // ordered-map implementation produced, without its per-insert rebalance.
-  struct Bucket {
-    NodeId node = 0;
-    GroupId group = 0;
-    std::vector<FileUpdate> updates;
-  };
-  auto make_buckets = [&](std::vector<FileUpdate> batch,
-                          std::vector<Bucket>* out) -> Status {
-    std::unordered_map<GroupId, size_t> bucket_of;
-    bucket_of.reserve(batch.size());
-    for (FileUpdate& u : batch) {
-      auto it = where.find(u.file);
-      if (it == where.end()) {
-        return Status::Internal("master did not place file");
-      }
-      auto [slot, fresh] = bucket_of.try_emplace(it->second.group, out->size());
-      if (fresh) {
-        out->push_back(Bucket{it->second.node, it->second.group, {}});
-      }
-      (*out)[slot->second].updates.push_back(std::move(u));
-    }
-    std::sort(out->begin(), out->end(), [](const Bucket& a, const Bucket& b) {
-      return std::tie(a.node, a.group) < std::tie(b.node, b.group);
-    });
-    return Status::Ok();
-  };
-
-  // Encode every stage-request payload up front (deterministic order), one
-  // shipment per (node, group) bucket.  A bucket's batches must stay in
-  // order — same-file updates may span batches — so a shipment is the unit
-  // of concurrency, not a batch.
-  struct Shipment {
-    NodeId node = 0;
-    GroupId group = 0;
+  // One shipment per (node, group): the group's updates as stage-request
+  // payloads, update_batch per message.  A group's batches must stay in
+  // order — same-file updates may span batches — so a shipment is the
+  // unit of concurrency, not a batch.
+  struct Shipment : Branch {
+    std::vector<FileUpdate> updates;  // consumed by the encoding
     std::vector<std::string> payloads;
     // The group's secondaries (none when unreplicated) and the same batches
     // re-encoded with the secondary role for them.
     std::vector<NodeId> secondaries;
     std::vector<std::string> secondary_payloads;
-    sim::Cost cost;
-    Status status;
   };
-  auto make_shipments = [&](std::vector<Bucket> buckets,
-                            std::vector<Shipment>* out) {
-    out->reserve(buckets.size());
-    for (Bucket& bucket : buckets) {
-      Shipment s;
-      s.node = bucket.node;
-      s.group = bucket.group;
-      auto it = rsets.find(bucket.group);
-      if (it != rsets.end() && !it->second.empty()) {
+  // Set by the first routing pass.  The master sends replica sets only
+  // under replication, so none known means an unreplicated cluster: every
+  // group is a replica set of one and requests carry no replica role.
+  bool replicated = false;
+  // Buckets `batch` per group (a group lives on exactly one node) through
+  // a reserved hash index, sorts the shipments by (node, group) — a
+  // deterministic order — and encodes every payload up front.
+  auto route = [&](std::vector<FileUpdate> batch, bool first,
+                   std::vector<Shipment>* out) -> Status {
+    out->clear();
+    std::unordered_map<GroupId, size_t> slot_of;
+    slot_of.reserve(batch.size());
+    for (FileUpdate& u : batch) {
+      auto it = where.find(u.file);
+      if (it == where.end()) {
+        return Status::Internal("master did not place file");
+      }
+      auto [slot, fresh] = slot_of.try_emplace(it->second.group, out->size());
+      if (fresh) {
+        out->emplace_back();
+        out->back().node = it->second.node;
+        out->back().groups = {it->second.group};
+      }
+      (*out)[slot->second].updates.push_back(std::move(u));
+    }
+    std::sort(out->begin(), out->end(),
+              [](const Shipment& a, const Shipment& b) {
+                return std::tie(a.node, a.groups) < std::tie(b.node, b.groups);
+              });
+    // Cached placements reuse the memoized sets; a fresh resolve just
+    // refilled them.
+    std::vector<GroupId> groups;
+    for (const Shipment& s : *out) groups.push_back(s.groups.front());
+    bool any_set = false;
+    const auto sets = ReplicaSetsOf(groups, &any_set);
+    if (first) replicated = any_set;
+    for (size_t k = 0; k < out->size(); ++k) {
+      Shipment& s = (*out)[k];
+      if (!sets[k].empty()) {
         // The resolved node is authoritative for where the primary lives
         // right now; a stale memoized set keeps the secondaries only.
-        s.secondaries.assign(it->second.begin() + 1, it->second.end());
-        s.secondaries.erase(std::remove(s.secondaries.begin(),
-                                        s.secondaries.end(), bucket.node),
-                            s.secondaries.end());
+        s.secondaries.assign(sets[k].begin() + 1, sets[k].end());
+        s.secondaries.erase(
+            std::remove(s.secondaries.begin(), s.secondaries.end(), s.node),
+            s.secondaries.end());
       }
-      const bool fan = !s.secondaries.empty();
-      for (size_t off = 0; off < bucket.updates.size();
+      for (size_t off = 0; off < s.updates.size();
            off += config_.update_batch) {
         StageUpdatesRequest sreq;
-        sreq.group = bucket.group;
+        sreq.group = groups[k];
         sreq.now_s = now_s;
         // The group's placement was resolved at its owning shard's epoch (a
         // shard's groups carry its residue class, so the file's shard and
         // the group's shard coincide).
         const auto n = static_cast<uint32_t>(epochs.size());
         sreq.epoch = (caching || replicated) && n > 0
-                         ? epochs[ShardOfGroup(bucket.group, n)]
+                         ? epochs[ShardOfGroup(groups[k], n)]
                          : 0;
         if (replicated) sreq.replica_role = kReplicaRolePrimary;
         sreq.admission = admission ? 1 : 0;
-        size_t end = std::min(off + config_.update_batch, bucket.updates.size());
-        sreq.updates.assign(
-            std::make_move_iterator(bucket.updates.begin() +
-                                    static_cast<long>(off)),
-            std::make_move_iterator(bucket.updates.begin() +
-                                    static_cast<long>(end)));
-        if (fan) {
-          StageUpdatesRequest dup;
-          dup.group = sreq.group;
-          dup.now_s = sreq.now_s;
-          dup.epoch = sreq.epoch;
+        size_t end = std::min(off + config_.update_batch, s.updates.size());
+        sreq.updates.assign(std::make_move_iterator(s.updates.begin() + off),
+                            std::make_move_iterator(s.updates.begin() + end));
+        if (!s.secondaries.empty()) {
+          StageUpdatesRequest dup = sreq;
           dup.replica_role = kReplicaRoleSecondary;
-          dup.admission = sreq.admission;
-          dup.updates = sreq.updates;
           s.secondary_payloads.push_back(Encode(dup));
         }
         s.payloads.push_back(Encode(sreq));
       }
-      out->push_back(std::move(s));
     }
+    return Status::Ok();
   };
-  std::vector<Bucket> buckets;
-  PROPELLER_RETURN_IF_ERROR(make_buckets(std::move(updates), &buckets));
   std::vector<Shipment> shipments;
-  make_shipments(std::move(buckets), &shipments);
-
-  // Stage on the Index Nodes.  Requests to *different* nodes proceed in
-  // parallel (simulated cost = slowest node); a node handles its batches
-  // serially.  With an RPC pool the shipments also execute concurrently in
-  // wall-clock time; per-shipment costs are state-independent WAL appends,
-  // so the aggregate below matches the serial run exactly.
-  // Every fan-out branch starts from the cursor captured at its fan-out
-  // instant — in serial mode too — so span timestamps mirror the cost model
-  // (branches run concurrently) regardless of execution order.
-  // Every shipment is attempted even when one fails — partial-failure
-  // semantics: independent buckets still land, and the error below names
-  // exactly the (node, group) buckets that did not.
-  // When a repair pass may re-ship failed payloads (caching or replicated
-  // mode), the sent copies must survive the send: the repair decodes them
-  // to recover the original updates.
+  PROPELLER_RETURN_IF_ERROR(
+      route(std::move(updates), /*first=*/true, &shipments));
+  // The repair pass re-ships failed payloads (caching or replicated mode),
+  // so the sent copies must survive the send: the repair decodes them to
+  // recover the original updates.
   const bool keep_payloads = caching || replicated;
-  auto ship_all = [&](std::vector<Shipment>& ships,
-                      const obs::TraceCursor& base) {
-    // Each batch goes to every replica concurrently (simulated latency =
-    // the slowest copy; the client waits for the quorum, and the quorum
-    // includes the slowest mandatory ack).  The primary's journal append
-    // is the durable copy, so its failure fails the batch outright;
-    // secondaries only count toward quorum.  An unreplicated group is a
-    // set of one: the primary call alone, no secondary ack required.
-    auto ship_one = [&](size_t i) {
-      obs::ScopedTraceCursor branch(base);
-      Shipment& s = ships[i];
-      for (size_t b = 0; b < s.payloads.size(); ++b) {
-        const obs::TraceCursor batch_base = obs::CurrentTrace();
-        auto pcall = CallWithRetry(s.node, "in.stage_updates",
-                                   keep_payloads ? std::string(s.payloads[b])
-                                                 : std::move(s.payloads[b]));
-        size_t secondary_acks = 0;
-        sim::Cost batch_cost = pcall.cost;  // the slowest copy
-        for (NodeId secondary : s.secondaries) {
-          obs::ScopedTraceCursor secondary_cursor(batch_base);
-          auto scall = CallWithRetry(secondary, "in.stage_updates",
-                                     std::string(s.secondary_payloads[b]));
-          if (scall.cost.seconds() > batch_cost.seconds()) {
-            batch_cost = scall.cost;
-          }
-          if (scall.status.ok()) ++secondary_acks;
-        }
-        s.cost += batch_cost;
-        if (!s.secondaries.empty() && obs::CurrentTrace().active()) {
-          obs::CurrentTrace().now_s = batch_base.now_s + batch_cost.seconds();
-        }
-        if (!pcall.status.ok()) {
-          s.status = pcall.status;
-          return;
-        }
-        if (replicated) {
-          // Role-stamped: the primary acks the committed sequence, this
-          // client's read-your-writes floor.
-          if (auto resp = Decode<StageUpdatesResponse>(pcall.payload);
-              resp.ok()) {
-            RecordAckedSeq(s.group, resp->seq);
-          }
-        }
-        // Quorum = primary + floor((r-1)/2) secondaries (r=2 needs the
-        // primary alone; r=3 needs one secondary; ...).
-        const size_t required = s.secondaries.size() / 2;
-        if (secondary_acks < required) {
-          s.status = Status::Unavailable(
-              "write quorum not reached for group " + std::to_string(s.group) +
-              " (" + std::to_string(secondary_acks) + "/" +
-              std::to_string(required) + " secondary acks)");
-          return;
+
+  // Stage on the Index Nodes: shipments to different nodes run in
+  // parallel, a node takes its batches serially.  Every shipment is
+  // attempted even when one fails, so independent buckets still land.
+  // Each batch goes to every replica concurrently (simulated latency = the
+  // slowest copy).  The primary's journal append is the durable copy, so
+  // its failure fails the batch outright; secondaries only count toward
+  // quorum.  An unreplicated group is a set of one.
+  auto ship = [&](size_t i) {
+    Shipment& s = shipments[i];
+    const GroupId group = s.groups.front();
+    for (size_t b = 0; b < s.payloads.size(); ++b) {
+      const obs::TraceCursor batch_base = obs::CurrentTrace();
+      auto pcall = CallWithRetry(s.node, "in.stage_updates",
+                                 keep_payloads ? std::string(s.payloads[b])
+                                               : std::move(s.payloads[b]));
+      size_t secondary_acks = 0;
+      sim::Cost batch_cost = pcall.cost;  // the slowest copy
+      // Inline: the shipment already runs as its own branch.
+      auto replicate = [&](size_t k) {
+        auto scall = CallWithRetry(s.secondaries[k], "in.stage_updates",
+                                   std::string(s.secondary_payloads[b]));
+        if (scall.cost > batch_cost) batch_cost = scall.cost;
+        if (scall.status.ok()) ++secondary_acks;
+      };
+      obs::ForkBranches(nullptr, s.secondaries.size(), batch_base, replicate);
+      s.cost += batch_cost;
+      if (!s.secondaries.empty()) {
+        obs::AdvanceTo(batch_base, batch_cost.seconds());
+      }
+      if (!pcall.status.ok()) {
+        s.status = pcall.status;
+        return;
+      }
+      if (replicated) {
+        // Role-stamped: the primary acks the committed sequence, this
+        // client's read-your-writes floor.
+        if (auto resp = Decode<StageUpdatesResponse>(pcall.payload);
+            resp.ok()) {
+          RecordAckedSeq(group, resp->seq);
         }
       }
-    };
-    if (rpc_pool_ != nullptr && ships.size() > 1) {
-      auto futures = rpc_pool_->SubmitBatch(ships.size(), ship_one);
-      ThreadPool::WaitAll(futures);
-    } else {
-      for (size_t i = 0; i < ships.size(); ++i) ship_one(i);
-    }
-  };
-  // Joins a completed fan-out: per-node branch costs (shipments are sorted
-  // by node, so equal nodes are contiguous) composed as a parallel max.
-  auto join = [&](const std::vector<Shipment>& ships,
-                  const obs::TraceCursor& base) {
-    std::vector<sim::Cost> branches;
-    for (const Shipment& s : ships) {
-      if (branches.empty() || s.node != ships[&s - ships.data() - 1].node) {
-        branches.push_back(s.cost);
-      } else {
-        branches.back() += s.cost;
+      // Quorum = primary + floor((r-1)/2) secondaries (r=2 needs the
+      // primary alone; r=3 needs one secondary; ...).
+      const size_t required = s.secondaries.size() / 2;
+      if (secondary_acks < required) {
+        s.status = Status::Unavailable(
+            "write quorum not reached for group " + std::to_string(group) +
+            " (" + std::to_string(secondary_acks) + "/" +
+            std::to_string(required) + " secondary acks)");
+        return;
       }
     }
-    cost += sim::Cost::ParallelMax(branches);
-    if (obs::CurrentTrace().active()) {
-      // Join: the client resumes when the slowest branch finishes.
-      obs::CurrentTrace().now_s =
-          base.now_s + sim::Cost::ParallelMax(branches).seconds();
-    }
   };
-
-  const obs::TraceCursor fanout_base = obs::CurrentTrace();
-  ship_all(shipments, fanout_base);
-
-  // Sort failures: cache-repairable (stale routing, or a cached route to an
-  // unreachable node — the master may have re-homed its groups) vs fatal.
-  auto is_repairable = [&](const Status& st) {
-    // Replicated mode repairs the same classes even without the placement
-    // cache: a quorum miss or a dead primary may mean the master already
-    // promoted a secondary — one re-resolve routes to the new primary.
-    if (!caching && !replicated) return false;
-    return st.code() == StatusCode::kStaleLocation ||
-           st.code() == StatusCode::kUnavailable;
+  // Repairable: stale routing, or a route to an unreachable node (the
+  // master may have re-homed its groups).  Replicated mode repairs the same
+  // classes even without the placement cache: a quorum miss or a dead
+  // primary may mean the master already promoted a secondary — one
+  // re-resolve routes to the new primary.
+  auto repairable = [&](const Shipment& s) {
+    return (caching || replicated) &&
+           (s.status.code() == StatusCode::kStaleLocation ||
+            s.status.code() == StatusCode::kUnavailable);
   };
-  auto format_failures = [](const std::vector<Shipment>& ships)
-      -> std::pair<StatusCode, std::string> {
-    StatusCode code = StatusCode::kOk;
-    std::string failed;
-    for (const Shipment& s : ships) {
-      if (s.status.ok()) continue;
-      if (code == StatusCode::kOk) code = s.status.code();
-      if (!failed.empty()) failed += "; ";
-      failed += "node " + std::to_string(s.node) + " group " +
-                std::to_string(s.group) + ": " + s.status.ToString();
-    }
-    return {code, failed};
-  };
-
-  // Shed shipments (kOverloaded) are deliberately NOT repairable: the
-  // node refused the work because its queue is full, and re-offering it
-  // immediately is exactly the retry storm admission control exists to
-  // prevent.  They surface in the returned status; the counter lets
-  // open-loop drivers account shed write load.
-  auto count_shed = [&](const std::vector<Shipment>& ships) {
-    for (const Shipment& s : ships) {
-      if (s.status.code() == StatusCode::kOverloaded) shed_updates_->Add(1);
-    }
-  };
-  bool retry = false;
-  for (const Shipment& s : shipments) {
-    if (!s.status.ok() && is_repairable(s.status)) retry = true;
-    if (!s.status.ok() && !is_repairable(s.status)) {
-      count_shed(shipments);
-      auto [code, failed] = format_failures(shipments);
-      return Status(code, "batch update partially failed (" + failed + ")");
-    }
-  }
-
-  if (retry) {
-    // Exactly one repair pass: drop the cache, re-resolve the failed
-    // shipments' files, and re-ship just those updates.  The client waited
-    // on the whole first fan-out, so its slowest branch lands in the cost
-    // before the repair begins.
-    join(shipments, fanout_base);
+  // The repair re-ships only the failed shipments' updates, recovered from
+  // their encoded payloads (the happy path never keeps a second copy).
+  auto reroute = [&](std::vector<Shipment>& ships) -> Status {
     stale_retries_->Add(1);
-    InvalidateRoutingCache();
-    // Recover the failed updates from their encoded payloads (the happy
-    // path never keeps a second copy).
-    std::vector<FileUpdate> failed_updates;
+    std::vector<FileUpdate> failed;
     std::vector<FileId> files;
-    for (Shipment& s : shipments) {
+    for (const Shipment& s : ships) {
       if (s.status.ok()) continue;
       for (const std::string& payload : s.payloads) {
         auto sreq = Decode<StageUpdatesRequest>(payload);
         if (!sreq.ok()) return sreq.status();
         for (FileUpdate& u : sreq->updates) {
           files.push_back(u.file);
-          failed_updates.push_back(std::move(u));
+          failed.push_back(std::move(u));
         }
       }
     }
     PROPELLER_RETURN_IF_ERROR(resolve(std::move(files)));
-    rsets = SnapshotReplicaSets();
-    std::vector<Bucket> retry_buckets;
-    PROPELLER_RETURN_IF_ERROR(
-        make_buckets(std::move(failed_updates), &retry_buckets));
-    std::vector<Shipment> retry_shipments;
-    make_shipments(std::move(retry_buckets), &retry_shipments);
-    const obs::TraceCursor retry_base = obs::CurrentTrace();
-    ship_all(retry_shipments, retry_base);
-    auto [code, failed] = format_failures(retry_shipments);
-    if (code != StatusCode::kOk) {
-      count_shed(retry_shipments);
-      return Status(code, "batch update partially failed (" + failed + ")");
+    return route(std::move(failed), /*first=*/false, &ships);
+  };
+  // Any failure left fails the batch at once, naming every (node, group)
+  // bucket that did not land.  Shed shipments surface in the status; the
+  // counter lets open-loop drivers account shed write load.
+  auto settle = [&](const std::vector<Shipment>& ships) -> Status {
+    StatusCode code = StatusCode::kOk;
+    std::string failed;
+    for (const Shipment& s : ships) {
+      if (s.status.ok()) continue;
+      if (s.status.code() == StatusCode::kOverloaded) shed_updates_->Add(1);
+      if (code == StatusCode::kOk) code = s.status.code();
+      if (!failed.empty()) failed += "; ";
+      failed += "node " + std::to_string(s.node) + " group " +
+                std::to_string(s.groups.front()) + ": " + s.status.ToString();
     }
-    join(retry_shipments, retry_base);
-  } else {
-    join(shipments, fanout_base);
-  }
+    if (code == StatusCode::kOk) return Status::Ok();
+    return Status(code, "batch update partially failed (" + failed + ")");
+  };
+  PROPELLER_RETURN_IF_ERROR(FanOut(shipments, /*fail_fast=*/true, ship,
+                                   repairable, reroute, settle, &cost));
   update_latency_->Observe(cost.seconds());
   return cost;
 }
@@ -691,248 +666,213 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
     PROPELLER_RETURN_IF_ERROR(resolve());
   }
 
-  for (int attempt = 0;; ++attempt) {
-    // The master attaches replica sets only under replication; with them
-    // come epoch stamps, read-your-writes floors and (unless the hedge
-    // policy is off) hedged branches.
-    const bool replicated = !targets.replicas.empty();
-    const bool hedging = replicated && config_.hedge.enabled;
-    // Fan out to every Index Node — concurrently when an RPC pool is
-    // attached, serially otherwise.  Payloads are encoded up front and
-    // responses aggregated in target order, so both modes produce identical
-    // results and simulated costs.
-    const size_t n = targets.targets.size();
-    std::vector<std::string> payloads(n);
-    std::unordered_map<GroupId, uint64_t> floors;
-    if (replicated) floors = SnapshotSeqFloors();
-    auto append_floors = [&](const std::vector<GroupId>& groups,
-                             SearchRequest* sreq) {
-      for (GroupId g : groups) {
-        auto it = floors.find(g);
-        if (it != floors.end() && it->second > 0) {
-          sreq->min_seqs.push_back({g, it->second});
-        }
-      }
-    };
-    for (size_t i = 0; i < n; ++i) {
-      SearchRequest sreq;
-      sreq.groups = targets.targets[i].groups;
-      sreq.predicate = predicate;
-      sreq.epoch = (caching || replicated) ? epoch : 0;
-      if (replicated) append_floors(sreq.groups, &sreq);
-      sreq.arrival_s = arrival_s;
-      payloads[i] = Encode(sreq);
+  // One branch per Index Node: its hedge plan and its results.
+  struct SearchBranch : Branch {
+    // The groups' first secondaries bucketed by node (deterministic
+    // order); empty when the branch cannot hedge.
+    std::vector<std::pair<NodeId, std::vector<GroupId>>> hedge_plan;
+    std::vector<FileId> files;
+    bool decode_failed = false;  // undecodable response: always fatal
+  };
+  // The master attaches replica sets only under replication; with them
+  // come epoch stamps, read-your-writes floors and (unless the hedge
+  // policy is off) hedged branches.
+  bool replicated = false;
+  std::unordered_map<GroupId, uint64_t> floors;
+  // Builds one branch per target from the current routing; responses are
+  // aggregated in target order, so pooled and inline fan-outs produce
+  // identical results and simulated costs.
+  auto route = [&](std::vector<SearchBranch>* branches) {
+    replicated = !targets.replicas.empty();
+    floors = replicated ? SeqFloorsOf(targets)
+                        : std::unordered_map<GroupId, uint64_t>{};
+    branches->assign(targets.targets.size(), SearchBranch{});
+    for (size_t i = 0; i < branches->size(); ++i) {
+      (*branches)[i].node = targets.targets[i].node;
+      (*branches)[i].groups = std::move(targets.targets[i].groups);
+      (*branches)[i].cached = from_cache;
     }
-    // Hedge plan: per branch, the groups' first secondaries bucketed by
-    // node (deterministic order).  A branch is hedge-eligible only when
-    // every one of its groups has a secondary — a partial hedge could
-    // "win" with whole groups missing from the result.
-    std::vector<std::vector<std::pair<NodeId, std::vector<GroupId>>>>
-        hedge_plan(n);
-    if (hedging) {
-      std::unordered_map<GroupId, const GroupReplicaSet*> set_of;
-      set_of.reserve(targets.replicas.size());
-      for (const GroupReplicaSet& rs : targets.replicas) {
-        set_of[rs.group] = &rs;
+    // A branch is hedge-eligible only when every one of its groups has a
+    // secondary — a partial hedge could "win" with whole groups missing
+    // from the result.
+    if (!replicated || !config_.hedge.enabled) return;
+    std::unordered_map<GroupId, const GroupReplicaSet*> set_of;
+    set_of.reserve(targets.replicas.size());
+    for (const GroupReplicaSet& rs : targets.replicas) set_of[rs.group] = &rs;
+    for (SearchBranch& b : *branches) {
+      std::map<NodeId, std::vector<GroupId>> by_secondary;
+      size_t covered = 0;
+      for (GroupId g : b.groups) {
+        auto it = set_of.find(g);
+        if (it == set_of.end() || it->second->nodes.size() < 2) continue;
+        by_secondary[it->second->nodes[1]].push_back(g);
+        ++covered;
       }
-      for (size_t i = 0; i < n; ++i) {
-        std::map<NodeId, std::vector<GroupId>> by_secondary;
-        size_t covered = 0;
-        for (GroupId g : targets.targets[i].groups) {
-          auto it = set_of.find(g);
-          if (it == set_of.end() || it->second->nodes.size() < 2) continue;
-          by_secondary[it->second->nodes[1]].push_back(g);
-          ++covered;
-        }
-        if (covered > 0 && covered == targets.targets[i].groups.size()) {
-          hedge_plan[i].assign(by_secondary.begin(), by_secondary.end());
-        }
+      if (covered > 0 && covered == b.groups.size()) {
+        b.hedge_plan.assign(by_secondary.begin(), by_secondary.end());
       }
     }
-    // Per-branch outcome: status + decoded files + simulated latency (the
-    // hedged effective latency when a hedge fired).
-    struct Branch {
-      Status status;
-      std::vector<FileId> files;
-      sim::Cost cost;
-      bool decode_failed = false;  // undecodable response: always fatal
-    };
-    std::vector<Branch> branches_res(n);
-    // Branches fork from the cursor captured here (also in serial mode), so
-    // fan-out span timestamps match the cost model's parallel composition.
+  };
+  // The encoded in.search request for `groups`, at the primary or a hedge.
+  auto request = [&](const std::vector<GroupId>& groups) {
+    SearchRequest sreq;
+    sreq.groups = groups;
+    sreq.predicate = predicate;
+    sreq.epoch = (caching || replicated) ? epoch : 0;
+    for (GroupId g : groups) {
+      auto it = floors.find(g);
+      if (it != floors.end()) sreq.min_seqs.push_back({g, it->second});
+    }
+    sreq.arrival_s = arrival_s;
+    return Encode(sreq);
+  };
+  std::vector<SearchBranch> branches;
+  route(&branches);
+
+  auto decode_into = [](const std::string& payload, NodeId node,
+                        std::vector<FileId>* files) -> Status {
+    auto resp = Decode<SearchResponse>(payload);
+    if (!resp.ok()) {
+      return Status(resp.status().code(),
+                    "search response from node " + std::to_string(node) +
+                        " undecodable: " + resp.status().ToString());
+    }
+    files->insert(files->end(), resp->files.begin(), resp->files.end());
+    return Status::Ok();
+  };
+  // One branch: the primary, hedged when it is slow or fails.  Its
+  // latency is the hedged effective latency when a hedge fired.
+  auto search_one = [&](size_t i) {
+    SearchBranch& b = branches[i];
     const obs::TraceCursor fanout_base = obs::CurrentTrace();
-    auto call_one = [&](size_t i) {
-      obs::ScopedTraceCursor branch(fanout_base);
-      Branch& b = branches_res[i];
-      const NodeId primary = targets.targets[i].node;
-      auto decode_into = [](const std::string& payload, NodeId node,
-                            std::vector<FileId>* files) -> Status {
-        auto resp = Decode<SearchResponse>(payload);
-        if (!resp.ok()) {
-          return Status(resp.status().code(),
-                        "search response from node " + std::to_string(node) +
-                            " undecodable: " + resp.status().ToString());
-        }
-        files->insert(files->end(), resp->files.begin(), resp->files.end());
-        return Status::Ok();
-      };
-      auto pcall = CallWithRetry(primary, "in.search", std::move(payloads[i]));
-      const double c1 = pcall.cost.seconds();
-      const bool primary_ok = pcall.status.ok();
-      bool fire = false;
-      double threshold = 0;
-      // A shed primary (kOverloaded) never hedges: the hedge would dump
-      // the refused load straight onto the replica of an already saturated
-      // group — backpressure must reach the caller, not move sideways.
-      const bool shed =
-          !primary_ok && pcall.status.code() == StatusCode::kOverloaded;
-      if (!hedge_plan[i].empty() && !shed) {
-        threshold = HedgeThreshold();
-        fire = !primary_ok || c1 > threshold;
-      }
-      // Only unhedged latencies train the quantile: a branch slow enough
-      // to hedge is exactly the outlier the threshold exists to catch, and
-      // feeding it back would drag the quantile up toward the straggler
-      // until hedging turns itself off.
-      if (primary_ok && !fire) branch_latency_->Observe(c1);
-      if (!fire) {
-        b.status = pcall.status;
-        b.cost = pcall.cost;
-        if (b.status.ok()) {
-          b.status = decode_into(pcall.payload, primary, &b.files);
-          b.decode_failed = !b.status.ok();
-        }
-        return;
-      }
-      // Hedge: re-issue the branch at each group's first secondary.  It
-      // launches at t_hedge — the latency-quantile threshold when the
-      // primary is merely slow (the client cannot know earlier that it
-      // will be slow), or the primary's failure instant.  First complete
-      // response wins; the loser is cancelled, its cost still accounted
-      // up to the winner's completion.
-      hedges_->Add(1);
-      const double t_hedge = primary_ok ? std::min(c1, threshold) : c1;
-      Status hstatus;
-      std::vector<FileId> hedge_files;
-      double hedge_cost = 0;
-      {
-        obs::ScopedTraceCursor hedge_cursor(fanout_base);
-        if (obs::CurrentTrace().active()) {
-          obs::CurrentTrace().now_s = fanout_base.now_s + t_hedge;
-        }
-        obs::SpanGuard hedge_span("search.hedged",
-                                  static_cast<uint64_t>(primary) ^
-                                      (static_cast<uint64_t>(i + 1) << 48));
-        hedge_span.Tag("primary", static_cast<uint64_t>(primary));
-        hedge_span.Tag("launch_us", static_cast<uint64_t>(t_hedge * 1e6));
-        const obs::TraceCursor hedge_base = obs::CurrentTrace();
-        for (const auto& [secondary, sgroups] : hedge_plan[i]) {
-          SearchRequest hreq;
-          hreq.groups = sgroups;
-          hreq.predicate = predicate;
-          hreq.epoch = (caching || replicated) ? epoch : 0;
-          append_floors(sgroups, &hreq);
-          hreq.arrival_s = arrival_s;
-          obs::ScopedTraceCursor secondary_cursor(hedge_base);
-          // A hedge is a fresh call launched t_hedge into the request: it
-          // starts its own retry budget but shares the request deadline.
-          auto hcall =
-              CallWithRetry(secondary, "in.search", Encode(hreq), t_hedge);
-          hedge_cost = std::max(hedge_cost, hcall.cost.seconds());
-          if (!hstatus.ok()) continue;  // already failed; cost still counts
-          if (!hcall.status.ok()) {
-            hstatus = hcall.status;
-            continue;
-          }
-          hstatus = decode_into(hcall.payload, secondary, &hedge_files);
-        }
-      }
-      const bool hedge_ok = hstatus.ok();
-      const double hedge_done = t_hedge + hedge_cost;
-      if (hedge_ok && (!primary_ok || hedge_done < c1)) {
-        // The hedge came back first (or the primary never will).
-        hedge_wins_->Add(1);
-        b.status = Status::Ok();
-        b.files = std::move(hedge_files);
-        b.cost = sim::Cost(primary_ok ? std::min(c1, hedge_done) : hedge_done);
-      } else if (primary_ok) {
-        // Primary finished first after all — cancel the hedge.
-        hedge_cancelled_->Add(1);
-        b.status = decode_into(pcall.payload, primary, &b.files);
+    auto pcall = CallWithRetry(b.node, "in.search", request(b.groups));
+    const double c1 = pcall.cost.seconds();
+    const bool primary_ok = pcall.status.ok();
+    bool fire = false;
+    double threshold = 0;
+    // A shed primary (kOverloaded) never hedges: the hedge would dump
+    // the refused load straight onto the replica of an already saturated
+    // group — backpressure must reach the caller, not move sideways.
+    const bool shed =
+        !primary_ok && pcall.status.code() == StatusCode::kOverloaded;
+    if (!b.hedge_plan.empty() && !shed) {
+      threshold = HedgeThreshold();
+      fire = !primary_ok || c1 > threshold;
+    }
+    // Only unhedged latencies train the quantile: a branch slow enough
+    // to hedge is exactly the outlier the threshold exists to catch, and
+    // feeding it back would drag the quantile up toward the straggler
+    // until hedging turns itself off.
+    if (primary_ok && !fire) branch_latency_->Observe(c1);
+    if (!fire) {
+      b.status = pcall.status;
+      b.cost = pcall.cost;
+      if (b.status.ok()) {
+        b.status = decode_into(pcall.payload, b.node, &b.files);
         b.decode_failed = !b.status.ok();
-        b.cost = sim::Cost(c1);
-      } else {
-        // Both sides failed; the primary's error names the real problem
-        // and the client waited through the hedge too.
-        hedge_cancelled_->Add(1);
-        b.status = pcall.status;
-        b.cost = sim::Cost(std::max(c1, hedge_done));
       }
-    };
-    if (rpc_pool_ != nullptr && n > 1) {
-      auto futures = rpc_pool_->SubmitBatch(n, call_one);
-      ThreadPool::WaitAll(futures);
+      return;
+    }
+    // Hedge: re-issue the branch at each group's first secondary.  It
+    // launches at t_hedge — the latency-quantile threshold when the
+    // primary is merely slow (the client cannot know earlier that it
+    // will be slow), or the primary's failure instant.  First complete
+    // response wins; the loser is cancelled, its cost still accounted
+    // up to the winner's completion.
+    hedges_->Add(1);
+    const double t_hedge = primary_ok ? std::min(c1, threshold) : c1;
+    Status hstatus;
+    std::vector<FileId> hedge_files;
+    double hedge_cost = 0;
+    {
+      obs::ScopedTraceCursor hedge_cursor(fanout_base);
+      obs::AdvanceTo(fanout_base, t_hedge);
+      obs::SpanGuard hedge_span("search.hedged",
+                                static_cast<uint64_t>(b.node) ^
+                                    (static_cast<uint64_t>(i + 1) << 48));
+      hedge_span.Tag("primary", static_cast<uint64_t>(b.node));
+      hedge_span.Tag("launch_us", static_cast<uint64_t>(t_hedge * 1e6));
+      // Inline: the branch already runs on its own thread.
+      obs::ForkBranches(
+          nullptr, b.hedge_plan.size(), obs::CurrentTrace(), [&](size_t k) {
+            const auto& [secondary, sgroups] = b.hedge_plan[k];
+            // A hedge is a fresh call launched t_hedge into the request: it
+            // starts its own retry budget but shares the request deadline.
+            auto hcall = CallWithRetry(secondary, "in.search",
+                                       request(sgroups), t_hedge);
+            hedge_cost = std::max(hedge_cost, hcall.cost.seconds());
+            if (!hstatus.ok()) return;  // already failed; cost still counts
+            hstatus = hcall.status.ok()
+                          ? decode_into(hcall.payload, secondary, &hedge_files)
+                          : hcall.status;
+          });
+    }
+    const bool hedge_ok = hstatus.ok();
+    const double hedge_done = t_hedge + hedge_cost;
+    if (hedge_ok && (!primary_ok || hedge_done < c1)) {
+      // The hedge came back first (or the primary never will).
+      hedge_wins_->Add(1);
+      b.status = Status::Ok();
+      b.files = std::move(hedge_files);
+      b.cost = sim::Cost(primary_ok ? std::min(c1, hedge_done) : hedge_done);
+    } else if (primary_ok) {
+      // Primary finished first after all — cancel the hedge.
+      hedge_cancelled_->Add(1);
+      b.status = decode_into(pcall.payload, b.node, &b.files);
+      b.decode_failed = !b.status.ok();
+      b.cost = sim::Cost(c1);
     } else {
-      for (size_t i = 0; i < n; ++i) call_one(i);
+      // Both sides failed; the primary's error names the real problem
+      // and the client waited through the hedge too.
+      hedge_cancelled_->Add(1);
+      b.status = pcall.status;
+      b.cost = sim::Cost(std::max(c1, hedge_done));
     }
-
-    // Stale cached routing?  kStaleLocation (a node disowned a group we
-    // named) always means yes; kUnavailable on a cached route may mean the
-    // node died and the master re-homed its groups; kStaleReplica means a
-    // replica has not caught up to this client's acked writes — by the
-    // retry, anti-entropy or a promotion catch-up has usually closed the
-    // gap.  Either way: one re-resolve, one full retry — never a loop.
-    if ((caching || replicated) && attempt == 0) {
-      bool stale = false;
-      bool stale_replica = false;
-      for (size_t i = 0; i < n; ++i) {
-        const StatusCode code = branches_res[i].status.code();
-        // Replicated clients stamp epochs even without the placement
-        // cache, so they repair kStaleLocation the same way.
-        if ((caching || replicated) && code == StatusCode::kStaleLocation) {
-          stale = true;
-        }
-        if (caching && from_cache && code == StatusCode::kUnavailable) {
-          stale = true;
-        }
-        if (replicated && code == StatusCode::kStaleReplica) {
-          stale_replica = true;
-        }
-      }
-      if (stale || stale_replica) {
-        // The client waited on the whole stale fan-out; account its
-        // slowest branch before the repair.
-        std::vector<sim::Cost> waited;
-        waited.reserve(n);
-        for (const Branch& b : branches_res) waited.push_back(b.cost);
-        out.cost += sim::Cost::ParallelMax(waited);
-        if (obs::CurrentTrace().active()) {
-          obs::CurrentTrace().now_s =
-              fanout_base.now_s + sim::Cost::ParallelMax(waited).seconds();
-        }
-        if (stale) stale_retries_->Add(1);
-        if (stale_replica) {
-          stale_replica_retries_->Add(1);
-          root.Tag("stale_replica_retry", "true");
-        }
-        if (stale) root.Tag("stale_retry", "true");
-        InvalidateRoutingCache();
-        PROPELLER_RETURN_IF_ERROR(resolve());
-        from_cache = false;
-        continue;
-      }
+  };
+  // Stale routing?  kStaleLocation (a node disowned a group we named)
+  // always means yes — replicated clients stamp epochs even without the
+  // placement cache; kUnavailable on a cached route may mean the node died
+  // and the master re-homed its groups; kStaleReplica means a replica has
+  // not caught up to this client's acked writes — by the retry,
+  // anti-entropy or a promotion catch-up has usually closed the gap.
+  auto repairable = [&](const SearchBranch& b) {
+    switch (b.status.code()) {
+      case StatusCode::kStaleLocation:
+        return caching || replicated;
+      case StatusCode::kUnavailable:
+        return caching && b.cached;
+      case StatusCode::kStaleReplica:
+        return replicated;
+      default:
+        return false;
     }
-
-    // Aggregate file ids; the simulated fan-out latency is the slowest
-    // branch (failed branches included — the client waited on them too).  A
-    // failed branch either degrades the outcome (allow_partial_search) or
-    // fails the whole search with an error naming the node, never silently.
-    std::vector<sim::Cost> branches;
-    branches.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const NodeId node = targets.targets[i].node;
-      Branch& b = branches_res[i];
-      branches.push_back(b.cost);
+  };
+  // The repair re-runs the whole fan-out on a fresh resolve.
+  auto reroute = [&](std::vector<SearchBranch>& stale_pass) -> Status {
+    bool stale = false;
+    bool stale_replica = false;
+    for (const SearchBranch& b : stale_pass) {
+      if (!repairable(b)) continue;
+      (b.status.code() == StatusCode::kStaleReplica ? stale_replica : stale) =
+          true;
+    }
+    if (stale) stale_retries_->Add(1);
+    if (stale_replica) {
+      stale_replica_retries_->Add(1);
+      root.Tag("stale_replica_retry", "true");
+    }
+    if (stale) root.Tag("stale_retry", "true");
+    PROPELLER_RETURN_IF_ERROR(resolve());
+    from_cache = false;
+    route(&stale_pass);
+    return Status::Ok();
+  };
+  // Aggregates file ids in target order.  A failed branch either degrades
+  // the outcome (allow_partial_search) or fails the whole search with an
+  // error naming the node, never silently; the join still counts it (the
+  // client waited on it too).
+  auto settle = [&](const std::vector<SearchBranch>& last) -> Status {
+    for (const SearchBranch& b : last) {
       if (!b.status.ok()) {
         if (b.status.code() == StatusCode::kOverloaded) {
           out.overloaded = true;
@@ -941,23 +881,20 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
         if (b.decode_failed) return b.status;
         if (!config_.allow_partial_search) {
           return Status(b.status.code(),
-                        "search fan-out to node " + std::to_string(node) +
+                        "search fan-out to node " + std::to_string(b.node) +
                             " failed: " + b.status.ToString());
         }
         out.partial = true;
-        out.node_errors.push_back({node, b.status});
+        out.node_errors.push_back({b.node, b.status});
         continue;
       }
       out.files.insert(out.files.end(), b.files.begin(), b.files.end());
       ++out.nodes_queried;
     }
-    out.cost += sim::Cost::ParallelMax(branches);
-    if (obs::CurrentTrace().active()) {
-      obs::CurrentTrace().now_s =
-          fanout_base.now_s + sim::Cost::ParallelMax(branches).seconds();
-    }
-    break;
-  }
+    return Status::Ok();
+  };
+  PROPELLER_RETURN_IF_ERROR(FanOut(branches, /*fail_fast=*/false, search_one,
+                                   repairable, reroute, settle, &out.cost));
   std::sort(out.files.begin(), out.files.end());
   out.files.erase(std::unique(out.files.begin(), out.files.end()),
                   out.files.end());

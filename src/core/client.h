@@ -213,13 +213,44 @@ class PropellerClient {
   // Memoizes resolve-provided replica sets / reads them back for write
   // fan-out (search branches take theirs from the resolve response).
   void StoreReplicaSets(const std::vector<GroupReplicaSet>& sets);
-  std::unordered_map<GroupId, std::vector<NodeId>> SnapshotReplicaSets() const;
+  // The memoized set of each of `groups`, in order (empty when unknown).
+  // `*any_known` is false when no set is known at all: an unreplicated
+  // cluster, where every group is a replica set of one.
+  std::vector<std::vector<NodeId>> ReplicaSetsOf(
+      const std::vector<GroupId>& groups, bool* any_known) const;
   // Primary-acked commit floors (monotone per group).
   void RecordAckedSeq(GroupId group, uint64_t seq);
-  std::unordered_map<GroupId, uint64_t> SnapshotSeqFloors() const;
+  // The nonzero floors of the groups a search fans out to.
+  std::unordered_map<GroupId, uint64_t> SeqFloorsOf(
+      const ResolveSearchResponse& targets) const;
   // Current hedge-fire latency threshold from the observed branch-latency
   // histogram; +infinity until min_samples observations exist.
   double HedgeThreshold() const;
+
+  // --- the fan-out pipeline shared by Search and BatchUpdate ---
+  // One branch of a fan-out: the RPCs a request sends to one node.  Each
+  // operation extends it with its payloads and results.
+  struct Branch {
+    NodeId node = 0;
+    std::vector<GroupId> groups;  // the groups the branch reads or writes
+    bool cached = false;  // a search routed by the placement cache
+    sim::Cost cost;       // the branch's simulated latency
+    Status status;
+  };
+  // Runs `branches` through the stages Search and BatchUpdate share:
+  //   fork    run(i) for every branch from the fan-out instant, on
+  //           rpc_pool_ when one is attached;
+  //   sort    `repairable` picks the failures one re-resolve may fix; shed
+  //           (kOverloaded) and fatal ones go to `settle`;
+  //   repair  at most once: join the pass the client waited on, drop the
+  //           routing cache, run what `reroute` rebuilt (skipped under
+  //           `fail_fast` when a branch was shed or failed fatally);
+  //   join    `settle` the last pass (an error fails it unjoined), then add
+  //           the slowest node to `*cost`.
+  template <class B, class Run, class Repairable, class Reroute, class Settle>
+  Status FanOut(std::vector<B>& branches, bool fail_fast, const Run& run,
+                const Repairable& repairable, const Reroute& reroute,
+                const Settle& settle, sim::Cost* cost);
 
   NodeId id_;
   net::Transport* transport_;

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "core/group_journal.h"
+#include "obs/fork_join.h"
 #include "obs/trace.h"
 
 namespace propeller::core {
@@ -252,28 +253,20 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
     targets.push_back(group);
   }
 
-  // Run the per-group searches — on the node's worker pool when parallel
-  // search is enabled, serially otherwise.  Results land in per-group slots
-  // and are aggregated in request order, so the response bytes and the
-  // simulated makespan are identical in both modes.
+  // Run the per-group searches as one fan-out forked at this instant — on
+  // the node's worker pool when parallel search is enabled, inline
+  // otherwise.  Results land in per-group slots and are aggregated in
+  // request order, so the response bytes, the simulated makespan and the
+  // trace are identical in both modes.  Search commits staged updates and
+  // clears the group's oldest-pending stamp internally, under the group
+  // mutex, so a stage racing this search can never have its timeout stamp
+  // wiped while its update stays pending.
   std::vector<index::IndexGroup::SearchResult> results(targets.size());
-  // Per-group search spans fork from this instant (the node's own fan-out
-  // point) — in serial mode too — so trace timestamps are identical
-  // whether the searches run on the pool or inline.
   const obs::TraceCursor fanout_base = obs::CurrentTrace();
-  // Search commits staged updates and clears the group's oldest-pending
-  // stamp internally, under the group mutex, so a stage racing this search
-  // can never have its timeout stamp wiped while its update stays pending.
-  auto run_one = [&](size_t i) {
-    obs::ScopedTraceCursor branch(fanout_base);
-    results[i] = targets[i]->Search(req.predicate);
-  };
-  if (search_pool_ != nullptr && targets.size() > 1) {
-    auto futures = search_pool_->SubmitBatch(targets.size(), run_one);
-    ThreadPool::WaitAll(futures);
-  } else {
-    for (size_t i = 0; i < targets.size(); ++i) run_one(i);
-  }
+  obs::ForkBranches(search_pool_.get(), targets.size(), fanout_base,
+                    [&](size_t i) {
+                      results[i] = targets[i]->Search(req.predicate);
+                    });
 
   // Schedule the simulated costs onto `search_threads` workers
   // (longest-processing-time greedy: every group arrives at 0, longest
@@ -297,10 +290,8 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
   }
   searches_->Add(1);
   search_latency_->Observe(makespan);
-  if (obs::CurrentTrace().active()) {
-    // Join: the node answers when its worker schedule drains.
-    obs::CurrentTrace().now_s = fanout_base.now_s + makespan;
-  }
+  // Join: the node answers when its worker schedule drains.
+  obs::AdvanceTo(fanout_base, makespan);
   return Response{Status::Ok(), Encode(resp), sim::Cost(makespan)};
 }
 

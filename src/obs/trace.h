@@ -15,11 +15,8 @@
 // (CurrentTrace()): the caller's cursor identifies the trace, the current
 // parent span, and the current simulated instant.  Transport installs a
 // child cursor around the handler invocation; handler-internal spans nest
-// under it automatically.  Parallel fan-out captures the cursor *before*
-// the fan-out point and installs a copy in each branch (serial mode does
-// the same), so branch timestamps depend only on costs, not on which thread
-// ran first.  After joining, the caller advances its own cursor by
-// ParallelMax over the branch costs — exactly mirroring the cost model.
+// under it automatically.  Fan-outs fork and join the cursor through
+// obs/fork_join.h, so branch timestamps depend only on costs.
 //
 // Clock reconciliation.  Instrumented callees advance the ambient clock as
 // they go; callers that only know an aggregate sim::Cost for a sub-step

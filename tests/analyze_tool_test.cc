@@ -233,6 +233,35 @@ double F(const S& s) { return s.time + s.rand; }
   EXPECT_EQ(FatalCount(RunDet(benign)), 0);
 }
 
+TEST(DeterminismPass, PoolFanOutOutsideTheForkHelperFlagged) {
+  std::string src = R"cc(
+namespace x {
+void FanOut(ThreadPool* pool, std::vector<int>* out) {
+  auto futures = pool->SubmitBatch(out->size(), [&](size_t i) {
+    (*out)[i] = Work(i);
+  });
+  ThreadPool::WaitAll(futures);
+}
+}  // namespace x
+)cc";
+  std::vector<Finding> findings = RunDet(src);
+  EXPECT_EQ(FatalCount(findings), 1);
+  EXPECT_TRUE(AnyMentions(findings, "ForkBranches"));
+
+  // The pool that defines it and the fork helper that wraps it are exempt.
+  EXPECT_EQ(FatalCount(RunDet(src, "src/common/thread_pool.h")), 0);
+  EXPECT_EQ(FatalCount(RunDet(src, "src/obs/fork_join.h")), 0);
+
+  // Naming it without a call is not a fan-out.
+  std::string named = R"cc(
+namespace x {
+// Fan out with SubmitBatch only inside obs::ForkBranches.
+using Batch = decltype(&ThreadPool::SubmitBatchSize);
+}  // namespace x
+)cc";
+  EXPECT_EQ(FatalCount(RunDet(named)), 0);
+}
+
 TEST(DeterminismPass, UnorderedIterationIntoWriterFlagged) {
   std::string src = R"cc(
 namespace x {

@@ -13,6 +13,11 @@
 //      deterministic in practice but unspecified; once it reaches the
 //      wire, a journal, or a golden file it becomes a portability bug.
 //      (Sort the keys first — see Acg::SortedVertices for the idiom.)
+//   4. Fan-outs that skip the trace-cursor fork — a SubmitBatch( call
+//      outside src/common/ (the pool) and src/obs/ (obs::ForkBranches).
+//      ForkBranches starts every branch from the fan-out instant; a
+//      hand-rolled pool fan-out makes span timestamps depend on thread
+//      order.
 //
 // `// analyze:allow(determinism)` on the line (or the line above)
 // documents a deliberate exception, e.g. common/stopwatch.h.
@@ -26,9 +31,10 @@ namespace propeller::analyze {
 
 namespace {
 
-bool InObs(const std::string& path) {
-  return path.find("/obs/") != std::string::npos ||
-         path.compare(0, 4, "obs/") == 0;
+// True when `path` lies in a directory named `dir` (repo-relative or not).
+bool InDir(const std::string& path, const std::string& dir) {
+  return path.find("/" + dir + "/") != std::string::npos ||
+         path.compare(0, dir.size() + 1, dir + "/") == 0;
 }
 
 const char* const kClockBans[] = {"system_clock", "steady_clock",
@@ -97,7 +103,7 @@ void RunDeterminismPass(const Options& opt,
         i = e;
         continue;
       }
-      if (is_clock && InObs(f.path)) {
+      if (is_clock && InDir(f.path, "obs")) {
         i = e;
         continue;
       }
@@ -139,6 +145,29 @@ void RunDeterminismPass(const Options& opt,
              true});
       }
       i = e;
+    }
+
+    // --- pool fan-outs outside the fork helper ---------------------------
+    if (!InDir(f.path, "common") && !InDir(f.path, "obs")) {
+      const std::string call = "SubmitBatch";
+      for (size_t i = code.find(call); i != std::string::npos;
+           i = code.find(call, i + 1)) {
+        size_t after = i + call.size();
+        while (after < code.size() &&
+               std::isspace(static_cast<unsigned char>(code[after]))) {
+          ++after;
+        }
+        if ((i > 0 && IsIdentChar(code[i - 1])) || after >= code.size() ||
+            code[after] != '(' || f.Allowed("determinism", i)) {
+          continue;
+        }
+        findings->push_back(
+            {f.path, f.LineOf(i), "determinism",
+             "SubmitBatch( outside src/common and src/obs — fan out through "
+             "obs::ForkBranches, which starts every branch from the fan-out "
+             "instant so traces do not depend on thread order",
+             true});
+      }
     }
 
     // --- unordered iteration into serialized output ---------------------
