@@ -15,8 +15,10 @@ namespace propeller::obs {
 // Runs fn(0) .. fn(n - 1) as the branches of one fan-out, each under a copy
 // of `base`: on `pool` when there is one and more than one branch, inline
 // in index order otherwise.  Returns once every branch has finished.
+// `base` is taken by value: the caller's ambient cursor moves as inline
+// branches run.
 template <class Fn>
-void ForkBranches(ThreadPool* pool, size_t n, const TraceCursor& base,
+void ForkBranches(ThreadPool* pool, size_t n, TraceCursor base,
                   const Fn& fn) {
   auto branch = [&](size_t i) {
     ScopedTraceCursor cursor(base);
