@@ -666,8 +666,9 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
     PROPELLER_RETURN_IF_ERROR(resolve());
   }
 
-  // One branch per Index Node: its hedge plan and its results.
+  // One branch per Index Node: its request, hedge plan and results.
   struct SearchBranch : Branch {
+    std::string payload;
     // The groups' first secondaries bucketed by node (deterministic
     // order); empty when the branch cannot hedge.
     std::vector<std::pair<NodeId, std::vector<GroupId>>> hedge_plan;
@@ -679,9 +680,22 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
   // policy is off) hedged branches.
   bool replicated = false;
   std::unordered_map<GroupId, uint64_t> floors;
-  // Builds one branch per target from the current routing; responses are
-  // aggregated in target order, so pooled and inline fan-outs produce
-  // identical results and simulated costs.
+  // The encoded in.search request for `groups`, at the primary or a hedge.
+  auto request = [&](const std::vector<GroupId>& groups) {
+    SearchRequest sreq;
+    sreq.groups = groups;
+    sreq.predicate = predicate;
+    sreq.epoch = (caching || replicated) ? epoch : 0;
+    for (GroupId g : groups) {
+      auto it = floors.find(g);
+      if (it != floors.end()) sreq.min_seqs.push_back({g, it->second});
+    }
+    sreq.arrival_s = arrival_s;
+    return Encode(sreq);
+  };
+  // Builds one branch per target from the current routing.  Payloads are
+  // encoded up front and responses aggregated in target order, so pooled
+  // and inline fan-outs produce identical results and simulated costs.
   auto route = [&](std::vector<SearchBranch>* branches) {
     replicated = !targets.replicas.empty();
     floors = replicated ? SeqFloorsOf(targets)
@@ -691,6 +705,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       (*branches)[i].node = targets.targets[i].node;
       (*branches)[i].groups = std::move(targets.targets[i].groups);
       (*branches)[i].cached = from_cache;
+      (*branches)[i].payload = request((*branches)[i].groups);
     }
     // A branch is hedge-eligible only when every one of its groups has a
     // secondary — a partial hedge could "win" with whole groups missing
@@ -713,19 +728,6 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       }
     }
   };
-  // The encoded in.search request for `groups`, at the primary or a hedge.
-  auto request = [&](const std::vector<GroupId>& groups) {
-    SearchRequest sreq;
-    sreq.groups = groups;
-    sreq.predicate = predicate;
-    sreq.epoch = (caching || replicated) ? epoch : 0;
-    for (GroupId g : groups) {
-      auto it = floors.find(g);
-      if (it != floors.end()) sreq.min_seqs.push_back({g, it->second});
-    }
-    sreq.arrival_s = arrival_s;
-    return Encode(sreq);
-  };
   std::vector<SearchBranch> branches;
   route(&branches);
 
@@ -745,7 +747,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
   auto search_one = [&](size_t i) {
     SearchBranch& b = branches[i];
     const obs::TraceCursor fanout_base = obs::CurrentTrace();
-    auto pcall = CallWithRetry(b.node, "in.search", request(b.groups));
+    auto pcall = CallWithRetry(b.node, "in.search", std::move(b.payload));
     const double c1 = pcall.cost.seconds();
     const bool primary_ok = pcall.status.ok();
     bool fire = false;
