@@ -8,8 +8,7 @@
 namespace propeller::acg {
 
 GroupId AcgManager::NewGroup() {
-  GroupId id = next_group_;
-  next_group_ += stride_;
+  GroupId id = next_group_++;
   groups_.emplace(id, GroupInfo{});
   return id;
 }
@@ -197,8 +196,8 @@ void AcgManager::RestoreGroup(GroupId id, const Acg& acg) {
   }
   intra_weight_ += acg.TotalWeight();
   info.acg.Merge(acg);
-  // Keep next_group_ in this manager's residue class (see constructor).
-  while (next_group_ <= id) next_group_ += stride_;
+  // New groups allocate past every restored id.
+  next_group_ = std::max(next_group_, id + 1);
 }
 
 void AcgManager::ForgetFile(FileId file) {

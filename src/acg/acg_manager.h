@@ -40,13 +40,7 @@ struct AcgPolicy {
 
 class AcgManager {
  public:
-  // `first_group`/`stride` namespace the allocated group ids: instance i of
-  // N co-existing managers (a sharded master) uses first = i + 1, stride =
-  // N, so no two managers ever hand out the same id.  The defaults (1, 1)
-  // are the legacy single-manager sequence.
-  explicit AcgManager(AcgPolicy policy = {}, GroupId first_group = 1,
-                      GroupId stride = 1)
-      : policy_(policy), next_group_(first_group), stride_(stride) {}
+  explicit AcgManager(AcgPolicy policy = {}) : policy_(policy) {}
 
   const AcgPolicy& policy() const { return policy_; }
 
@@ -117,7 +111,6 @@ class AcgManager {
   uint64_t cross_weight_ = 0;
   uint64_t intra_weight_ = 0;
   GroupId next_group_ = 1;
-  GroupId stride_ = 1;
   GroupId fill_group_ = 0;
 };
 

@@ -15,8 +15,8 @@ const char* LockRankName(LockRank rank) {
       return "kMaster";
     case LockRank::kMasterLiveness:
       return "kMasterLiveness";
-    case LockRank::kMasterShard:
-      return "kMasterShard";
+    case LockRank::kMasterMetadata:
+      return "kMasterMetadata";
     case LockRank::kTransportRouting:
       return "kTransportRouting";
     case LockRank::kFaultPlan:

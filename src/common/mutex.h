@@ -53,7 +53,7 @@ enum class LockRank : int {
   kClientCache = 5,       // core::PropellerClient::cache_mu_ (placement cache)
   kMaster = 10,           // core::MasterNode::mu_ (held across nested RPCs)
   kMasterLiveness = 12,   // core::MasterNode::liveness_mu_ (heartbeat stamps)
-  kMasterShard = 14,      // core::MasterNode::Shard::mu_ (held across nested RPCs)
+  kMasterMetadata = 14,   // core::MasterNode::metadata_mu_ (held across nested RPCs)
   kTransportRouting = 20, // net::Transport::mu_ (handler/down-set snapshot)
   kFaultPlan = 25,        // net::FaultPlan::mu_
   kIndexNodeAdmission = 28,  // core::IndexNode::admission_mu_ (virtual queue)

@@ -146,46 +146,31 @@ bool PropellerClient::LookupSearchTargets(const std::string& index_name,
   auto it = search_cache_.find(index_name);
   if (it == search_cache_.end()) return false;
   *targets = it->second;
-  *epoch = 0;
-  for (uint64_t e : search_shard_epochs_) *epoch = std::max(*epoch, e);
+  *epoch = search_epoch_;
   return true;
 }
 
 void PropellerClient::StoreSearchTargets(const std::string& index_name,
                                          const ResolveSearchResponse& resp) {
-  const std::vector<uint64_t>& eps = resp.shard_epochs;
+  const uint64_t epoch = resp.metadata_epoch;
   MutexLock lock(cache_mu_);
-  if (search_shard_epochs_.size() != eps.size()) {
-    // First response: learn the master's shard count.
-    search_cache_.clear();
-    search_shard_epochs_.assign(eps.size(), 0);
-  }
-  // Per-shard freshness: a response older than the cache on every shard it
-  // covers is a raced older view; any strictly newer shard means placement
+  // An older epoch is a raced older view.  A newer one means placement
   // changed since the cached entries were resolved — they may name groups
   // that merged or moved, so replace wholesale.
-  bool newer = false, older = false;
-  for (size_t s = 0; s < eps.size(); ++s) {
-    if (eps[s] == 0) continue;
-    if (eps[s] > search_shard_epochs_[s]) newer = true;
-    if (eps[s] < search_shard_epochs_[s]) older = true;
-  }
-  if (older && !newer) return;
-  if (newer) {
+  if (epoch != 0 && epoch < search_epoch_) return;
+  if (epoch > search_epoch_) {
     search_cache_.clear();
-    for (size_t s = 0; s < eps.size(); ++s) {
-      search_shard_epochs_[s] = std::max(search_shard_epochs_[s], eps[s]);
-    }
+    search_epoch_ = epoch;
   }
   search_cache_[index_name] = resp;
 }
 
 void PropellerClient::LookupFilePlacements(
     const std::vector<FileUpdate>& updates,
-    std::unordered_map<FileId, FilePlacement>* where,
-    std::vector<uint64_t>* epochs, std::vector<FileId>* missing) {
+    std::unordered_map<FileId, FilePlacement>* where, uint64_t* epoch,
+    std::vector<FileId>* missing) {
   MutexLock lock(cache_mu_);
-  *epochs = file_shard_epochs_;
+  *epoch = file_epoch_;
   for (const FileUpdate& u : updates) {
     if (where->count(u.file) != 0u) continue;
     auto it = file_cache_.find(u.file);
@@ -198,50 +183,22 @@ void PropellerClient::LookupFilePlacements(
 }
 
 void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
-  const std::vector<uint64_t>& eps = resp.shard_epochs;
-  const uint32_t n = static_cast<uint32_t>(eps.size());
-  if (n == 0) return;  // malformed: names no shard the placements belong to
+  const uint64_t epoch = resp.metadata_epoch;
+  if (epoch == 0) return;  // no statement: nothing to cache against
   MutexLock lock(cache_mu_);
-  if (file_shard_epochs_.size() != n) {
-    // First response: learn the master's shard count.
+  // An epoch past the one the cached search targets were resolved at means
+  // this client's own writes may have landed in groups those targets do
+  // not name (read-your-writes), so they are dropped.
+  if (epoch > search_epoch_) search_cache_.clear();
+  // An older epoch keeps the cache and rejects the stale placements; a
+  // newer one invalidates every cached placement.
+  if (epoch < file_epoch_) return;
+  if (epoch > file_epoch_) {
     file_cache_.clear();
-    file_shard_epochs_.assign(n, 0);
-  }
-  // Per-shard accept/evict: a shard whose published epoch moved past the
-  // cache invalidates only that shard's entries; a shard the response is
-  // older on keeps its cached entries and rejects the stale placements.
-  // A shard epoch past the one the cached search targets were resolved at
-  // means this client's own writes may have landed in groups those
-  // targets do not name (read-your-writes), so they are dropped too.
-  std::vector<char> accept(n, 0);
-  std::vector<char> evict(n, 0);
-  const bool search_cached = search_shard_epochs_.size() == n;
-  bool search_stale = false;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (search_cached && eps[s] > search_shard_epochs_[s]) search_stale = true;
-    if (eps[s] == 0 || eps[s] < file_shard_epochs_[s]) continue;
-    accept[s] = 1;
-    if (eps[s] > file_shard_epochs_[s]) {
-      evict[s] = 1;
-      file_shard_epochs_[s] = eps[s];
-    }
-  }
-  if (search_stale) search_cache_.clear();
-  bool any_evict = false;
-  for (uint32_t s = 0; s < n; ++s) any_evict = any_evict || evict[s] != 0;
-  if (any_evict) {
-    for (auto it = file_cache_.begin(); it != file_cache_.end();) {
-      if (evict[ShardOfFile(it->first, n)] != 0) {
-        it = file_cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    file_epoch_ = epoch;
   }
   for (const auto& p : resp.placements) {
-    if (accept[ShardOfFile(p.file, n)] != 0) {
-      file_cache_[p.file] = FilePlacement{p.group, p.node};
-    }
+    file_cache_[p.file] = FilePlacement{p.group, p.node};
   }
 }
 
@@ -382,10 +339,10 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   // this degenerates to the original single batched resolve.
   std::unordered_map<FileId, FilePlacement> where;
   where.reserve(updates.size());
-  std::vector<uint64_t> epochs;  // per shard; empty until known
+  uint64_t epoch = 0;  // the placements' epoch; 0 until known
   std::vector<FileId> need;
   if (caching) {
-    LookupFilePlacements(updates, &where, &epochs, &need);
+    LookupFilePlacements(updates, &where, &epoch, &need);
     cache_hits_->Add(where.size());
     cache_misses_->Add(need.size());
   } else {
@@ -394,12 +351,12 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   }
 
   // Resolves placements for `files` through the master and merges them
-  // into `where` (refreshing the cache and the per-shard request epochs).
+  // into `where` (refreshing the cache and the request epoch).
   auto resolve = [&](std::vector<FileId> files) -> Status {
     ResolveUpdateRequest rreq;
     rreq.files = std::move(files);
     // Open-loop traffic stamps the resolve's arrival so the master can
-    // model per-shard queueing; 0 (unstamped) otherwise.
+    // model its queueing; 0 (unstamped) otherwise.
     rreq.arrival_s = admission ? now_s : 0;
     auto rcall = CallWithRetry(master_, "mn.resolve_update", Encode(rreq));
     if (!rcall.status.ok()) return rcall.status;
@@ -412,11 +369,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     }
     StoreReplicaSets(resolved.replicas);
     if (caching) StoreFilePlacements(resolved);
-    const std::vector<uint64_t>& eps = resolved.shard_epochs;
-    if (epochs.size() < eps.size()) epochs.resize(eps.size(), 0);
-    for (size_t s = 0; s < eps.size(); ++s) {
-      epochs[s] = std::max(epochs[s], eps[s]);
-    }
+    epoch = std::max(epoch, resolved.metadata_epoch);
     return Status::Ok();
   };
   if (!need.empty()) {
@@ -486,13 +439,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
         StageUpdatesRequest sreq;
         sreq.group = groups[k];
         sreq.now_s = now_s;
-        // The group's placement was resolved at its owning shard's epoch (a
-        // shard's groups carry its residue class, so the file's shard and
-        // the group's shard coincide).
-        const auto n = static_cast<uint32_t>(epochs.size());
-        sreq.epoch = (caching || replicated) && n > 0
-                         ? epochs[ShardOfGroup(groups[k], n)]
-                         : 0;
+        sreq.epoch = (caching || replicated) ? epoch : 0;
         if (replicated) sreq.replica_role = kReplicaRolePrimary;
         sreq.admission = admission ? 1 : 0;
         size_t end = std::min(off + config_.update_batch, s.updates.size());
@@ -641,7 +588,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
     ResolveSearchRequest rreq;
     rreq.index_name = index_name;
     // Open-loop traffic stamps the resolve's arrival so the master can
-    // model per-shard queueing; 0 (unstamped) otherwise.
+    // model its queueing; 0 (unstamped) otherwise.
     rreq.arrival_s = arrival_s;
     auto rcall = CallWithRetry(master_, "mn.resolve_search", Encode(rreq));
     if (!rcall.status.ok()) return rcall.status;
@@ -649,11 +596,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
     auto decoded = Decode<ResolveSearchResponse>(rcall.payload);
     if (!decoded.ok()) return decoded.status();
     targets = std::move(*decoded);
-    // The stamped epoch is a staleness *flag* at the Index Nodes (>0 asks
-    // for kStaleLocation on moved groups), so one scalar — the max across
-    // shards — serves every shard count.
-    epoch = 0;
-    for (uint64_t e : targets.shard_epochs) epoch = std::max(epoch, e);
+    epoch = targets.metadata_epoch;
     StoreReplicaSets(targets.replicas);
     if (caching) StoreSearchTargets(index_name, targets);
     return Status::Ok();

@@ -54,9 +54,8 @@ struct ClientConfig {
   // failures listed per node, instead of failing the whole search.
   bool allow_partial_search = false;
   // Client-side placement caching (read_path_caching layer 1): memoize
-  // master resolve responses keyed by the per-shard metadata epochs they
-  // carry — one shard's churn evicts only that shard's cached placements —
-  // skip the resolve RPC on repeat requests, stamp the epoch onto
+  // master resolve responses keyed by the metadata epoch they carry, skip
+  // the resolve RPC on repeat requests, stamp the epoch onto
   // in.search / in.stage_updates, and recover from kStaleLocation — or a
   // cached route to an unreachable node — with exactly one re-resolve +
   // retry.  ClusterConfig::read_path_caching sets this together with the
@@ -192,15 +191,14 @@ class PropellerClient {
                           const ResolveSearchResponse& resp);
   // Fills `where` from cached placements, appends each unknown file to
   // `missing` (preserving update order, duplicates included, exactly as an
-  // uncached resolve request would list them) and reports the per-shard
-  // cache epochs (empty before the first resolve).
+  // uncached resolve request would list them) and reports the cache's
+  // epoch (0 before the first resolve).
   void LookupFilePlacements(const std::vector<FileUpdate>& updates,
                             std::unordered_map<FileId, FilePlacement>* where,
-                            std::vector<uint64_t>* epochs,
-                            std::vector<FileId>* missing);
-  // Memoizes an update resolve's placements per shard; drops the cached
-  // search targets when the response shows a shard epoch newer than
-  // theirs, so the client's next search sees its own writes.
+                            uint64_t* epoch, std::vector<FileId>* missing);
+  // Memoizes an update resolve's placements; drops the cached search
+  // targets when the response shows an epoch newer than theirs, so the
+  // client's next search sees its own writes.
   void StoreFilePlacements(const ResolveUpdateResponse& resp);
 
   // Drops both caches — routing proved stale (kStaleLocation) or a cached
@@ -282,15 +280,14 @@ class PropellerClient {
   obs::Histogram* branch_latency_;
 
   // Placement-cache state.  cache_mu_ (LockRank::kClientCache) is never
-  // held across a transport call; each cache is valid only at the epochs
-  // stored beside it, one per metadata shard (the shard count is learned
-  // from the first resolve response; empty until then).
+  // held across a transport call; each cache is valid only at the epoch
+  // stored beside it (0 until the first resolve).
   mutable Mutex cache_mu_{LockRank::kClientCache, "PropellerClient::cache_mu_"};
   std::unordered_map<std::string, ResolveSearchResponse> search_cache_
       GUARDED_BY(cache_mu_);
-  std::vector<uint64_t> search_shard_epochs_ GUARDED_BY(cache_mu_);
+  uint64_t search_epoch_ GUARDED_BY(cache_mu_) = 0;
   std::unordered_map<FileId, FilePlacement> file_cache_ GUARDED_BY(cache_mu_);
-  std::vector<uint64_t> file_shard_epochs_ GUARDED_BY(cache_mu_);
+  uint64_t file_epoch_ GUARDED_BY(cache_mu_) = 0;
   // Replication: latest known replica set per group (write fan-out) and
   // the highest primary-acked commit sequence per group (read floors).
   std::unordered_map<GroupId, std::vector<NodeId>> replica_cache_

@@ -51,7 +51,7 @@ struct ClusterConfig {
   // plus one branch.  Metrics counters are always on.
   bool tracing = false;
   // Read-path caching (three layers, see DESIGN.md "Read path & caching"):
-  // clients cache placements keyed by the metadata epochs every resolve
+  // clients cache placements keyed by the metadata epoch every resolve
   // response carries and skip repeat resolve RPCs (recovering from stale
   // routes with one re-resolve + retry), and every group memoizes search
   // results until its next commit.  Off by default.

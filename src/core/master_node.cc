@@ -12,21 +12,25 @@ MasterNode::MasterNode(NodeId id, net::Transport* transport, MasterConfig config
     : id_(id),
       transport_(transport),
       config_(config),
+      acg_(config_.acg_policy),
       metadata_store_(shared_storage_.CreateStore()),
       handle_calls_(&metrics_.GetCounter("mn.handle.calls")),
       metadata_flushes_(&metrics_.GetCounter("mn.metadata.flushes")),
       recoveries_(&metrics_.GetCounter("mn.recoveries")),
       groups_recovered_(&metrics_.GetCounter("mn.groups_recovered")),
       handle_latency_(&metrics_.GetHistogram("mn.handle.latency_s")),
-      shard_queue_wait_(&metrics_.GetHistogram("mn.shard.queue_wait_s")) {
-  if (config_.num_shards < 1) config_.num_shards = 1;
-  const uint32_t n = static_cast<uint32_t>(config_.num_shards);
-  shards_.reserve(n);
-  shard_contended_.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>(s, config_.acg_policy, n));
-    shard_contended_.push_back(
-        &metrics_.GetCounter("mn.shard." + std::to_string(s) + ".contended"));
+      resolve_queue_wait_(
+          &metrics_.GetHistogram("mn.resolve_queue.wait_s")),
+      resolve_queue_contended_(
+          &metrics_.GetCounter("mn.resolve_queue.contended")) {
+  routes_ = {{"mn.resolve_update", &MasterNode::HandleResolveUpdate, nullptr},
+             {"mn.resolve_search", &MasterNode::HandleResolveSearch, nullptr},
+             {"mn.create_index", &MasterNode::HandleCreateIndex, nullptr},
+             {"mn.flush_acg", &MasterNode::HandleFlushAcg, nullptr},
+             {"mn.heartbeat", &MasterNode::HandleHeartbeat, nullptr},
+             {"mn.tick", &MasterNode::HandleTick, nullptr}};
+  for (Route& r : routes_) {
+    r.calls = &metrics_.GetCounter("mn.calls." + std::string(r.method));
   }
 }
 
@@ -38,32 +42,27 @@ void MasterNode::AddIndexNode(NodeId node) {
     }
     index_nodes_.push_back(node);
   }
-  for (auto& sp : shards_) {
-    Shard& shard = *sp;
-    MutexLock lock(shard.mu_);
-    if (shard.node_load.emplace(node, 0).second) {
-      shard.load_index.insert({0, node});
-    }
-  }
+  MutexLock lock(metadata_mu_);
+  if (node_load_.emplace(node, 0).second) load_index_.insert({0, node});
 }
 
-NodeId MasterNode::LeastLoadedNode(const Shard& shard) const {
-  // The ordered (load, node) index replaces the legacy O(n) scan; ties
-  // break by node id exactly like the scan's insertion-order walk (nodes
-  // register in ascending id order).
-  for (const auto& [load, node] : shard.load_index) {
+NodeId MasterNode::LeastLoadedNode() const {
+  // The ordered (load, node) index replaces an O(n) scan; ties break by
+  // node id exactly like the scan's insertion-order walk (nodes register in
+  // ascending id order).
+  for (const auto& [load, node] : load_index_) {
     if (transport_->IsDown(node)) continue;
     return node;
   }
-  // Legacy fallback: with no eligible node the scan returned the first
-  // registered one (the caller's create RPC then fails against it).
+  // Fallback: with no eligible node the scan returned the first registered
+  // one (the caller's create RPC then fails against it).
   return first_index_node_.load(std::memory_order_relaxed);
 }
 
 std::vector<NodeId> MasterNode::LeastLoadedNodes(
-    const Shard& shard, size_t k, const std::vector<NodeId>& exclude) const {
+    size_t k, const std::vector<NodeId>& exclude) const {
   std::vector<NodeId> out;
-  for (const auto& [load, node] : shard.load_index) {
+  for (const auto& [load, node] : load_index_) {
     if (out.size() >= k) break;
     if (transport_->IsDown(node)) continue;
     if (std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
@@ -74,38 +73,34 @@ std::vector<NodeId> MasterNode::LeastLoadedNodes(
   return out;
 }
 
-void MasterNode::SetNodeLoad(Shard& shard, NodeId node, uint64_t load,
-                             bool eligible) {
-  auto it = shard.node_load.find(node);
-  const uint64_t old = it == shard.node_load.end() ? 0 : it->second;
-  shard.node_load[node] = load;
-  const bool was_eligible = shard.load_index.erase({old, node}) != 0;
-  if (eligible || was_eligible) shard.load_index.insert({load, node});
+void MasterNode::SetNodeLoad(NodeId node, uint64_t load, bool eligible) {
+  auto it = node_load_.find(node);
+  const uint64_t old = it == node_load_.end() ? 0 : it->second;
+  node_load_[node] = load;
+  const bool was_eligible = load_index_.erase({old, node}) != 0;
+  if (eligible || was_eligible) load_index_.insert({load, node});
 }
 
-void MasterNode::BumpNodeLoad(Shard& shard, NodeId node, int64_t delta) {
-  auto it = shard.node_load.find(node);
-  const uint64_t old = it == shard.node_load.end() ? 0 : it->second;
+void MasterNode::BumpNodeLoad(NodeId node, int64_t delta) {
+  auto it = node_load_.find(node);
+  const uint64_t old = it == node_load_.end() ? 0 : it->second;
   uint64_t now = old;
   if (delta < 0) {
     const uint64_t dec = static_cast<uint64_t>(-delta);
-    now = old > dec ? old - dec : 0;  // legacy clamp: never underflow
+    now = old > dec ? old - dec : 0;  // clamp: never underflow
   } else {
     now = old + static_cast<uint64_t>(delta);
   }
-  shard.node_load[node] = now;
+  node_load_[node] = now;
   // Declared-dead nodes are absent from the index and must stay absent.
-  if (shard.load_index.erase({old, node}) != 0) {
-    shard.load_index.insert({now, node});
-  }
+  if (load_index_.erase({old, node}) != 0) load_index_.insert({now, node});
 }
 
-void MasterNode::CollectReplicaSets(const Shard& shard,
-                                    const std::vector<GroupId>& groups,
+void MasterNode::CollectReplicaSets(const std::vector<GroupId>& groups,
                                     std::vector<GroupReplicaSet>& out) const {
   for (GroupId g : groups) {
-    auto it = shard.group_replicas.find(g);
-    if (it == shard.group_replicas.end()) continue;
+    auto it = group_replicas_.find(g);
+    if (it == group_replicas_.end()) continue;
     out.push_back({g, it->second});
   }
 }
@@ -115,42 +110,40 @@ std::vector<IndexSpec> MasterNode::CatalogSnapshot() const {
   return catalog_;
 }
 
-double MasterNode::ChargeShardQueue(Shard& shard, uint32_t shard_index,
-                                    double arrival_s, double service_s) {
+double MasterNode::ChargeResolveQueue(double arrival_s, double service_s) {
   if (!config_.model_resolve_queue || arrival_s <= 0) return 0;
   // Admit drains the finishes this arrival passed; unbounded, it never
   // refuses.
-  shard.resolve_queue.Admit(arrival_s);
+  resolve_queue_.Admit(arrival_s);
   const double wait =
-      shard.resolve_queue.Finish(arrival_s, service_s).start - arrival_s;
-  if (wait > 0) shard_contended_[shard_index]->Add(1);
-  shard_queue_wait_->Observe(wait);
+      resolve_queue_.Finish(arrival_s, service_s).start - arrival_s;
+  if (wait > 0) resolve_queue_contended_->Add(1);
+  resolve_queue_wait_->Observe(wait);
   return wait;
 }
 
 net::RpcHandler::Response MasterNode::Handle(const std::string& method,
                                              const std::string& payload) {
   handle_calls_->Add(1);
-  metrics_.GetCounter("mn.calls." + method).Add(1);
-  Response resp = [&]() -> Response {
-    if (method == "mn.resolve_update") return HandleResolveUpdate(payload);
-    if (method == "mn.resolve_search") return HandleResolveSearch(payload);
-    if (method == "mn.create_index") return HandleCreateIndex(payload);
-    if (method == "mn.flush_acg") return HandleFlushAcg(payload);
-    if (method == "mn.heartbeat") return HandleHeartbeat(payload);
-    if (method == "mn.tick") return HandleTick(payload);
-    return Response{Status::NotFound("unknown method " + method), {}, {}};
-  }();
+  auto route = std::find_if(routes_.begin(), routes_.end(),
+                            [&](const Route& r) { return r.method == method; });
+  Response resp;
+  if (route != routes_.end()) {
+    route->calls->Add(1);
+    resp = (this->*route->handler)(payload);
+  } else {
+    metrics_.GetCounter("mn.calls." + method).Add(1);
+    resp = Response{Status::NotFound("unknown method " + method), {}, {}};
+  }
   handle_latency_->Observe(resp.cost.seconds());
   return resp;
 }
 
 Result<NodeId> MasterNode::EnsureGroupPlaced(
-    Shard& shard, GroupId group, const std::vector<IndexSpec>& catalog,
-    sim::Cost& cost) {
-  auto it = shard.group_replicas.find(group);
-  if (it != shard.group_replicas.end()) return it->second.front();
-  if (shard.node_load.empty()) {
+    GroupId group, const std::vector<IndexSpec>& catalog, sim::Cost& cost) {
+  auto it = group_replicas_.find(group);
+  if (it != group_replicas_.end()) return it->second.front();
+  if (node_load_.empty()) {
     return Status::FailedPrecondition("no index nodes");
   }
 
@@ -159,8 +152,8 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
   // later).  With every node down, fall back to LeastLoadedNode's pick so
   // the create RPC below reports the failure.
   std::vector<NodeId> replicas = LeastLoadedNodes(
-      shard, static_cast<size_t>(std::max(config_.replication_factor, 1)), {});
-  if (replicas.empty()) replicas.push_back(LeastLoadedNode(shard));
+      static_cast<size_t>(std::max(config_.replication_factor, 1)), {});
+  if (replicas.empty()) replicas.push_back(LeastLoadedNode());
 
   CreateGroupRequest req;
   req.group = group;
@@ -178,11 +171,11 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
     }
     placed.push_back(node);
   }
-  for (NodeId node : placed) BumpNodeLoad(shard, node, 1);
+  for (NodeId node : placed) BumpNodeLoad(node, 1);
   NodeId primary = placed.front();
-  shard.group_replicas[group] = std::move(placed);
+  group_replicas_[group] = std::move(placed);
   mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-  ++shard.metadata_epoch;  // new group visible to searches
+  ++metadata_epoch_;  // new group visible to searches
   return primary;
 }
 
@@ -208,14 +201,13 @@ MasterNode::MoveLegs MasterNode::MoveGroupData(
   return legs;
 }
 
-sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
-                                     const acg::AcgManager::ApplyResult& result,
+sim::Cost MasterNode::ApplyAcgResult(const acg::AcgManager::ApplyResult& result,
                                      const std::vector<IndexSpec>& catalog) {
   sim::Cost cost;
   // New placements: make sure the group exists somewhere.
   for (const auto& [file, group] : result.placements) {
     sim::Cost c;
-    auto placed = EnsureGroupPlaced(shard, group, catalog, c);
+    auto placed = EnsureGroupPlaced(group, catalog, c);
     cost += c;
     if (!placed.ok()) {
       PLOG(WARNING) << "placement failed for group " << group << ": "
@@ -223,16 +215,15 @@ sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
     }
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Merges: group `from` dissolved into `into`; move its index data.  The
-  // AcgManager only merges groups it owns, so both ends live in this shard.
+  // Merges: group `from` dissolved into `into`; move its index data.
   for (const auto& merge : result.merges) {
-    auto from_it = shard.group_replicas.find(merge.from);
-    if (from_it == shard.group_replicas.end()) continue;  // never materialized
+    auto from_it = group_replicas_.find(merge.from);
+    if (from_it == group_replicas_.end()) continue;  // never materialized
     // Copy before EnsureGroupPlaced below can rehash the map.
     std::vector<NodeId> from_replicas = from_it->second;
     NodeId from_node = from_replicas.front();
     sim::Cost c;
-    auto into_node = EnsureGroupPlaced(shard, merge.into, catalog, c);
+    auto into_node = EnsureGroupPlaced(merge.into, catalog, c);
     cost += c;
     if (!into_node.ok()) continue;
 
@@ -256,10 +247,10 @@ sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
                                     Encode(dreq));
       cost += dcall.cost;
     }
-    for (NodeId n : from_replicas) BumpNodeLoad(shard, n, -1);
-    shard.group_replicas.erase(merge.from);
+    for (NodeId n : from_replicas) BumpNodeLoad(n, -1);
+    group_replicas_.erase(merge.from);
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-    ++shard.metadata_epoch;  // group dissolved; cached placements are stale
+    ++metadata_epoch_;  // group dissolved; cached placements are stale
   }
   return cost;
 }
@@ -268,66 +259,46 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
     const std::string& payload) {
   auto req = Decode<ResolveUpdateRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
-
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  const std::vector<IndexSpec> catalog = CatalogSnapshot();
-  sim::Cost cost(config_.lookup_us / 1e6 *
-                 static_cast<double>(req->files.size()));
   ResolveUpdateResponse resp;
-  resp.placements.resize(req->files.size());
+  // An empty request makes no statement (epoch 0) and never queues.
+  if (req->files.empty()) return Response{Status::Ok(), Encode(resp), {}};
 
-  // Bucket request positions by owning shard (at n = 1: one pass in
-  // request order).
-  std::vector<std::vector<size_t>> by_shard(n);
-  for (size_t i = 0; i < req->files.size(); ++i) {
-    by_shard[ShardOfFile(req->files[i], n)].push_back(i);
-  }
-
-  std::vector<uint64_t> epochs(n, 0);
-  double queue_wait = 0;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (by_shard[s].empty()) continue;  // epoch 0: no statement on shard s
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    for (size_t idx : by_shard[s]) {
-      FileId f = req->files[idx];
-      auto group = shard.acg.GroupOf(f);
+  const std::vector<IndexSpec> catalog = CatalogSnapshot();
+  const double lookup_s =
+      config_.lookup_us / 1e6 * static_cast<double>(req->files.size());
+  sim::Cost cost(lookup_s);
+  resp.placements.reserve(req->files.size());
+  {
+    MutexLock lock(metadata_mu_);
+    for (FileId f : req->files) {
+      auto group = acg_.GroupOf(f);
       if (!group) {
         // Unknown file: the master allocates metadata for it (Section IV:
         // "MN first allocates the metadata for this new ACG").
         acg::Acg singleton;
         singleton.AddVertex(f);
-        auto result = shard.acg.ApplyDelta(singleton);
-        cost += ApplyAcgResult(shard, result, catalog);
-        group = shard.acg.GroupOf(f);
+        cost += ApplyAcgResult(acg_.ApplyDelta(singleton), catalog);
+        group = acg_.GroupOf(f);
       }
       sim::Cost place_cost;
-      auto node = EnsureGroupPlaced(shard, *group, catalog, place_cost);
+      auto node = EnsureGroupPlaced(*group, catalog, place_cost);
       cost += place_cost;
       if (!node.ok()) return Response{node.status(), {}, cost};
-      resp.placements[idx] = {f, *group, *node};
+      resp.placements.push_back({f, *group, *node});
     }
-    queue_wait = std::max(
-        queue_wait,
-        ChargeShardQueue(shard, s, req->arrival_s,
-                         config_.lookup_us / 1e6 *
-                             static_cast<double>(by_shard[s].size())));
+    cost += sim::Cost(ChargeResolveQueue(req->arrival_s, lookup_s));
     // Read *after* any placements above so the client caches the epoch
     // that already covers them.
-    epochs[s] = shard.metadata_epoch;
+    resp.metadata_epoch = metadata_epoch_;
     if (config_.replication_factor > 1) {
       std::vector<GroupId> groups;
-      groups.reserve(by_shard[s].size());
-      for (size_t idx : by_shard[s]) {
-        groups.push_back(resp.placements[idx].group);
-      }
+      groups.reserve(resp.placements.size());
+      for (const auto& p : resp.placements) groups.push_back(p.group);
       std::sort(groups.begin(), groups.end());
       groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-      CollectReplicaSets(shard, groups, resp.replicas);
+      CollectReplicaSets(groups, resp.replicas);
     }
   }
-  cost += sim::Cost(queue_wait);
-  resp.shard_epochs = std::move(epochs);
   MaybeFlushMetadata(cost);
   return Response{Status::Ok(), Encode(resp), cost};
 }
@@ -337,7 +308,6 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   auto req = Decode<ResolveSearchRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
 
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
   // Index name filtering: an empty name targets all groups; otherwise only
   // groups exist once the catalog carries the name (all groups share the
   // catalog, so presence is a catalog check).
@@ -350,36 +320,29 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   }
 
   // Search routing targets each group's primary; replica sets ride along
-  // under replication so clients can hedge to a secondary.  A search reads
-  // every shard (one mutex at a time — never two shard mutexes at once).
+  // under replication so clients can hedge to a secondary.
   std::unordered_map<NodeId, std::vector<GroupId>> by_node;
-  uint64_t total_groups = 0;
-  std::vector<uint64_t> epochs(n, 0);
-  double queue_wait = 0;
   ResolveSearchResponse resp;
-  for (uint32_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    for (const auto& [group, replicas] : shard.group_replicas) {
+  sim::Cost cost;
+  {
+    MutexLock lock(metadata_mu_);
+    for (const auto& [group, replicas] : group_replicas_) {
       by_node[replicas.front()].push_back(group);
     }
-    total_groups += shard.group_replicas.size();
     if (config_.replication_factor > 1) {
       std::vector<GroupId> groups;
-      groups.reserve(shard.group_replicas.size());
-      for (const auto& [group, replicas] : shard.group_replicas) {
+      groups.reserve(group_replicas_.size());
+      for (const auto& [group, replicas] : group_replicas_) {
         groups.push_back(group);
       }
       std::sort(groups.begin(), groups.end());
-      CollectReplicaSets(shard, groups, resp.replicas);
+      CollectReplicaSets(groups, resp.replicas);
     }
-    queue_wait = std::max(
-        queue_wait,
-        ChargeShardQueue(
-            shard, s, req->arrival_s,
-            config_.lookup_us / 1e6 *
-                static_cast<double>(shard.group_replicas.size() + 1)));
-    epochs[s] = shard.metadata_epoch;
+    const double lookup_s = config_.lookup_us / 1e6 *
+                            static_cast<double>(group_replicas_.size() + 1);
+    cost = sim::Cost(lookup_s);
+    cost += sim::Cost(ChargeResolveQueue(req->arrival_s, lookup_s));
+    resp.metadata_epoch = metadata_epoch_;
   }
 
   for (auto& [node, groups] : by_node) {
@@ -388,10 +351,6 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   }
   std::sort(resp.targets.begin(), resp.targets.end(),
             [](const auto& a, const auto& b) { return a.node < b.node; });
-  resp.shard_epochs = std::move(epochs);
-  sim::Cost cost(config_.lookup_us / 1e6 *
-                 static_cast<double>(total_groups + 1));
-  cost += sim::Cost(queue_wait);
   return Response{Status::Ok(), Encode(resp), cost};
 }
 
@@ -409,15 +368,12 @@ net::RpcHandler::Response MasterNode::HandleCreateIndex(
     catalog_.push_back(req->spec);
   }
   mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-  // The catalog is global: every shard's cached search routing is stale.
+  // The catalog changed: every cached search routing is stale.
   std::vector<std::pair<GroupId, std::vector<NodeId>>> placed;
-  for (auto& sp : shards_) {
-    Shard& shard = *sp;
-    MutexLock lock(shard.mu_);
-    ++shard.metadata_epoch;
-    for (const auto& [group, replicas] : shard.group_replicas) {
-      placed.emplace_back(group, replicas);
-    }
+  {
+    MutexLock lock(metadata_mu_);
+    ++metadata_epoch_;
+    placed.assign(group_replicas_.begin(), group_replicas_.end());
   }
 
   // Push the new index to every replica of every existing group, in group
@@ -446,37 +402,15 @@ net::RpcHandler::Response MasterNode::HandleFlushAcg(const std::string& payload)
   auto req = Decode<FlushAcgRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
 
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
   sim::Cost cost(config_.lookup_us / 1e6 *
                  static_cast<double>(req->delta.NumEdges() + 1));
-  // Partition the delta: an edge survives iff both endpoints hash to the
-  // same shard; a cross-shard edge degrades to two bare vertices (the
-  // causal correlation is dropped — the sharding trade-off documented in
-  // DESIGN.md).  Vertex-only entries go to their own shard.  At one
-  // shard the partition is a copy of the delta.  A shard the delta does not
-  // touch runs no split maintenance: it gained no edges to split over.
-  std::vector<acg::Acg> deltas(n);
-  req->delta.ForEachEdge([&](FileId from, FileId to, uint64_t w) {
-    const uint32_t fs = ShardOfFile(from, n);
-    const uint32_t ts = ShardOfFile(to, n);
-    if (fs == ts) {
-      deltas[fs].AddEdge(from, to, w);
-    } else {
-      deltas[fs].AddVertex(from);
-      deltas[ts].AddVertex(to);
-    }
-  });
-  for (FileId f : req->delta.SortedVertices()) {
-    deltas[ShardOfFile(f, n)].AddVertex(f);
-  }
-  for (uint32_t s = 0; s < n; ++s) {
-    if (deltas[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    auto result = shard.acg.ApplyDelta(deltas[s]);
-    cost += ApplyAcgResult(shard, result, catalog);
-    cost += RunSplitMaintenanceShard(shard, catalog);
+  // An empty delta runs no split maintenance: it added no edges to split
+  // over.
+  if (!req->delta.empty()) {
+    MutexLock lock(metadata_mu_);
+    cost += ApplyAcgResult(acg_.ApplyDelta(req->delta), catalog);
+    cost += RunSplitMaintenanceLocked(catalog);
   }
   MaybeFlushMetadata(cost);
   return Response{Status::Ok(), {}, cost};
@@ -484,28 +418,22 @@ net::RpcHandler::Response MasterNode::HandleFlushAcg(const std::string& payload)
 
 sim::Cost MasterNode::RunSplitMaintenance() {
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
-  sim::Cost cost;
-  for (auto& sp : shards_) {
-    Shard& shard = *sp;
-    MutexLock lock(shard.mu_);
-    cost += RunSplitMaintenanceShard(shard, catalog);
-  }
-  return cost;
+  MutexLock lock(metadata_mu_);
+  return RunSplitMaintenanceLocked(catalog);
 }
 
-sim::Cost MasterNode::RunSplitMaintenanceShard(
-    Shard& shard, const std::vector<IndexSpec>& catalog) {
+sim::Cost MasterNode::RunSplitMaintenanceLocked(
+    const std::vector<IndexSpec>& catalog) {
   sim::Cost cost;
-  auto plans = shard.acg.SplitOversizedGroups();
-  for (const auto& plan : plans) {
-    auto src_it = shard.group_replicas.find(plan.group);
-    if (src_it == shard.group_replicas.end()) continue;
+  for (const auto& plan : acg_.SplitOversizedGroups()) {
+    auto src_it = group_replicas_.find(plan.group);
+    if (src_it == group_replicas_.end()) continue;
     // Split migrates off the primary; its journal records the per-file
     // deletes, so secondaries converge on their next catch-up tick.
     NodeId src_node = src_it->second.front();
 
     sim::Cost place_cost;
-    auto dst = EnsureGroupPlaced(shard, plan.new_group, catalog, place_cost);
+    auto dst = EnsureGroupPlaced(plan.new_group, catalog, place_cost);
     cost += place_cost;
     if (!dst.ok()) continue;
 
@@ -517,7 +445,7 @@ sim::Cost MasterNode::RunSplitMaintenanceShard(
       continue;
     }
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-    ++shard.metadata_epoch;  // files moved to the split-off group
+    ++metadata_epoch_;  // files moved to the split-off group
   }
   return cost;
 }
@@ -526,29 +454,24 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
   size_t moved = 0;
   sim::Cost unused;
   sim::Cost& total = cost != nullptr ? *cost : unused;
-  {
-    Shard& s0 = *shards_[0];
-    MutexLock lock(s0.mu_);
-    if (s0.node_load.size() < 2) return moved;
-  }
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
-  for (auto& sp : shards_) {
-    Shard& shard = *sp;
-    MutexLock lock(shard.mu_);
+  {
+    MutexLock lock(metadata_mu_);
+    if (node_load_.size() < 2) return moved;
     for (;;) {
       // Recompute the current spread from the placement table (the load
       // view from heartbeats can lag behind our own migrations).
       // Replicated clusters balance primaries; secondaries follow their
       // groups.
       std::unordered_map<NodeId, std::vector<GroupId>> by_node;
-      for (const auto& [node, load] : shard.node_load) by_node[node];
-      for (const auto& [group, replicas] : shard.group_replicas) {
+      for (const auto& [node, load] : node_load_) by_node[node];
+      for (const auto& [group, replicas] : group_replicas_) {
         by_node[replicas.front()].push_back(group);
       }
       // Placement-eligible nodes (declared-dead nodes are absent from the
       // ordered index).
       std::unordered_set<NodeId> eligible;
-      for (const auto& [load, node] : shard.load_index) eligible.insert(node);
+      for (const auto& [load, node] : load_index_) eligible.insert(node);
 
       // Scan nodes in id order: busiest/idlest tie-breaks must come from
       // the node ids, not from by_node's hash iteration.
@@ -585,12 +508,12 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
       // the strict `<` below keeps the first of equal-sized victims.
       std::sort(by_node[busiest].begin(), by_node[busiest].end());
       for (GroupId g : by_node[busiest]) {
-        const std::vector<NodeId>& replicas = shard.group_replicas[g];
+        const std::vector<NodeId>& replicas = group_replicas_[g];
         if (std::find(replicas.begin() + 1, replicas.end(), idlest) !=
             replicas.end()) {
           continue;
         }
-        uint64_t size = shard.acg.GroupSize(g);
+        uint64_t size = acg_.GroupSize(g);
         if (!found || size < victim_size) {
           victim_size = size;
           victim = g;
@@ -608,11 +531,11 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
 
       // The old primary dropped its copy (drop_group above); the idlest
       // node takes over as primary and any secondaries are untouched.
-      shard.group_replicas[victim].front() = idlest;
-      BumpNodeLoad(shard, busiest, -1);
-      BumpNodeLoad(shard, idlest, 1);
+      group_replicas_[victim].front() = idlest;
+      BumpNodeLoad(busiest, -1);
+      BumpNodeLoad(idlest, 1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-      ++shard.metadata_epoch;  // group changed nodes: cached routing stale
+      ++metadata_epoch_;  // group changed nodes: cached routing stale
       ++moved;
     }
   }
@@ -624,7 +547,6 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
   auto req = Decode<HeartbeatRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   sim::Cost cost(config_.lookup_us / 1e6);
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
 
   // A heartbeat from a declared-dead node is a revival.  If its groups
   // were re-homed while it was dead, wipe it (in.reset) so stale replicas
@@ -649,15 +571,11 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
     }
   }
 
-  // Load sync: this node's group count per shard (n = 1: the legacy
-  // whole-count stamp).  `eligible` re-admits a revived node to the
-  // ordered placement index.
-  std::vector<uint64_t> counts(n, 0);
-  for (const auto& gs : req->groups) ++counts[ShardOfGroup(gs.group, n)];
-  for (uint32_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    SetNodeLoad(shard, req->node, counts[s], /*eligible=*/true);
+  // Load sync: this node's group count.  `eligible` re-admits a revived
+  // node to the ordered placement index.
+  {
+    MutexLock lock(metadata_mu_);
+    SetNodeLoad(req->node, req->groups.size(), /*eligible=*/true);
   }
 
   return Response{Status::Ok(), {}, cost};
@@ -700,30 +618,24 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
   event.at_s = now_s;
   event.node = node;
 
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
 
-  // Collect the dead node's groups per shard (sorted; shard-major order is
-  // the legacy globally-sorted order at n = 1) and pull the node out of
-  // every shard's placement index.
-  std::vector<std::vector<GroupId>> groups(n);
-  size_t total = 0;
-  for (uint32_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    for (const auto& [group, replicas] : shard.group_replicas) {
+  // Collect the dead node's groups (sorted) and pull the node out of the
+  // placement index.
+  std::vector<GroupId> groups;
+  {
+    MutexLock lock(metadata_mu_);
+    for (const auto& [group, replicas] : group_replicas_) {
       if (std::find(replicas.begin(), replicas.end(), node) !=
           replicas.end()) {
-        groups[s].push_back(group);
+        groups.push_back(group);
       }
     }
-    std::sort(groups[s].begin(), groups[s].end());
-    total += groups[s].size();
-    auto it = shard.node_load.find(node);
-    if (it != shard.node_load.end()) {
-      shard.load_index.erase({it->second, node});
-    }
+    auto it = node_load_.find(node);
+    if (it != node_load_.end()) load_index_.erase({it->second, node});
   }
+  std::sort(groups.begin(), groups.end());
+  const size_t total = groups.size();
 
   // Mark dead before picking targets so placement skips it.  The rehomed
   // flag (in.reset on revival) is set iff it held any groups.
@@ -751,11 +663,9 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
   // full replay, or a rebuild when the journal was checkpointed).
   const size_t want =
       static_cast<size_t>(std::max(config_.replication_factor, 1));
-  for (uint32_t s = 0; s < n; ++s) {
-    if (groups[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    for (GroupId g : groups[s]) {
+  {
+    MutexLock lock(metadata_mu_);
+    for (GroupId g : groups) {
       auto catch_up = [&](NodeId target, const char* what) {
         CatchUpRequest creq;
         creq.group = g;
@@ -773,7 +683,7 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
         }
         return true;
       };
-      std::vector<NodeId>& replicas = shard.group_replicas[g];
+      std::vector<NodeId>& replicas = group_replicas_[g];
       const bool was_primary = replicas.front() == node;
       replicas.erase(std::remove(replicas.begin(), replicas.end(), node),
                      replicas.end());
@@ -781,11 +691,10 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
         catch_up(replicas.front(), "promotion catch-up");
       }
       if (replicas.size() < want) {
-        for (NodeId fresh :
-             LeastLoadedNodes(shard, want - replicas.size(), replicas)) {
+        for (NodeId fresh : LeastLoadedNodes(want - replicas.size(), replicas)) {
           if (!catch_up(fresh, "replica seed")) continue;
           replicas.push_back(fresh);
-          BumpNodeLoad(shard, fresh, 1);
+          BumpNodeLoad(fresh, 1);
         }
       }
       if (replicas.empty()) {
@@ -793,7 +702,7 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
         // failed): keep routing valid with an empty replacement.  Without
         // a journal the data is lost; with one, the replacement's next
         // in.tick anti-entropy pass replays it (its applied seq is 0).
-        const NodeId target = LeastLoadedNode(shard);
+        const NodeId target = LeastLoadedNode();
         CreateGroupRequest creq;
         creq.group = g;
         creq.specs = catalog;
@@ -808,11 +717,11 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
           continue;
         }
         replicas.push_back(target);
-        BumpNodeLoad(shard, target, 1);
+        BumpNodeLoad(target, 1);
       }
-      BumpNodeLoad(shard, node, -1);
+      BumpNodeLoad(node, -1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-      ++shard.metadata_epoch;  // replica set changed; cached routing stale
+      ++metadata_epoch_;  // replica set changed; cached routing stale
       ++event.groups_moved;
     }
   }
@@ -834,47 +743,27 @@ std::vector<NodeId> MasterNode::DeadNodes() const {
 }
 
 std::optional<NodeId> MasterNode::NodeOfGroup(GroupId group) const {
-  const Shard& shard =
-      *shards_[ShardOfGroup(group, static_cast<uint32_t>(shards_.size()))];
-  MutexLock lock(shard.mu_);
-  auto it = shard.group_replicas.find(group);
-  if (it == shard.group_replicas.end()) return std::nullopt;
+  MutexLock lock(metadata_mu_);
+  auto it = group_replicas_.find(group);
+  if (it == group_replicas_.end()) return std::nullopt;
   return it->second.front();
 }
 
 std::vector<NodeId> MasterNode::ReplicasOfGroup(GroupId group) const {
-  const Shard& shard =
-      *shards_[ShardOfGroup(group, static_cast<uint32_t>(shards_.size()))];
-  MutexLock lock(shard.mu_);
-  auto it = shard.group_replicas.find(group);
-  if (it == shard.group_replicas.end()) return {};
+  MutexLock lock(metadata_mu_);
+  auto it = group_replicas_.find(group);
+  if (it == group_replicas_.end()) return {};
   return it->second;
 }
 
 uint64_t MasterNode::NumGroups() const {
-  uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    const Shard& shard = *sp;
-    MutexLock lock(shard.mu_);
-    total += shard.group_replicas.size();
-  }
-  return total;
+  MutexLock lock(metadata_mu_);
+  return group_replicas_.size();
 }
 
 uint64_t MasterNode::MetadataEpoch() const {
-  uint64_t max_epoch = 0;
-  for (const auto& sp : shards_) {
-    const Shard& shard = *sp;
-    MutexLock lock(shard.mu_);
-    max_epoch = std::max(max_epoch, shard.metadata_epoch);
-  }
-  return max_epoch;
-}
-
-uint64_t MasterNode::MetadataEpochOfShard(uint32_t shard_index) const {
-  const Shard& shard = *shards_.at(shard_index);
-  MutexLock lock(shard.mu_);
-  return shard.metadata_epoch;
+  MutexLock lock(metadata_mu_);
+  return metadata_epoch_;
 }
 
 std::string MasterNode::SnapshotMetadata() const {
@@ -884,24 +773,18 @@ std::string MasterNode::SnapshotMetadata() const {
 std::string MasterNode::SnapshotMetadataImage() const {
   MetadataImage image;
   image.catalog = CatalogSnapshot();
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  image.shard_epochs.resize(n);
-  // Gather per-shard state one mutex at a time (never two shard mutexes at
-  // once).  In the simulated single-threaded driver this is an exact
-  // snapshot, like an image taken under one coarse lock.
-  for (uint32_t s = 0; s < n; ++s) {
-    const Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    for (const auto& [group, replicas] : shard.group_replicas) {
+  {
+    MutexLock lock(metadata_mu_);
+    for (const auto& [group, replicas] : group_replicas_) {
       image.replicas.push_back({group, replicas});
     }
-    for (GroupId g : shard.acg.Groups()) {
-      const acg::Acg* a = shard.acg.GroupAcg(g);
+    for (GroupId g : acg_.Groups()) {
+      const acg::Acg* a = acg_.GroupAcg(g);
       BinaryWriter blob;
       if (a != nullptr) a->Serialize(blob);
       image.acg_blobs.push_back({g, std::move(blob).Take()});
     }
-    image.shard_epochs[s] = shard.metadata_epoch;
+    image.metadata_epoch = metadata_epoch_;
   }
   // Sorted by group id: the image's bytes must be a pure function of the
   // placement tables, not of hash-map iteration order.
@@ -914,7 +797,7 @@ std::string MasterNode::SnapshotMetadataImage() const {
 
 Status MasterNode::RestoreMetadata(const std::string& payload) {
   // Parse the whole image first so a corrupt one leaves the master
-  // untouched, then swap the state in per shard.
+  // untouched, then swap the state in.
   auto image = Decode<MetadataImage>(payload);
   if (!image.ok()) return image.status();
   std::vector<std::pair<GroupId, acg::Acg>> subgraphs;
@@ -926,10 +809,7 @@ Status MasterNode::RestoreMetadata(const std::string& payload) {
     if (!ar.AtEnd()) return Status::Corruption("trailing bytes in ACG blob");
     subgraphs.emplace_back(b.group, std::move(a));
   }
-  std::vector<GroupReplicaSet>& sets = image->replicas;
-  const std::vector<uint64_t>& shard_epochs = image->shard_epochs;
 
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
   {
     MutexLock lock(mu_);
     catalog_ = std::move(image->catalog);
@@ -939,41 +819,28 @@ Status MasterNode::RestoreMetadata(const std::string& payload) {
     MutexLock lock(liveness_mu_);
     for (const auto& [nd, rehomed] : dead_) dead.insert(nd);
   }
-  for (uint32_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    shard.group_replicas.clear();
-    for (auto& [nd, load] : shard.node_load) load = 0;
-    // Rebuild the ACG manager from the per-group subgraphs, preserving the
-    // original group ids (and this shard's id residue class).
-    shard.acg = acg::AcgManager(config_.acg_policy, s + 1, n);
-    // Restore one *past* the flushed epoch: the image may predate
-    // un-flushed mutations, so a failed-over master must not re-issue an
-    // epoch clients may already hold for newer state.
-    if (s < shard_epochs.size()) shard.metadata_epoch = shard_epochs[s] + 1;
-  }
+  MutexLock lock(metadata_mu_);
+  group_replicas_.clear();
+  for (auto& [nd, load] : node_load_) load = 0;
+  // Rebuild the ACG manager from the per-group subgraphs, preserving the
+  // original group ids.
+  acg_ = acg::AcgManager(config_.acg_policy);
+  // Restore one *past* the flushed epoch: the image may predate un-flushed
+  // mutations, so a failed-over master must not re-issue an epoch clients
+  // may already hold for newer state.
+  metadata_epoch_ = image->metadata_epoch + 1;
   // Placement table and load view: one load unit per copy.
-  for (GroupReplicaSet& rs : sets) {
+  for (GroupReplicaSet& rs : image->replicas) {
     if (rs.nodes.empty()) continue;
-    Shard& shard = *shards_[ShardOfGroup(rs.group, n)];
-    MutexLock lock(shard.mu_);
-    for (NodeId nd : rs.nodes) ++shard.node_load[nd];
-    shard.group_replicas[rs.group] = std::move(rs.nodes);
+    for (NodeId nd : rs.nodes) ++node_load_[nd];
+    group_replicas_[rs.group] = std::move(rs.nodes);
   }
-  for (const auto& [g, a] : subgraphs) {
-    Shard& shard = *shards_[ShardOfGroup(g, n)];
-    MutexLock lock(shard.mu_);
-    shard.acg.RestoreGroup(g, a);
-  }
+  for (const auto& [g, a] : subgraphs) acg_.RestoreGroup(g, a);
   // Rebuild the ordered placement index from the recounted loads;
   // declared-dead nodes stay excluded until they heartbeat back.
-  for (uint32_t s = 0; s < n; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu_);
-    shard.load_index.clear();
-    for (const auto& [nd, load] : shard.node_load) {
-      if (dead.count(nd) == 0u) shard.load_index.insert({load, nd});
-    }
+  load_index_.clear();
+  for (const auto& [nd, load] : node_load_) {
+    if (dead.count(nd) == 0u) load_index_.insert({load, nd});
   }
   return Status::Ok();
 }

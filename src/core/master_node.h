@@ -20,25 +20,22 @@
 // a failover with at most the mutations since the last flush re-derived
 // on demand.
 //
-// Sharding (MasterConfig::num_shards = N > 1): the routing metadata is
-// hash-partitioned into N shards — a file belongs to ShardOfFile(file, N),
-// each shard runs its own AcgManager whose group ids stay in the shard's
-// residue class (ShardOfGroup inverts the assignment), and each shard has
-// its own mutex (LockRank::kMasterShard) and its own metadata_epoch.
-// Resolve traffic for different shards never contends; the coarse mu_
-// (LockRank::kMaster) is reduced to rare cold state (catalog, flush
-// machinery, recovery events).  Liveness stamps live under a third,
-// shard-independent mutex (LockRank::kMasterLiveness) so heartbeats never
-// queue behind resolves.  The unsharded master is simply N = 1.
+// Concurrency: the routing metadata (ACG partition, replica sets, load
+// view, epoch) sits under one metadata mutex (LockRank::kMasterMetadata),
+// held across the nested in.create_group / migration RPCs.  The coarse mu_
+// (LockRank::kMaster) guards only rare cold state (catalog, flush
+// machinery, recovery events), and liveness stamps live under their own
+// mutex (LockRank::kMasterLiveness), so heartbeats never queue behind
+// resolves.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -75,14 +72,11 @@ struct MasterConfig {
   // writes and hedge reads, and PropellerCluster turns the recovery
   // journal (the replication log) on.
   int replication_factor = 1;
-  // --- sharding (see file comment) ---
-  // Metadata shards; 1 = the unsharded master.
-  int num_shards = 1;
-  // Model per-shard queueing delay for arrival-stamped resolves (open-loop
-  // traffic): each shard is a one-server sim::ServerQueue, the model behind
-  // the index nodes' admission queues too, and a resolve whose shard is
-  // virtually busy is charged the wait.  Off (default) resolve costs are
-  // unchanged even for stamped traffic.
+  // Model queueing delay for arrival-stamped resolves (open-loop traffic):
+  // the master is a one-server sim::ServerQueue, the model behind the index
+  // nodes' admission queues too, and a resolve that finds it virtually busy
+  // is charged the wait.  Off (default) resolve costs are unchanged even
+  // for stamped traffic.
   bool model_resolve_queue = false;
 };
 
@@ -92,23 +86,21 @@ class MasterNode : public net::RpcHandler {
   MasterNode(NodeId id, net::Transport* transport, MasterConfig config = {});
 
   NodeId id() const { return id_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // Registers an Index Node as placement target.
   void AddIndexNode(NodeId node);
 
-  // Thread-safe: resolves serialize per metadata shard (the paper's
-  // single-threaded master event loop is the num_shards = 1 special case);
-  // heartbeats touch only the liveness mutex plus per-shard load stamps.
-  // The direct accessors below take the same mutexes, so they may run
-  // concurrently with RPCs.
+  // Thread-safe: resolves serialize on the metadata mutex (the paper's
+  // single-threaded master event loop); heartbeats touch only the liveness
+  // mutex plus the load stamps.  The direct accessors below take the same
+  // mutexes, so they may run concurrently with RPCs.
   Response Handle(const std::string& method, const std::string& payload) override;
 
   // --- direct accessors ---
-  // Quiescent-only test hook: hands out a reference to shard-0 state, so
+  // Quiescent-only test hook: hands out a reference to guarded state, so
   // callers must ensure no RPCs are in flight.
   const acg::AcgManager& acg_manager() const NO_THREAD_SAFETY_ANALYSIS {
-    return shards_[0]->acg;
+    return acg_;
   }
   std::optional<NodeId> NodeOfGroup(GroupId group) const;
   // Full replica set of `group` (nodes[0] = primary; empty = unknown group).
@@ -119,10 +111,8 @@ class MasterNode : public net::RpcHandler {
   }
   uint64_t NumGroups() const;
   // Current metadata epoch (monotonically increasing; bumped by every
-  // placement / catalog mutation): the max over the per-shard epochs; see
-  // MetadataEpochOfShard.
+  // placement / catalog mutation).
   uint64_t MetadataEpoch() const;
-  uint64_t MetadataEpochOfShard(uint32_t shard) const;
 
   // Serialized metadata image (what the periodic flush writes); paired
   // with RestoreMetadata for master-recovery tests.
@@ -149,8 +139,7 @@ class MasterNode : public net::RpcHandler {
 
   // Load balancing (Fig. 6: the master instructs Index Nodes to migrate
   // groups).  Moves whole groups from the most- to the least-loaded
-  // nodes until no node holds more than ceil(avg) + slack groups (per
-  // shard under sharding).  Returns the number of groups moved; migration
+  // nodes until no node holds more than ceil(avg) + slack groups.  Returns the number of groups moved; migration
   // cost in *cost.
   size_t RunRebalance(sim::Cost* cost, uint64_t slack = 1);
 
@@ -179,38 +168,6 @@ class MasterNode : public net::RpcHandler {
   obs::MetricsSnapshot MetricsSnapshot() const { return metrics_.Snapshot(); }
 
  private:
-  // One hash partition of the routing metadata.  Everything a cache-miss
-  // resolve touches lives here, so resolves for different shards never
-  // share a mutex.  The mutex is held across the nested in.create_group /
-  // migration RPCs, exactly as the coarse mu_ used to be.
-  struct Shard {
-    Shard(uint32_t index, acg::AcgPolicy policy, uint32_t num_shards)
-        : acg(policy, /*first_group=*/index + 1, /*stride=*/num_shards) {}
-
-    mutable Mutex mu_{LockRank::kMasterShard, "MasterNode::Shard::mu_"};
-    acg::AcgManager acg GUARDED_BY(mu_);
-    // Per-group replica sets; [0] is the primary.  Size 1 everywhere when
-    // replication_factor == 1 (the legacy placement table).
-    std::unordered_map<GroupId, std::vector<NodeId>> group_replicas
-        GUARDED_BY(mu_);
-    // Load view (updated by heartbeats + own placements): this shard's
-    // groups per node, mirrored into an ordered (load, node) index so
-    // placement picks the least-loaded node without an O(n) scan.
-    std::unordered_map<NodeId, uint64_t> node_load GUARDED_BY(mu_);
-    // Placement-eligible nodes only (declared-dead nodes are removed and
-    // re-inserted on revival); transport-down nodes are skipped at
-    // selection time.
-    std::set<std::pair<uint64_t, NodeId>> load_index GUARDED_BY(mu_);
-    // Monotone routing-metadata version of this shard.  Starts at 1 (0 is
-    // the wire's "no epoch" sentinel); every mutation that can invalidate
-    // a client's cached placement in this shard bumps it.
-    uint64_t metadata_epoch GUARDED_BY(mu_) = 1;
-    // Virtual-time resolve queue (model_resolve_queue): one server, so an
-    // arrival-stamped resolve starts when the previous one finishes and is
-    // charged the wait — a hot shard shows up as queueing delay.
-    sim::ServerQueue resolve_queue GUARDED_BY(mu_){1};
-  };
-
   Response HandleResolveUpdate(const std::string& payload);
   Response HandleResolveSearch(const std::string& payload);
   Response HandleCreateIndex(const std::string& payload);
@@ -218,16 +175,9 @@ class MasterNode : public net::RpcHandler {
   Response HandleHeartbeat(const std::string& payload);
   Response HandleTick(const std::string& payload);
 
-  Shard& ShardForFile(FileId file) {
-    return *shards_[ShardOfFile(file, static_cast<uint32_t>(shards_.size()))];
-  }
-  Shard& ShardForGroup(GroupId group) {
-    return *shards_[ShardOfGroup(group, static_cast<uint32_t>(shards_.size()))];
-  }
-
-  // Catalog snapshot for shard-locked paths (group creation ships the
+  // Catalog snapshot for metadata-locked paths (group creation ships the
   // specs): the catalog mutates rarely, so callers grab a copy under the
-  // brief mu_ before taking any shard mutex.
+  // brief mu_ before taking metadata_mu_.
   std::vector<IndexSpec> CatalogSnapshot() const;
 
   // Declares `node` dead and heals every replica set it belonged to back
@@ -237,27 +187,25 @@ class MasterNode : public net::RpcHandler {
 
   // Ensures `group` exists on some Index Node; creates it (with the
   // catalog's indices) on the least-loaded node if new.
-  Result<NodeId> EnsureGroupPlaced(Shard& shard, GroupId group,
+  Result<NodeId> EnsureGroupPlaced(GroupId group,
                                    const std::vector<IndexSpec>& catalog,
-                                   sim::Cost& cost) REQUIRES(shard.mu_);
-  NodeId LeastLoadedNode(const Shard& shard) const REQUIRES(shard.mu_);
+                                   sim::Cost& cost) REQUIRES(metadata_mu_);
+  NodeId LeastLoadedNode() const REQUIRES(metadata_mu_);
   // Up to `k` distinct live nodes by ascending load (ties by node id),
   // skipping members of `exclude` — replica placement and replacement.
-  std::vector<NodeId> LeastLoadedNodes(const Shard& shard, size_t k,
+  std::vector<NodeId> LeastLoadedNodes(size_t k,
                                        const std::vector<NodeId>& exclude) const
-      REQUIRES(shard.mu_);
+      REQUIRES(metadata_mu_);
   // (load, node) index maintenance; `SetNodeLoad` also (re-)inserts the
   // node into the ordered index when `eligible`.
-  void SetNodeLoad(Shard& shard, NodeId node, uint64_t load, bool eligible)
-      REQUIRES(shard.mu_);
-  void BumpNodeLoad(Shard& shard, NodeId node, int64_t delta)
-      REQUIRES(shard.mu_);
+  void SetNodeLoad(NodeId node, uint64_t load, bool eligible)
+      REQUIRES(metadata_mu_);
+  void BumpNodeLoad(NodeId node, int64_t delta) REQUIRES(metadata_mu_);
   // Appends the replica sets of `groups` (sorted, deduped by the caller)
   // to `out` for a resolve response.
-  void CollectReplicaSets(const Shard& shard,
-                          const std::vector<GroupId>& groups,
+  void CollectReplicaSets(const std::vector<GroupId>& groups,
                           std::vector<GroupReplicaSet>& out) const
-      REQUIRES(shard.mu_);
+      REQUIRES(metadata_mu_);
   // One group move: in.migrate_out (`out_req`) on `src`, then
   // in.install_group of the returned records as group `into` on `dst`.
   // Adds each leg's cost to `cost`; the install leg runs only when the
@@ -273,33 +221,53 @@ class MasterNode : public net::RpcHandler {
                          sim::Cost& cost);
   // Applies AcgManager placement/merge decisions: creates groups, moves
   // merged files' index data between nodes.
-  sim::Cost ApplyAcgResult(Shard& shard,
-                           const acg::AcgManager::ApplyResult& result,
+  sim::Cost ApplyAcgResult(const acg::AcgManager::ApplyResult& result,
                            const std::vector<IndexSpec>& catalog)
-      REQUIRES(shard.mu_);
-  // Runs an arrival-stamped resolve through the shard's resolve queue;
-  // returns the queueing wait in seconds.
-  double ChargeShardQueue(Shard& shard, uint32_t shard_index, double arrival_s,
-                          double service_s) REQUIRES(shard.mu_);
+      REQUIRES(metadata_mu_);
+  // Runs an arrival-stamped resolve through the resolve queue; returns the
+  // queueing wait in seconds.
+  double ChargeResolveQueue(double arrival_s, double service_s)
+      REQUIRES(metadata_mu_);
   void MaybeFlushMetadata(sim::Cost& cost);
-  sim::Cost RunSplitMaintenanceShard(Shard& shard,
-                                     const std::vector<IndexSpec>& catalog)
-      REQUIRES(shard.mu_);
+  sim::Cost RunSplitMaintenanceLocked(const std::vector<IndexSpec>& catalog)
+      REQUIRES(metadata_mu_);
   std::string SnapshotMetadataImage() const;
 
   NodeId id_;
   net::Transport* transport_;
   MasterConfig config_;
-  // Hash partitions of the routing metadata (size = config_.num_shards,
-  // immutable after construction).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // First registered index node — the legacy placement fallback when no
-  // node is eligible (atomic: read from shard-locked paths, which must not
-  // take liveness_mu_; kMasterLiveness ranks below kMasterShard).
+  // First registered index node — the placement fallback when no node is
+  // eligible (atomic: read from metadata-locked paths, which must not take
+  // liveness_mu_; kMasterLiveness ranks below kMasterMetadata).
   std::atomic<NodeId> first_index_node_{0};
+  // The routing metadata: everything a cache-miss resolve touches.  Held
+  // across the nested in.create_group / migration RPCs.
+  mutable Mutex metadata_mu_{LockRank::kMasterMetadata,
+                             "MasterNode::metadata_mu_"};
+  acg::AcgManager acg_ GUARDED_BY(metadata_mu_);
+  // Per-group replica sets; [0] is the primary.  Size 1 everywhere when
+  // replication_factor == 1.
+  std::unordered_map<GroupId, std::vector<NodeId>> group_replicas_
+      GUARDED_BY(metadata_mu_);
+  // Load view (updated by heartbeats + own placements): groups per node,
+  // mirrored into an ordered (load, node) index so placement picks the
+  // least-loaded node without an O(n) scan.
+  std::unordered_map<NodeId, uint64_t> node_load_ GUARDED_BY(metadata_mu_);
+  // Placement-eligible nodes only (declared-dead nodes are removed and
+  // re-inserted on revival); transport-down nodes are skipped at
+  // selection time.
+  std::set<std::pair<uint64_t, NodeId>> load_index_ GUARDED_BY(metadata_mu_);
+  // Monotone routing-metadata version.  Starts at 1 (0 is the wire's "no
+  // epoch" sentinel); every mutation that can invalidate a client's cached
+  // placement bumps it.
+  uint64_t metadata_epoch_ GUARDED_BY(metadata_mu_) = 1;
+  // Virtual-time resolve queue (model_resolve_queue): one server, so an
+  // arrival-stamped resolve starts when the previous one finishes and is
+  // charged the wait.
+  sim::ServerQueue resolve_queue_ GUARDED_BY(metadata_mu_){1};
   // Cold coarse state: catalog, flush machinery, recovery event log.
-  // Never held while a shard mutex is held (kMaster ranks below
-  // kMasterShard), so resolves only brush it for the catalog snapshot.
+  // Never held while metadata_mu_ is held (kMaster ranks below
+  // kMasterMetadata), so resolves only brush it for the catalog snapshot.
   mutable Mutex mu_{LockRank::kMaster, "MasterNode::mu_"};
   std::vector<IndexSpec> catalog_ GUARDED_BY(mu_);
   std::vector<RecoveryEvent> events_ GUARDED_BY(mu_);
@@ -307,10 +275,10 @@ class MasterNode : public net::RpcHandler {
   sim::IoContext shared_storage_;
   sim::PageStore metadata_store_ GUARDED_BY(mu_);
   uint64_t flush_count_ GUARDED_BY(mu_) = 0;
-  // Mutation counter driving the periodic flush; atomic so shard-locked
+  // Mutation counter driving the periodic flush; atomic so metadata-locked
   // paths can bump it without touching mu_.
   std::atomic<uint64_t> mutations_since_flush_{0};
-  // Liveness state, independent of every shard so heartbeat stamps never
+  // Liveness state, independent of the metadata so heartbeat stamps never
   // queue behind resolves.  A node enters last_heartbeat_s_ on its first
   // heartbeat; nodes the master never heard from are never declared dead
   // (so a standby master taking over with a cold map does not mass-kill
@@ -329,10 +297,18 @@ class MasterNode : public net::RpcHandler {
   obs::Counter* recoveries_;
   obs::Counter* groups_recovered_;
   obs::Histogram* handle_latency_;
-  obs::Histogram* shard_queue_wait_;
-  // Per-shard contention counters ("mn.shard.<i>.contended"): stamped
-  // resolves that found their shard virtually busy.
-  std::vector<obs::Counter*> shard_contended_;
+  // Stamped resolves' queueing waits, and how many found the master
+  // virtually busy.
+  obs::Histogram* resolve_queue_wait_;
+  obs::Counter* resolve_queue_contended_;
+  // Dispatch table: each served method, its handler and its
+  // "mn.calls.<method>" counter, looked up once at construction.
+  struct Route {
+    std::string_view method;
+    Response (MasterNode::*handler)(const std::string& payload);
+    obs::Counter* calls;
+  };
+  std::vector<Route> routes_;
 };
 
 }  // namespace propeller::core

@@ -57,14 +57,13 @@ struct WireName<acg::Acg> {
 };
 
 // ---- epoch convention (read-path caching) ----
-// The master stamps its routing metadata with monotonically increasing
-// per-shard epochs (bumped whenever placement or the catalog changes).
-// Every resolve response carries them in `shard_epochs` — always one slot
-// per metadata shard — so clients can cache placements keyed by epoch, and
-// the cached epoch rides on in.search / in.stage_updates so an Index Node
-// can reject requests for groups it no longer owns with kStaleLocation.
-// Epoch 0 means "no statement": an untouched shard's slot on a response,
-// or an unstamped request.
+// The master stamps its routing metadata with one monotonically increasing
+// epoch (bumped whenever placement or the catalog changes).  Every resolve
+// response carries it in `metadata_epoch`, so clients can cache placements
+// keyed by epoch, and the cached epoch rides on in.search /
+// in.stage_updates so an Index Node can reject requests for groups it no
+// longer owns with kStaleLocation.  Epoch 0 means "no statement": the
+// answer to an empty resolve, or an unstamped request.
 
 // ---- replica convention (group replication) ----
 // With MasterConfig::replication_factor > 1 every group lives on r
@@ -84,35 +83,14 @@ struct GroupReplicaSet {
   }
 };
 
-// ---- shard convention (sharded master) ----
-// The master hash-partitions its metadata into N = MasterConfig::
-// num_shards shards (N = 1 is the unsharded master): a file belongs to
-// shard ShardOfFile(file, N) and a group allocated by shard s carries id
-// ≡ s + 1 (mod N), so ShardOfGroup inverts the assignment without a
-// lookup.  Each shard keeps its own epoch, so a client invalidates only the
-// shard whose placement actually changed.
-inline uint32_t ShardOfFile(FileId file, uint32_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // splitmix64 finalizer: stable across platforms (std::hash is not).
-  uint64_t x = file + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<uint32_t>(x % num_shards);
-}
-inline uint32_t ShardOfGroup(GroupId group, uint32_t num_shards) {
-  if (num_shards <= 1 || group == 0) return 0;
-  return static_cast<uint32_t>((group - 1) % num_shards);
-}
-
 // ---- mn.resolve_update ----
 // Client: "I am about to index these files; where do they live?"
 // The master places unknown files and answers (file, group, node) triples.
 struct ResolveUpdateRequest {
   std::vector<FileId> files;
   // Arrival stamp (open-loop traffic): > 0 carries the virtual time the op
-  // entered the system so the master can model queueing delay on the
-  // owning metadata shard; 0 = unstamped.
+  // entered the system so the master can model its queueing delay;
+  // 0 = unstamped.
   double arrival_s = 0;
   template <class V>
   void Fields(V& v) {
@@ -135,13 +113,13 @@ struct ResolveUpdateResponse {
   std::vector<Placement> placements;
   // Full replica sets for the groups named above (empty = unreplicated).
   std::vector<GroupReplicaSet> replicas;
-  // Per-shard epochs (see the conventions above).
-  std::vector<uint64_t> shard_epochs;
+  // See the epoch convention above.
+  uint64_t metadata_epoch = 0;
   template <class V>
   void Fields(V& v) {
     v(placements, "placements");
     v(replicas, "replicas");
-    v(shard_epochs, "shard_epochs");
+    v(metadata_epoch, "metadata_epoch");
   }
 };
 
@@ -150,9 +128,7 @@ struct ResolveUpdateResponse {
 // Empty name = all groups.
 struct ResolveSearchRequest {
   std::string index_name;
-  // Arrival stamp (open-loop traffic): see ResolveUpdateRequest.  On the
-  // sharded master a search resolve reads every shard, so its queueing
-  // delay is the max over the shards.
+  // Arrival stamp (open-loop traffic): see ResolveUpdateRequest.
   double arrival_s = 0;
   template <class V>
   void Fields(V& v) {
@@ -174,13 +150,13 @@ struct ResolveSearchResponse {
   // Full replica sets per group (empty = unreplicated); clients hedge
   // slow/failed primary branches to nodes[1].
   std::vector<GroupReplicaSet> replicas;
-  // Per-shard epochs (see the conventions above).
-  std::vector<uint64_t> shard_epochs;
+  // See the epoch convention above.
+  uint64_t metadata_epoch = 0;
   template <class V>
   void Fields(V& v) {
     v(targets, "targets");
     v(replicas, "replicas");
-    v(shard_epochs, "shard_epochs");
+    v(metadata_epoch, "metadata_epoch");
   }
 };
 
@@ -449,13 +425,13 @@ struct MetadataImage {
     }
   };
   std::vector<GroupAcgBlob> acg_blobs;
-  std::vector<uint64_t> shard_epochs;  // one per metadata shard
+  uint64_t metadata_epoch = 0;
   template <class V>
   void Fields(V& v) {
     v(catalog, "catalog");
     v(replicas, "replicas");
     v(acg_blobs, "acg_blobs");
-    v(shard_epochs, "shard_epochs");
+    v(metadata_epoch, "metadata_epoch");
   }
 };
 

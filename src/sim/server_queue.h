@@ -1,7 +1,7 @@
 // k FCFS servers working through arrivals in virtual time: an index node's
 // admission queue (k = search_threads, bounded line), its per-search LPT
-// worker schedule (every group arrives at 0, longest first) and each master
-// shard's resolve queue (k = 1).  A request is admitted (Admit), then
+// worker schedule (every group arrives at 0, longest first) and the master's
+// resolve queue (k = 1).  A request is admitted (Admit), then
 // served (Finish) or withdrawn (Cancel); in between its finish is unknown,
 // so it holds a place in line and the bound stays strict.  No lock of its
 // own: every user already serialises on one.

@@ -410,14 +410,6 @@ uint64_t Counter(const obs::MetricsSnapshot& snap, const std::string& name) {
   return it == snap.counters.end() ? 0 : it->second;
 }
 
-TEST(ClusterConfigTest, MasterShardCountReachesTheMaster) {
-  ClusterConfig cfg;
-  cfg.index_nodes = 2;
-  cfg.master.num_shards = 4;
-  PropellerCluster cluster(cfg);
-  EXPECT_EQ(cluster.master().num_shards(), 4);
-}
-
 // Replication follows from the master's replica count alone (the client
 // learns it from the replica sets in resolve responses); the client's own
 // hedge switch then decides whether a straggler's branches hedge.

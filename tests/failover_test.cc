@@ -119,24 +119,20 @@ TEST(FailoverTest, CatalogSurvivesFailover) {
   ASSERT_EQ(cluster.master().Catalog().size(), 1u);
 }
 
-// A sharded, unreplicated master must restore its load view from the
-// image: placement right after a failover (before any heartbeat refreshes
-// the loads) still goes to the less-loaded node.
-TEST(FailoverTest, ShardedFailoverKeepsNodeLoads) {
+// An unreplicated master must restore its load view from the image:
+// placement right after a failover (before any heartbeat refreshes the
+// loads) still goes to the less-loaded node.
+TEST(FailoverTest, FailoverKeepsNodeLoads) {
   ClusterConfig cfg = Config();
   cfg.index_nodes = 2;
-  cfg.master.num_shards = 2;
   cfg.master.acg_policy.cluster_target = 1;  // one group per new file
   PropellerCluster cluster(cfg);
   auto& client = cluster.client();
   ASSERT_TRUE(client.CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
                   .ok());
 
-  // Files of metadata shard 0, each opening its own group there.
-  std::vector<FileId> files;
-  for (FileId f = 1; files.size() < 4; ++f) {
-    if (ShardOfFile(f, 2) == 0) files.push_back(f);
-  }
+  // Four files, each opening its own group.
+  const std::vector<FileId> files = {1, 2, 3, 4};
   // Three groups alternate across the two nodes: loads 2 and 1.
   std::vector<FileUpdate> updates;
   for (size_t i = 0; i < 3; ++i) updates.push_back(Upsert(files[i], 1));

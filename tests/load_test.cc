@@ -346,7 +346,7 @@ TEST(AdmissionTest, SeededFloodIsPinned) {
     EXPECT_EQ(std::bit_cast<uint64_t>(wait_sum), pins[i].wait_sum_bits)
         << "node " << i << ": " << std::hexfloat << wait_sum;
   }
-  EXPECT_EQ(std::bit_cast<uint64_t>(stats.p99_s), 0x3f406b8eb47303f6ULL)
+  EXPECT_EQ(std::bit_cast<uint64_t>(stats.p99_s), 0x3f406b454960f3b8ULL)
       << std::hexfloat << stats.p99_s;
 }
 

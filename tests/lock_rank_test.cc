@@ -24,7 +24,7 @@ TEST(LockRankTableTest, MatchesDesignDocOrder) {
       LockRank::kClientCache,     // core::PropellerClient::cache_mu_
       LockRank::kMaster,          // core::MasterNode::mu_
       LockRank::kMasterLiveness,  // core::MasterNode::liveness_mu_
-      LockRank::kMasterShard,     // core::MasterNode::Shard::mu_
+      LockRank::kMasterMetadata,  // core::MasterNode::metadata_mu_
       LockRank::kTransportRouting,// net::Transport::mu_
       LockRank::kFaultPlan,       // net::FaultPlan::mu_
       LockRank::kIndexNodeAdmission, // core::IndexNode::admission_mu_
@@ -59,7 +59,7 @@ TEST(LockRankTableTest, NamesAreStable) {
   EXPECT_STREQ(LockRankName(LockRank::kIndexNodeAdmission),
                "kIndexNodeAdmission");
   EXPECT_STREQ(LockRankName(LockRank::kMasterLiveness), "kMasterLiveness");
-  EXPECT_STREQ(LockRankName(LockRank::kMasterShard), "kMasterShard");
+  EXPECT_STREQ(LockRankName(LockRank::kMasterMetadata), "kMasterMetadata");
   EXPECT_STREQ(LockRankName(LockRank::kAttrNames), "kAttrNames");
   EXPECT_STREQ(LockRankName(LockRank::kUnranked), "kUnranked");
 }
@@ -191,15 +191,15 @@ TEST(LockRankDeathTest, InversionAborts) {
 TEST(LockRankDeathTest, ShardUnderClientCacheAborts) {
   if (!ChecksEnabled()) GTEST_SKIP() << "lock-rank checks compiled out";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The sharded master's per-shard mutexes sit above the client's cache
-  // lock: a client callback that resolved placements while holding its
-  // cache (cache -> RPC -> shard) would deadlock against the resolve path
-  // proper, so taking the cache lock under a shard mutex must abort.
+  // The master's metadata mutex sits above the client's cache lock: a
+  // client callback that resolved placements while holding its cache
+  // (cache -> RPC -> metadata) would deadlock against the resolve path
+  // proper, so taking the cache lock under the metadata mutex must abort.
   EXPECT_DEATH(
       {
-        Mutex shard(LockRank::kMasterShard, "shard");
+        Mutex metadata(LockRank::kMasterMetadata, "metadata");
         Mutex cache(LockRank::kClientCache, "cache");
-        MutexLock l1(shard);
+        MutexLock l1(metadata);
         MutexLock l2(cache);
       },
       "LOCK RANK VIOLATION");

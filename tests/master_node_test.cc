@@ -1,10 +1,17 @@
-// MasterNode unit tests: routing, placement, catalog, metadata flush.
-// (Cross-component behaviour lives in cluster_test.cc; these exercise the
-// master's RPC surface directly against stub index nodes.)
+// MasterNode unit tests: routing, placement, catalog, metadata flush, the
+// resolve queue model, and concurrent resolves staying clean under TSan
+// (the `master` ctest label, run by the tsan preset).  (Cross-component
+// behaviour lives in cluster_test.cc; most of these exercise the master's
+// RPC surface directly against stub index nodes.)
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <thread>
+#include <vector>
 
+#include "common/rng.h"
+#include "core/cluster.h"
 #include "core/master_node.h"
 
 namespace propeller::core {
@@ -183,6 +190,36 @@ TEST_F(MasterNodeTest, SnapshotRestoreRoundTripsCatalogAndPlacement) {
   EXPECT_EQ(master_.NumGroups(), groups_before);
 }
 
+// Group ids allocated after a restore continue past the highest restored
+// id, so a new group never reuses the id of one the image carries.
+TEST_F(MasterNodeTest, RestoredImageAllocatesPastRestoredGroupIds) {
+  MetadataImage image;
+  image.metadata_epoch = 3;
+  const std::pair<GroupId, FileId> groups[] = {{1, 100}, {2, 200}, {5, 500}};
+  for (const auto& [group, file] : groups) {
+    image.replicas.push_back({group, {static_cast<NodeId>(10 + group % 3)}});
+    acg::Acg a;
+    a.AddVertex(file);
+    BinaryWriter blob;
+    a.Serialize(blob);
+    image.acg_blobs.push_back({group, std::move(blob).Take()});
+  }
+  ASSERT_TRUE(master_.RestoreMetadata(Encode(image)).ok());
+  EXPECT_EQ(master_.NumGroups(), 3u);
+  EXPECT_EQ(master_.MetadataEpoch(), 4u);  // one past the flushed epoch
+
+  ResolveUpdateRequest req;
+  req.files = {500, 999};
+  auto resp = Call("mn.resolve_update", Encode(req));
+  ASSERT_TRUE(resp.status.ok());
+  auto decoded = Decode<ResolveUpdateResponse>(resp.payload);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->placements.size(), 2u);
+  EXPECT_EQ(decoded->placements[0].group, 5u);  // restored mapping
+  EXPECT_EQ(decoded->placements[1].group, 6u);  // new file, new group
+  EXPECT_EQ(decoded->metadata_epoch, 5u);
+}
+
 TEST_F(MasterNodeTest, CorruptMetadataImageRejected) {
   EXPECT_FALSE(master_.RestoreMetadata("garbage").ok());
 }
@@ -222,6 +259,127 @@ TEST_F(MasterNodeTest, HeartbeatUpdatesLoadView) {
   hb.node = 10;
   hb.groups = {{1, 100, 10}, {2, 50, 5}};
   EXPECT_TRUE(Call("mn.heartbeat", Encode(hb)).status.ok());
+}
+
+// --- resolve queue model --------------------------------------------------
+
+IndexSpec SizeIndex() { return {"by_size", index::IndexType::kBTree, {"size"}}; }
+
+// Pins the resolve queue (model_resolve_queue) under a seeded storm of
+// arrival-stamped resolves: the bits of the summed queueing wait and how
+// many resolves waited.  Recorded before the queue became a
+// sim::ServerQueue; a change to the recurrence moves them.
+TEST(MasterResolveQueueTest, SeededStormIsPinned) {
+  MasterConfig cfg;
+  cfg.acg_policy.cluster_target = 8;
+  cfg.model_resolve_queue = true;
+  net::Transport transport;
+  MasterNode master(1, &transport, cfg);
+  transport.Register(1, &master);
+  StubIndexNode stubs[3];
+  for (NodeId id = 10; id < 13; ++id) {
+    transport.Register(id, &stubs[id - 10]);
+    master.AddIndexNode(id);
+  }
+  ASSERT_TRUE(transport
+                  .Call(100, 1, "mn.create_index",
+                        Encode(CreateIndexRequest{SizeIndex()}))
+                  .status.ok());
+  // Place the population unstamped (arrival 0 bypasses the queue).
+  ResolveUpdateRequest place;
+  for (FileId f = 1; f <= 200; ++f) place.files.push_back(f);
+  ASSERT_TRUE(
+      transport.Call(100, 1, "mn.resolve_update", Encode(place)).status.ok());
+
+  Rng rng(7);
+  double arrival = 1.0;
+  for (int i = 0; i < 400; ++i) {
+    arrival += rng.Exponential(3e-6);
+    net::Transport::CallResult r;
+    if (rng.Bernoulli(0.2)) {
+      ResolveSearchRequest req;
+      req.index_name = "by_size";
+      req.arrival_s = arrival;
+      r = transport.Call(100, 1, "mn.resolve_search", Encode(req));
+    } else {
+      ResolveUpdateRequest req;
+      for (int b = 0; b < 8; ++b) req.files.push_back(1 + rng.Uniform(200));
+      req.arrival_s = arrival;
+      r = transport.Call(100, 1, "mn.resolve_update", Encode(req));
+    }
+    ASSERT_TRUE(r.status.ok()) << "op " << i;
+  }
+  obs::MetricsSnapshot snap = master.MetricsSnapshot();
+  const double wait_sum = snap.histograms["mn.resolve_queue.wait_s"].sum;
+  EXPECT_EQ(std::bit_cast<uint64_t>(wait_sum), 0x3fa4df231c039be0ULL)
+      << std::hexfloat << wait_sum;
+  EXPECT_EQ(snap.counters["mn.resolve_queue.contended"], 399u);
+}
+
+// --- concurrency (TSan target: the tsan preset's `master` label) ---------
+
+FileUpdate Upsert(FileId f, int64_t size) {
+  FileUpdate u;
+  u.file = f;
+  u.attrs.Set("size", index::AttrValue(size));
+  return u;
+}
+
+TEST(MasterConcurrencyTest, ConcurrentResolvesAndHeartbeatsAreClean) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 4;
+  cfg.master.acg_policy.cluster_target = 10;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
+  std::vector<FileUpdate> warm;
+  for (FileId f = 1; f <= 80; ++f) warm.push_back(Upsert(f, 100));
+  ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
+  cluster.AdvanceTime(1.0);
+
+  // Hammer the master's resolve surface from several threads while
+  // heartbeats run: the metadata and liveness mutexes must keep every path
+  // clean.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&cluster, t] {
+      for (int i = 0; i < 50; ++i) {
+        ResolveUpdateRequest req;
+        for (FileId f = 1; f <= 20; ++f) {
+          req.files.push_back(static_cast<FileId>(t) * 20 + f);
+        }
+        auto r = cluster.transport().Call(
+            200 + static_cast<NodeId>(t), PropellerCluster::kMasterId,
+            "mn.resolve_update", Encode(req));
+        ASSERT_TRUE(r.status.ok());
+        ResolveSearchRequest sreq;
+        sreq.index_name = "by_size";
+        auto s = cluster.transport().Call(
+            200 + static_cast<NodeId>(t), PropellerCluster::kMasterId,
+            "mn.resolve_search", Encode(sreq));
+        ASSERT_TRUE(s.status.ok());
+      }
+    });
+  }
+  // Heartbeats concurrently restamp node loads against the resolve storm.
+  std::thread hb([&cluster] {
+    for (int i = 0; i < 20; ++i) {
+      HeartbeatRequest req;
+      req.node = cluster.index_node(0).id();
+      req.now_s = cluster.now();
+      req.groups = cluster.index_node(0).GroupStats();
+      auto r = cluster.transport().Call(req.node, PropellerCluster::kMasterId,
+                                        "mn.heartbeat", Encode(req));
+      ASSERT_TRUE(r.status.ok());
+    }
+  });
+  for (auto& t : threads) t.join();
+  hb.join();
+  // Sanity: the cluster still routes correctly after the storm.
+  Predicate p;
+  p.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{100}));
+  auto r = cluster.client().Search(p, "by_size");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->files.size(), 80u);
 }
 
 }  // namespace

@@ -320,9 +320,10 @@ std::string RepairPathsTrace(bool parallel) {
 
 // The traces of the repair paths, pinned by digest: a refactor of the
 // client fan-out must leave every span, id, timestamp and tag in place,
-// on both execution engines.
+// on both execution engines.  Span ids derive from start times, so a
+// message that changes size on the wire moves the digest too.
 TEST(ObsTracePin, RepairPathsTraceMatchesItsPinnedDigest) {
-  constexpr uint64_t kPinned = 0x87911b6e331aba4dull;
+  constexpr uint64_t kPinned = 0x8e7df8723a60aabeull;
   for (bool parallel : {false, true}) {
     const uint64_t digest = Fnv1a(RepairPathsTrace(parallel));
     EXPECT_EQ(digest, kPinned)

@@ -66,7 +66,7 @@ TEST(ProtoRoundtrip, ResolveUpdateResponse) {
   resp.placements.push_back({/*file=*/7, /*group=*/3, /*node=*/1});
   ExpectRoundtrip(resp);
 
-  resp.shard_epochs = {12};
+  resp.metadata_epoch = 12;
   ExpectRoundtrip(resp);
 
   resp.replicas.push_back(GroupReplicaSet{3, {1, 2}});
@@ -87,7 +87,7 @@ TEST(ProtoRoundtrip, ResolveSearchResponse) {
   resp.targets.push_back(t);
   ExpectRoundtrip(resp);
 
-  resp.shard_epochs = {5};
+  resp.metadata_epoch = 5;
   ExpectRoundtrip(resp);
 
   resp.replicas.push_back(GroupReplicaSet{10, {2, 3, 4}});
@@ -250,12 +250,11 @@ WireCase Row(std::string name, const T& msg) {
           }};
 }
 
-// Resolve-response routing tail at `shards` metadata shards.
+// Resolve-response routing tail: replica sets and the metadata epoch.
 template <typename ResponseT>
-void FillRouting(ResponseT& resp, uint32_t shards) {
+void FillRouting(ResponseT& resp) {
   resp.replicas = {GroupReplicaSet{3, {1, 2}}, GroupReplicaSet{4, {2, 1}}};
-  resp.shard_epochs.clear();
-  for (uint32_t s = 0; s < shards; ++s) resp.shard_epochs.push_back(10 + s);
+  resp.metadata_epoch = 10;
 }
 
 std::vector<WireCase> AllCases() {
@@ -273,10 +272,8 @@ std::vector<WireCase> AllCases() {
 
   ResolveUpdateResponse ruresp;
   ruresp.placements = {{7, 3, 1}, {8, 4, 2}};
-  for (uint32_t shards : {1u, 4u}) {
-    FillRouting(ruresp, shards);
-    both("ResolveUpdateResponse/N=" + std::to_string(shards), ruresp);
-  }
+  FillRouting(ruresp);
+  both("ResolveUpdateResponse", ruresp);
 
   ResolveSearchRequest rsreq;
   rsreq.index_name = "by_size";
@@ -285,10 +282,8 @@ std::vector<WireCase> AllCases() {
 
   ResolveSearchResponse rsresp;
   rsresp.targets = {{1, {3}}, {2, {4, 5}}};
-  for (uint32_t shards : {1u, 4u}) {
-    FillRouting(rsresp, shards);
-    both("ResolveSearchResponse/N=" + std::to_string(shards), rsresp);
-  }
+  FillRouting(rsresp);
+  both("ResolveSearchResponse", rsresp);
 
   CreateIndexRequest cireq;
   cireq.spec = MakeSpec("by_size");
@@ -430,8 +425,8 @@ class AcceptingNode : public net::RpcHandler {
   }
 };
 
-// The master's metadata image after a fixed run of RPCs on a two-shard,
-// two-replica master: a catalog entry, placed files in several groups, and
+// The master's metadata image after a fixed run of RPCs on a two-replica
+// master: a catalog entry, placed files in several groups, and
 // an ACG delta, so every section of the image is non-empty.
 std::string MetadataImageBytes() {
   net::Transport transport;
@@ -439,7 +434,6 @@ std::string MetadataImageBytes() {
   MasterConfig cfg;
   cfg.acg_policy.cluster_target = 3;
   cfg.acg_policy.merge_limit = 100;
-  cfg.num_shards = 2;
   cfg.replication_factor = 2;
   MasterNode master(1, &transport, cfg);
   transport.Register(1, &master);
@@ -484,7 +478,7 @@ TEST(ProtoBytePin, EveryEncodingMatchesItsPinnedDigest) {
       {"HeartbeatRequest/set", 0x5f64d88ccca0905bull},
       {"InstallGroupRequest/default", 0x88201fb960ff6465ull},
       {"InstallGroupRequest/set", 0xe1eb983491d71f08ull},
-      {"MetadataImage", 0xb4f6a578b8ebd939ull},
+      {"MetadataImage", 0x233aacf51a8bb40dull},
       {"MigrateOutRequest/default", 0x7c96179f62dae92full},
       {"MigrateOutRequest/set", 0x8329c57e94363385ull},
       {"MigrateOutResponse/default", 0x4d25767f9dce13f5ull},
@@ -492,16 +486,12 @@ TEST(ProtoBytePin, EveryEncodingMatchesItsPinnedDigest) {
       {"ResetNodeRequest", 0xcbf29ce484222325ull},
       {"ResolveSearchRequest/default", 0x5467b0da1d106495ull},
       {"ResolveSearchRequest/set", 0x63add5e8c1cb7610ull},
-      {"ResolveSearchResponse/N=1/default", 0x5467b0da1d106495ull},
-      {"ResolveSearchResponse/N=1/set", 0xaadd9ad9f2e89d0bull},
-      {"ResolveSearchResponse/N=4/default", 0x5467b0da1d106495ull},
-      {"ResolveSearchResponse/N=4/set", 0xa33fc8531fcc0f54ull},
+      {"ResolveSearchResponse/default", 0x88201fb960ff6465ull},
+      {"ResolveSearchResponse/set", 0xda3a3ae741163b5aull},
       {"ResolveUpdateRequest/default", 0x5467b0da1d106495ull},
       {"ResolveUpdateRequest/set", 0xf55dbebd54903fa7ull},
-      {"ResolveUpdateResponse/N=1/default", 0x5467b0da1d106495ull},
-      {"ResolveUpdateResponse/N=1/set", 0xcbf1fdc7b9f85cd2ull},
-      {"ResolveUpdateResponse/N=4/default", 0x5467b0da1d106495ull},
-      {"ResolveUpdateResponse/N=4/set", 0xe21c0daa2017ad6dull},
+      {"ResolveUpdateResponse/default", 0x88201fb960ff6465ull},
+      {"ResolveUpdateResponse/set", 0x34cf1cb6a81d3973ull},
       {"SearchRequest/default", 0x17d9c15239d081d5ull},
       {"SearchRequest/set", 0x7dc235d45e5e0941ull},
       {"SearchResponse/default", 0x4d25767f9dce13f5ull},

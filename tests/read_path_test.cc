@@ -99,19 +99,19 @@ TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
   {
     ResolveSearchResponse resp;
     resp.targets.push_back({10, {1, 2}});
-    resp.shard_epochs = {3};
+    resp.metadata_epoch = 3;
     auto rt = Decode<ResolveSearchResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{3}));
+    EXPECT_EQ(rt->metadata_epoch, 3u);
     ASSERT_EQ(rt->targets.size(), 1u);
     EXPECT_EQ(rt->targets[0].groups, (std::vector<GroupId>{1, 2}));
   }
   {
     ResolveUpdateResponse resp;
-    resp.shard_epochs = {11};
+    resp.metadata_epoch = 11;
     auto rt = Decode<ResolveUpdateResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{11}));
+    EXPECT_EQ(rt->metadata_epoch, 11u);
   }
 }
 
@@ -322,18 +322,14 @@ TEST(ReadPathCachingTest, CachingOnStaysBitIdenticalAcrossExecutionModes) {
 
 // --- 5. read-your-writes across new groups --------------------------------
 
-// Parameter: master shard count.
-class ReadPathCachingTest : public ::testing::TestWithParam<int> {};
-
 // Each round writes files no group holds yet, so placement opens new
-// groups and bumps the shard epochs; the client's own update resolve sees
-// the new epochs, so its next search must not fan out to the cached
-// targets that predate those groups.
-TEST_P(ReadPathCachingTest, OwnWritesIntoNewGroupsAreSearchable) {
+// groups and bumps the metadata epoch; the client's own update resolve sees
+// the new epoch, so its next search must not fan out to the cached targets
+// that predate those groups.
+TEST(ReadPathCachingTest, OwnWritesIntoNewGroupsAreSearchable) {
   ClusterConfig cfg;
   cfg.index_nodes = 8;
   cfg.read_path_caching = true;
-  cfg.master.num_shards = GetParam();
   cfg.master.acg_policy.cluster_target = 32;
   PropellerCluster cluster(cfg);
   ASSERT_TRUE(cluster.client()
@@ -362,9 +358,6 @@ TEST_P(ReadPathCachingTest, OwnWritesIntoNewGroupsAreSearchable) {
                            << " acknowledged files";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(MasterShards, ReadPathCachingTest,
-                         ::testing::Values(1, 8));
 
 }  // namespace
 }  // namespace propeller::core
