@@ -5,7 +5,9 @@
 //   bench_micro_index --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -147,6 +149,53 @@ void BM_PageCacheTouch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PageCacheTouch)->Arg(0)->Arg(30);
+
+// Page-cache hits shaped like the benchmark's search_warm workload, which
+// the single cache above hides: it fits in L2.  8 index nodes, each with a
+// default-capacity cache, hold 16'693 index pages across 200 stores
+// (store s lives on node s % 8).  The caches are filled interleaved, as
+// the nodes load side by side, and are then touched round-robin, each in
+// hashed page order, so consecutive touches land far apart in memory.
+void BM_PageCacheTouchSpread(benchmark::State& state) {
+  constexpr size_t kNodes = 8;
+  constexpr uint64_t kStores = 200;
+  constexpr uint64_t kPages = 16'693;
+  std::vector<sim::PageCache> caches;
+  for (size_t n = 0; n < kNodes; ++n) caches.emplace_back(sim::IoParams{}.cache_pages);
+  std::vector<std::vector<sim::PageId>> pages(kNodes);
+  for (uint64_t store = 0; store < kStores; ++store) {
+    const uint64_t count = kPages / kStores + (store < kPages % kStores ? 1 : 0);
+    for (uint64_t p = 0; p < count; ++p) pages[store % kNodes].push_back({store, p});
+  }
+  for (size_t i = 0; i < pages[0].size(); ++i) {
+    for (size_t n = 0; n < kNodes; ++n) {
+      if (i < pages[n].size()) caches[n].Touch(pages[n][i]);
+    }
+  }
+  for (auto& node : pages) {
+    std::sort(node.begin(), node.end(), [](const sim::PageId& a, const sim::PageId& b) {
+      return sim::PageIdHash{}(a) < sim::PageIdHash{}(b);
+    });
+  }
+  std::vector<std::pair<size_t, sim::PageId>> order;
+  for (size_t i = 0; i < pages[0].size(); ++i) {
+    for (size_t n = 0; n < kNodes; ++n) {
+      if (i < pages[n].size()) order.emplace_back(n, pages[n][i]);
+    }
+  }
+  for (auto& cache : caches) cache.ResetStats();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [node, id] = order[i];
+    benchmark::DoNotOptimize(caches[node].Touch(id));
+    if (++i == order.size()) i = 0;
+  }
+  uint64_t misses = 0;
+  for (const auto& cache : caches) misses += cache.stats().misses;
+  state.counters["misses"] = static_cast<double>(misses);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PageCacheTouchSpread);
 
 // One committed group of `rows` files answering a 4-term size x mtime box
 // through its size B-tree: each of the ~rows/4 candidates the scan returns

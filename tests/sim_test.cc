@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <list>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -134,7 +135,7 @@ TEST(PageCacheStatsTest, HitRate) {
 }
 
 // Textbook LRU (list + map, one allocation per admission): the reference
-// that the node-recycling PageCache must match observable for observable.
+// that the flat-array PageCache must match observable for observable.
 class ReferenceLru {
  public:
   explicit ReferenceLru(uint64_t capacity) : capacity_(capacity) {}
@@ -224,6 +225,97 @@ TEST(PageCacheTest, MatchesReferenceLru) {
       }
     }
   }
+}
+
+// The same agreement at sizes where the cache's index doubles many times:
+// 64 stores x 100 pages under a capacity that evicts (4096) and one that
+// never does (100'000), with store invalidations feeding released slots
+// back through the free list and two clears, each refilled in order.
+TEST(PageCacheTest, MatchesReferenceLruAcrossGrowthAndReuse) {
+  constexpr uint64_t kStores = 64;
+  constexpr uint64_t kPages = 100;
+  const uint64_t capacities[] = {4096, 100'000};
+  for (uint64_t capacity : capacities) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    PageCache cache(capacity);
+    ReferenceLru ref(capacity);
+    Rng rng(capacity);
+    uint64_t invalidations = 0;
+    uint64_t peak = 0;
+    auto touch = [&](PageId id, int step) {
+      ASSERT_EQ(cache.Touch(id), ref.Touch(id)) << "step " << step;
+      ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+      peak = std::max(peak, cache.size());
+    };
+    for (int round = 0; round < 3; ++round) {
+      if (round > 0) {
+        cache.Clear();
+        ref.Clear();
+        ASSERT_EQ(cache.size(), 0u);
+        for (uint64_t store = 0; store < kStores; ++store) {
+          for (uint64_t page = 0; page < kPages; ++page) {
+            touch({store, page}, -1);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+      for (int step = 0; step < 30'000; ++step) {
+        if (rng.Uniform(500) == 0) {
+          const uint64_t store = rng.Uniform(kStores);
+          cache.InvalidateStore(store);
+          ref.InvalidateStore(store);
+          ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+          ++invalidations;
+        } else {
+          touch({rng.Uniform(kStores), rng.Uniform(kPages)}, step);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+    EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+    EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+    EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
+    EXPECT_GT(invalidations, 100u);
+    if (capacity < kStores * kPages) {
+      EXPECT_EQ(peak, capacity);
+      EXPECT_GT(ref.stats.evictions, 0u);
+    } else {
+      EXPECT_EQ(peak, kStores * kPages);
+      EXPECT_EQ(ref.stats.evictions, 0u);
+    }
+  }
+}
+
+// Clear drops the pages but not the counters: index nodes report cache
+// stats across drop_caches from these monotone totals.
+TEST(PageCacheTest, ClearKeepsCounters) {
+  PageCache cache(2);
+  EXPECT_FALSE(cache.Touch({1, 1}));
+  EXPECT_FALSE(cache.Touch({1, 2}));
+  EXPECT_TRUE(cache.Touch({1, 1}));
+  EXPECT_FALSE(cache.Touch({1, 3}));  // evicts {1, 2}
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.Touch({1, 1}));
+  EXPECT_TRUE(cache.Touch({1, 1}));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+// Slots are indexed by 32-bit integers; a capacity past that is refused
+// rather than silently wrapped.  The largest legal one allocates nothing
+// up front.
+TEST(PageCacheTest, RejectsCapacityPastSlotIndexRange) {
+  EXPECT_THROW(PageCache(uint64_t{UINT32_MAX} + 1), std::length_error);
+  PageCache largest(UINT32_MAX);
+  EXPECT_EQ(largest.capacity(), uint64_t{UINT32_MAX});
+  EXPECT_FALSE(largest.Touch({1, 1}));
+  EXPECT_TRUE(largest.Touch({1, 1}));
 }
 
 // Brute-force k-server queue: every Finish scans all k free-times for the

@@ -126,7 +126,7 @@ tsa      Clang -Werror=thread-safety build
 asan     AddressSanitizer preset build + ctest
 ubsan    UndefinedBehaviorSanitizer preset build + ctest
 tsan     ThreadSanitizer build + ctest over the fault, obs, segments,
-         replication, load and master labels
+         replication, load, master, attr and parallel labels
 all      analyze tidy tsa asan ubsan tsan
 EOF
   exit 0
