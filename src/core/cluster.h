@@ -69,8 +69,8 @@ struct ClusterStats {
   uint64_t index_pages = 0;
   size_t dead_nodes = 0;
   size_t recoveries = 0;          // node-death events the master handled
-  size_t groups_recovered = 0;    // groups re-homed across all events
-  uint64_t records_restored = 0;  // journal records replayed on survivors
+  size_t groups_recovered = 0;    // sets dead nodes left, across all events
+  uint64_t records_restored = 0;  // journal records replayed by repairs
   uint64_t journal_records = 0;   // total records in the recovery journal
   // Merged per-node metrics snapshot (transport + master + every Index
   // Node + every client): WAL bytes, cache hit/miss, staged-vs-committed
@@ -105,8 +105,8 @@ class PropellerCluster {
   // The master's failure detector notices once enough heartbeats are
   // missed (AdvanceTime keeps the clock going).
   void KillIndexNode(size_t i, bool wipe = false);
-  // Brings a killed node back; its next heartbeat re-admits it (the
-  // master wipes it first via in.reset when its groups were re-homed).
+  // Brings a killed node back; the master tick after its next heartbeat
+  // catches it up on the sets it still belongs to and re-admits it.
   void ReviveIndexNode(size_t i);
 
   // The cluster-wide recovery journal (null unless config.recovery_journal).

@@ -84,9 +84,6 @@ index::IndexGroupOptions IndexNode::GroupOptions() {
   options.metrics = &metrics_;
   options.result_cache = config_.result_cache;
   options.segmented = config_.segmented_index;
-  options.max_segments = config_.max_segments;
-  options.merge_size_ratio = config_.merge_size_ratio;
-  options.merge_tier_run = config_.merge_tier_run;
   return options;
 }
 
@@ -174,9 +171,9 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
   if (config_.recovery_journal != nullptr && !secondary) {
     // The appender has applied its own records, so a copy that was current
     // stays current and anti-entropy never replays it.  A copy that missed
-    // earlier records (an empty replacement, a survivor whose promotion
-    // catch-up failed) must not step over them: it stays behind and the
-    // next in.tick replays the gap.  Appending under replica_mu_ keeps
+    // earlier records (a survivor whose promotion catch-up failed) must
+    // not step over them: it stays behind and the next in.tick replays the
+    // gap.  Appending under replica_mu_ keeps
     // concurrent stagers' steps in journal order.  Only a role-stamped
     // primary acks the sequence (unstamped responses stay empty).
     MutexLock rlock(replica_mu_);
@@ -392,10 +389,10 @@ net::RpcHandler::Response IndexNode::HandleMigrateOut(const std::string& payload
   WriterMutexLock lock(groups_mu_);
   sim::Cost cost;
   if (config_.recovery_journal != nullptr) {
-    // A copy that has not yet replayed the journal (an empty replacement
-    // waiting for its first in.tick) would hand off a partial group that
-    // the install then marks as current: replay the gap first.  A current
-    // copy pays nothing here.
+    // A copy that has not yet replayed the journal (a survivor whose
+    // promotion catch-up failed, waiting for its next in.tick) would hand
+    // off a partial group that the install then marks as current: replay
+    // the gap first.  A current copy pays nothing here.
     Status st = CatchUpGroupLocked(req->group, nullptr, &cost);
     if (!st.ok()) return Response{st, {}, cost};
   }
@@ -523,16 +520,14 @@ Status IndexNode::CatchUpGroupLocked(GroupId gid, uint64_t* replayed,
 net::RpcHandler::Response IndexNode::HandleCatchUp(const std::string& payload) {
   auto req = Decode<CatchUpRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
-  if (config_.recovery_journal == nullptr) {
-    return Response{
-        Status::FailedPrecondition("node has no recovery journal attached"),
-        {},
-        {}};
-  }
   WriterMutexLock lock(groups_mu_);
   Status st = EnsureGroup(req->group, req->specs);
   if (!st.ok()) return Response{st, {}, {}};
   CatchUpResponse resp;
+  // No journal, nothing to replay: the group stays as is (empty if new).
+  if (config_.recovery_journal == nullptr) {
+    return Response{Status::Ok(), Encode(resp), sim::Cost(10e-6)};
+  }
   sim::Cost cost;
   st = CatchUpGroupLocked(req->group, &resp.records_replayed, &cost);
   if (!st.ok()) return Response{st, {}, cost};

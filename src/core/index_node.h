@@ -67,11 +67,6 @@ struct IndexNodeConfig {
   // sealed group's journal to a base image, so recovery replays only the
   // image plus the unsealed tail instead of the full update history.
   bool segmented_index = false;
-  // Segmented only: per-group merge policy knobs (read-amplification
-  // bound K and the tier trigger).
-  size_t max_segments = 4;
-  double merge_size_ratio = 4.0;
-  size_t merge_tier_run = 3;
   // Overload protection (open-loop traffic): arrival-stamped requests run
   // through a bounded virtual-time admission queue in front of the node's
   // `search_threads` workers.  When the waiting line is full the request
@@ -105,9 +100,8 @@ class IndexNode : public net::RpcHandler {
   Status CrashAndRecover();
 
   // Destroys every group and drops the page cache — the node rejoins the
-  // cluster empty.  Driven by in.reset when a dead node revives (its data
-  // was re-homed meanwhile) and by PropellerCluster::KillIndexNode(wipe)
-  // to model a permanent machine loss.
+  // cluster empty.  Driven by in.reset when a dead node revives in no set
+  // and by PropellerCluster::KillIndexNode(wipe) (permanent machine loss).
   Status Reset();
 
   // Node-local metrics: the registry shared with this node's groups, plus

@@ -1,6 +1,8 @@
 #include "core/master_node.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -12,6 +14,7 @@ MasterNode::MasterNode(NodeId id, net::Transport* transport, MasterConfig config
     : id_(id),
       transport_(transport),
       config_(config),
+      want_copies_(static_cast<size_t>(std::max(config.replication_factor, 1))),
       acg_(config_.acg_policy),
       metadata_store_(shared_storage_.CreateStore()),
       handle_calls_(&metrics_.GetCounter("mn.handle.calls")),
@@ -37,28 +40,14 @@ MasterNode::MasterNode(NodeId id, net::Transport* transport, MasterConfig config
 void MasterNode::AddIndexNode(NodeId node) {
   {
     MutexLock lock(liveness_mu_);
-    if (index_nodes_.empty()) {
-      first_index_node_.store(node, std::memory_order_relaxed);
-    }
     index_nodes_.push_back(node);
   }
   MutexLock lock(metadata_mu_);
   if (node_load_.emplace(node, 0).second) load_index_.insert({0, node});
 }
 
-NodeId MasterNode::LeastLoadedNode() const {
-  // The ordered (load, node) index replaces an O(n) scan; ties break by
-  // node id exactly like the scan's insertion-order walk (nodes register in
-  // ascending id order).
-  for (const auto& [load, node] : load_index_) {
-    if (transport_->IsDown(node)) continue;
-    return node;
-  }
-  // Fallback: with no eligible node the scan returned the first registered
-  // one (the caller's create RPC then fails against it).
-  return first_index_node_.load(std::memory_order_relaxed);
-}
-
+// The ordered (load, node) index replaces an O(n) scan; ties break by node
+// id (nodes register in ascending id order).
 std::vector<NodeId> MasterNode::LeastLoadedNodes(
     size_t k, const std::vector<NodeId>& exclude) const {
   std::vector<NodeId> out;
@@ -143,17 +132,14 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
     GroupId group, const std::vector<IndexSpec>& catalog, sim::Cost& cost) {
   auto it = group_replicas_.find(group);
   if (it != group_replicas_.end()) return it->second.front();
-  if (node_load_.empty()) {
-    return Status::FailedPrecondition("no index nodes");
-  }
 
   // Pick the replica set: the r least-loaded distinct live nodes (fewer
-  // when the cluster is smaller than r — the set heals up via recovery
-  // later).  With every node down, fall back to LeastLoadedNode's pick so
-  // the create RPC below reports the failure.
-  std::vector<NodeId> replicas = LeastLoadedNodes(
-      static_cast<size_t>(std::max(config_.replication_factor, 1)), {});
-  if (replicas.empty()) replicas.push_back(LeastLoadedNode());
+  // when fewer are live — the repair list heals the set up later).
+  std::vector<NodeId> replicas = LeastLoadedNodes(want_copies_, {});
+  if (replicas.empty()) {
+    return Status::Unavailable("no live node for group " +
+                               std::to_string(group));
+  }
 
   CreateGroupRequest req;
   req.group = group;
@@ -172,6 +158,7 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
     placed.push_back(node);
   }
   for (NodeId node : placed) BumpNodeLoad(node, 1);
+  if (placed.size() < want_copies_) repair_.emplace(group, 0);
   NodeId primary = placed.front();
   group_replicas_[group] = std::move(placed);
   mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
@@ -548,34 +535,20 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
   if (!req.ok()) return Response{req.status(), {}, {}};
   sim::Cost cost(config_.lookup_us / 1e6);
 
-  // A heartbeat from a declared-dead node is a revival.  If its groups
-  // were re-homed while it was dead, wipe it (in.reset) so stale replicas
-  // cannot resurface, then re-admit it to the placement pool.
-  bool needs_reset = false;
+  // A heartbeat from a declared-dead node makes it returning; it stays
+  // dead, and out of the placement pool, until Reconcile revives it.
+  bool dead = false;
   {
     MutexLock lock(liveness_mu_);
-    auto dead_it = dead_.find(req->node);
-    if (dead_it != dead_.end()) {
-      needs_reset = dead_it->second;
-      dead_.erase(dead_it);
-    }
     last_heartbeat_s_[req->node] = req->now_s;
-  }
-  if (needs_reset) {
-    auto call = transport_->Call(id_, req->node, "in.reset",
-                                 Encode(ResetNodeRequest{}));
-    cost += call.cost;
-    if (!call.status.ok()) {
-      PLOG(WARNING) << "in.reset on revived node " << req->node
-                    << " failed: " << call.status.ToString();
-    }
+    dead = dead_.count(req->node) != 0u;
+    if (dead) returning_[req->node] = req->groups;
   }
 
-  // Load sync: this node's group count.  `eligible` re-admits a revived
-  // node to the ordered placement index.
+  // Load sync: this node's group count.
   {
     MutexLock lock(metadata_mu_);
-    SetNodeLoad(req->node, req->groups.size(), /*eligible=*/true);
+    SetNodeLoad(req->node, req->groups.size(), /*eligible=*/!dead);
   }
 
   return Response{Status::Ok(), {}, cost};
@@ -591,155 +564,176 @@ net::RpcHandler::Response MasterNode::HandleTick(const std::string& payload) {
   {
     MutexLock lock(liveness_mu_);
     for (NodeId n : index_nodes_) {
-      if (dead_.count(n) != 0u) continue;  // already handled
       auto it = last_heartbeat_s_.find(n);
       if (it == last_heartbeat_s_.end()) continue;  // never heard from it
-      if (req->now_s - it->second > window) missing.push_back(n);
+      if (req->now_s - it->second <= window) continue;
+      if (dead_.count(n) == 0u) missing.push_back(n);
+      returning_.erase(n);  // a returning node that went quiet again
     }
   }
   for (NodeId n : missing) {
     cost += sim::Cost(config_.lookup_us / 1e6);
-    RecoverDeadNode(n, req->now_s, cost);
+    RecoverDeadNode(n, req->now_s);
   }
+  Reconcile(cost);
   return Response{Status::Ok(), {}, cost};
 }
 
-void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
+void MasterNode::RecoverDeadNode(NodeId node, double now_s) {
   PLOG(WARNING) << "node " << node << " missed "
                 << config_.heartbeat_miss_threshold
                 << " heartbeats; declaring dead";
   recoveries_->Add(1);
-  // The nested in.catch_up / in.create_group transport calls advance the
-  // ambient clock themselves, so this span's extent is the whole
-  // re-homing sweep.
-  obs::SpanGuard span("mn.recover_node", node, id_);
-  span.Tag("dead_node", static_cast<uint64_t>(node));
-  RecoveryEvent event;
-  event.at_s = now_s;
-  event.node = node;
-
-  const std::vector<IndexSpec> catalog = CatalogSnapshot();
-
-  // Collect the dead node's groups (sorted) and pull the node out of the
-  // placement index.
-  std::vector<GroupId> groups;
-  {
-    MutexLock lock(metadata_mu_);
-    for (const auto& [group, replicas] : group_replicas_) {
-      if (std::find(replicas.begin(), replicas.end(), node) !=
-          replicas.end()) {
-        groups.push_back(group);
-      }
-    }
-    auto it = node_load_.find(node);
-    if (it != node_load_.end()) load_index_.erase({it->second, node});
-  }
-  std::sort(groups.begin(), groups.end());
-  const size_t total = groups.size();
-
-  // Mark dead before picking targets so placement skips it.  The rehomed
-  // flag (in.reset on revival) is set iff it held any groups.
-  size_t live = 0;
   {
     MutexLock lock(liveness_mu_);
-    dead_[node] = total != 0;
-    for (NodeId m : index_nodes_) {
-      if (!transport_->IsDown(m) && dead_.count(m) == 0u) ++live;
+    dead_.insert(node);
+  }
+  MutexLock lock(metadata_mu_);
+  for (const auto& [group, replicas] : group_replicas_) {
+    if (std::count(replicas.begin(), replicas.end(), node) != 0) {
+      repair_.emplace(group, node);
     }
   }
-  if (live == 0 && total != 0) {
-    PLOG(WARNING) << "no live index nodes; cannot re-home " << total
-                  << " groups of dead node " << node;
-    MutexLock lock(mu_);
-    events_.push_back(std::move(event));
-    return;
-  }
+  auto it = node_load_.find(node);
+  if (it != node_load_.end()) load_index_.erase({it->second, node});
+  events_.push_back({now_s, node, 0, 0});
+}
 
-  // One path at every replication factor (r = 1 is a set of one): the
-  // lost copy is a hole in the group's replica set, and the set heals
-  // back to `want` copies through in.catch_up.  Losing the primary
-  // promotes the first survivor, which replays the journal tail it
-  // missed; fresh copies are seeded on live non-members (applied seq 0 =
-  // full replay, or a rebuild when the journal was checkpointed).
-  const size_t want =
-      static_cast<size_t>(std::max(config_.replication_factor, 1));
+void MasterNode::Reconcile(sim::Cost& cost) {
+  std::set<NodeId> dead;
+  std::map<NodeId, std::vector<HeartbeatRequest::GroupStat>> returning;
+  {
+    MutexLock lock(liveness_mu_);
+    dead = dead_;
+    returning = returning_;
+  }
+  const std::vector<IndexSpec> catalog = CatalogSnapshot();
+  std::vector<NodeId> revived;
   {
     MutexLock lock(metadata_mu_);
-    for (GroupId g : groups) {
-      auto catch_up = [&](NodeId target, const char* what) {
-        CatchUpRequest creq;
-        creq.group = g;
-        creq.specs = catalog;
-        auto call = transport_->Call(id_, target, "in.catch_up", Encode(creq));
-        cost += call.cost;
-        event.cost += call.cost;
-        if (!call.status.ok()) {
-          PLOG(WARNING) << what << " for group " << g << " on node " << target
-                        << " failed: " << call.status.ToString();
-          return false;
-        }
-        if (auto resp = Decode<CatchUpResponse>(call.payload); resp.ok()) {
-          event.records_restored += resp->records_replayed;
-        }
-        return true;
-      };
-      std::vector<NodeId>& replicas = group_replicas_[g];
-      const bool was_primary = replicas.front() == node;
-      replicas.erase(std::remove(replicas.begin(), replicas.end(), node),
-                     replicas.end());
-      if (was_primary && !replicas.empty()) {
-        catch_up(replicas.front(), "promotion catch-up");
+    if (repair_.empty() && returning.empty()) return;
+    // The nested transport calls advance the ambient clock themselves, so
+    // this span's extent is the whole pass.
+    obs::SpanGuard span("mn.reconcile", 0, id_);
+    // The latest RecoveryEvent of `node` (null: none); repair work is
+    // charged to it.
+    auto event_of = [&](NodeId node) -> RecoveryEvent* {
+      for (auto e = events_.rbegin(); e != events_.rend(); ++e) {
+        if (e->node == node) return &*e;
       }
-      if (replicas.size() < want) {
-        for (NodeId fresh : LeastLoadedNodes(want - replicas.size(), replicas)) {
-          if (!catch_up(fresh, "replica seed")) continue;
+      return nullptr;
+    };
+    auto call = [&](NodeId target, const char* method, std::string request) {
+      auto c = transport_->Call(id_, target, method, std::move(request));
+      cost += c.cost;
+      if (!c.status.ok()) {
+        PLOG(WARNING) << method << " on node " << target
+                      << " failed: " << c.status.ToString();
+      }
+      return c;
+    };
+    auto catch_up = [&](NodeId target, GroupId g, NodeId charge) {
+      auto c = call(target, "in.catch_up", Encode(CatchUpRequest{g, catalog}));
+      auto resp = Decode<CatchUpResponse>(c.payload);
+      if (!c.status.ok() || !resp.ok()) return false;
+      RecoveryEvent* e = event_of(charge);
+      if (e != nullptr) e->records_restored += resp->records_replayed;
+      return true;
+    };
+
+    // Revival: a returning node counts as live once every set it still
+    // belongs to has caught it up and it has dropped its copies of groups
+    // that moved away (wiped whole when it belongs to no set).
+    for (const auto& [node, held] : returning) {
+      std::vector<GroupId> member_of;
+      for (const auto& [g, replicas] : group_replicas_) {
+        if (std::count(replicas.begin(), replicas.end(), node) != 0) {
+          member_of.push_back(g);
+        }
+      }
+      std::sort(member_of.begin(), member_of.end());
+      std::vector<GroupId> strays;
+      for (const auto& stat : held) {
+        if (!std::binary_search(member_of.begin(), member_of.end(),
+                                stat.group)) {
+          strays.push_back(stat.group);
+        }
+      }
+      bool ok = std::all_of(member_of.begin(), member_of.end(),
+                            [&](GroupId g) { return catch_up(node, g, node); });
+      if (member_of.empty() && !strays.empty()) {
+        ok = ok &&
+             call(node, "in.reset", Encode(ResetNodeRequest{})).status.ok();
+        strays.clear();
+      }
+      for (GroupId g : strays) {
+        ok = ok && call(node, "in.drop_group", Encode(DropGroupRequest{g}))
+                       .status.ok();
+      }
+      if (!ok) continue;  // still dead; the next tick retries
+      SetNodeLoad(node, member_of.size(), /*eligible=*/true);
+      dead.erase(node);
+      revived.push_back(node);
+    }
+
+    auto is_dead = [&](NodeId n) { return dead.count(n) != 0u; };
+    for (auto it = repair_.begin(); it != repair_.end();) {
+      const auto [g, charge] = *it;
+      auto set_it = group_replicas_.find(g);
+      if (set_it == group_replicas_.end()) {  // dissolved meanwhile
+        it = repair_.erase(it);
+        continue;
+      }
+      std::vector<NodeId>& replicas = set_it->second;
+      const std::vector<NodeId> before = replicas;
+      // Promote the first live member over a dead primary.  A failed
+      // catch-up still promotes: the copy's next in.tick closes the gap.
+      auto live = std::find_if_not(replicas.begin(), replicas.end(), is_dead);
+      if (live != replicas.begin() && live != replicas.end()) {
+        catch_up(*live, g, charge);
+        std::rotate(replicas.begin(), live, live + 1);
+      }
+      // Seed live non-members up to max(r, 1) copies; only a seed that
+      // caught up joins the set.
+      auto copies = static_cast<size_t>(std::count_if(
+          replicas.begin(), replicas.end(), std::not_fn(is_dead)));
+      if (copies < want_copies_) {
+        for (NodeId fresh : LeastLoadedNodes(want_copies_ - copies, replicas)) {
+          if (!catch_up(fresh, g, charge)) continue;
           replicas.push_back(fresh);
           BumpNodeLoad(fresh, 1);
+          ++copies;
         }
       }
-      if (replicas.empty()) {
-        // No copy could be seeded (no journal attached, or every seed
-        // failed): keep routing valid with an empty replacement.  Without
-        // a journal the data is lost; with one, the replacement's next
-        // in.tick anti-entropy pass replays it (its applied seq is 0).
-        const NodeId target = LeastLoadedNode();
-        CreateGroupRequest creq;
-        creq.group = g;
-        creq.specs = catalog;
-        auto call =
-            transport_->Call(id_, target, "in.create_group", Encode(creq));
-        cost += call.cost;
-        event.cost += call.cost;
-        if (!call.status.ok()) {
-          PLOG(WARNING) << "replacement group " << g << " creation failed: "
-                        << call.status.ToString();
-          replicas.push_back(node);  // keep the mapping
-          continue;
-        }
-        replicas.push_back(target);
-        BumpNodeLoad(target, 1);
+      // Dead members leave only once a live copy exists.
+      for (NodeId n : replicas) {
+        if (copies == 0 || !is_dead(n)) continue;
+        BumpNodeLoad(n, -1);
+        if (RecoveryEvent* e = event_of(n)) ++e->groups_moved;
+        groups_recovered_->Add(1);
       }
-      BumpNodeLoad(node, -1);
-      mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-      ++metadata_epoch_;  // replica set changed; cached routing stale
-      ++event.groups_moved;
+      if (copies > 0) std::erase_if(replicas, is_dead);
+      if (replicas != before) {
+        mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
+        ++metadata_epoch_;  // replica set changed; cached routing stale
+      }
+      const bool whole = copies >= want_copies_ && replicas.size() == copies;
+      it = whole ? repair_.erase(it) : std::next(it);
+    }
+  }
+  {
+    MutexLock lock(liveness_mu_);
+    for (NodeId n : revived) {
+      dead_.erase(n);
+      returning_.erase(n);
     }
   }
   MaybeFlushMetadata(cost);
-  groups_recovered_->Add(event.groups_moved);
-  span.Tag("groups_moved", static_cast<uint64_t>(event.groups_moved));
-  span.Tag("records_restored", event.records_restored);
-  MutexLock lock(mu_);
-  events_.push_back(std::move(event));
 }
 
 std::vector<NodeId> MasterNode::DeadNodes() const {
   MutexLock lock(liveness_mu_);
-  std::vector<NodeId> nodes;
-  nodes.reserve(dead_.size());
-  for (const auto& [n, rehomed] : dead_) nodes.push_back(n);
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
+  return {dead_.begin(), dead_.end()};
 }
 
 std::optional<NodeId> MasterNode::NodeOfGroup(GroupId group) const {
@@ -767,10 +761,6 @@ uint64_t MasterNode::MetadataEpoch() const {
 }
 
 std::string MasterNode::SnapshotMetadata() const {
-  return SnapshotMetadataImage();
-}
-
-std::string MasterNode::SnapshotMetadataImage() const {
   MetadataImage image;
   image.catalog = CatalogSnapshot();
   {
@@ -814,10 +804,10 @@ Status MasterNode::RestoreMetadata(const std::string& payload) {
     MutexLock lock(mu_);
     catalog_ = std::move(image->catalog);
   }
-  std::unordered_set<NodeId> dead;
+  std::set<NodeId> dead;
   {
     MutexLock lock(liveness_mu_);
-    for (const auto& [nd, rehomed] : dead_) dead.insert(nd);
+    dead = dead_;
   }
   MutexLock lock(metadata_mu_);
   group_replicas_.clear();
@@ -836,6 +826,15 @@ Status MasterNode::RestoreMetadata(const std::string& payload) {
     group_replicas_[rs.group] = std::move(rs.nodes);
   }
   for (const auto& [g, a] : subgraphs) acg_.RestoreGroup(g, a);
+  // The repair list is level-triggered: rebuild it from the restored sets.
+  repair_.clear();
+  for (const auto& [g, nodes] : group_replicas_) {
+    if (nodes.size() < want_copies_ ||
+        std::any_of(nodes.begin(), nodes.end(),
+                    [&](NodeId n) { return dead.count(n) != 0u; })) {
+      repair_.emplace(g, 0);
+    }
+  }
   // Rebuild the ordered placement index from the recounted loads;
   // declared-dead nodes stay excluded until they heartbeat back.
   load_index_.clear();
@@ -854,7 +853,7 @@ void MasterNode::MaybeFlushMetadata(sim::Cost& cost) {
 }
 
 sim::Cost MasterNode::ForceMetadataFlush() {
-  std::string image = SnapshotMetadataImage();
+  std::string image = SnapshotMetadata();
   MutexLock lock(mu_);
   obs::SpanGuard span("mn.metadata_flush", flush_count_, id_);
   metadata_flushes_->Add(1);

@@ -22,9 +22,9 @@
 //
 // Concurrency: the routing metadata (ACG partition, replica sets, load
 // view, epoch) sits under one metadata mutex (LockRank::kMasterMetadata),
-// held across the nested in.create_group / migration RPCs.  The coarse mu_
-// (LockRank::kMaster) guards only rare cold state (catalog, flush
-// machinery, recovery events), and liveness stamps live under their own
+// held across the nested in.create_group / migration / repair RPCs.  The
+// coarse mu_ (LockRank::kMaster) guards only rare cold state (catalog,
+// flush machinery), and liveness stamps live under their own
 // mutex (LockRank::kMasterLiveness), so heartbeats never queue behind
 // resolves.
 #pragma once
@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -144,16 +145,15 @@ class MasterNode : public net::RpcHandler {
   size_t RunRebalance(sim::Cost* cost, uint64_t slack = 1);
 
   // --- failure detection & recovery introspection ---
-  // One entry per node-death the failure detector handled.
+  // One entry per declared node death; later repairs add their work to it.
   struct RecoveryEvent {
     double at_s = 0;               // cluster time the death was declared
     NodeId node = 0;               // the dead node
-    size_t groups_moved = 0;       // groups re-homed onto survivors
-    uint64_t records_restored = 0; // journal records replayed on survivors
-    sim::Cost cost;                // simulated recovery work
+    size_t groups_moved = 0;       // sets the dead node has left
+    uint64_t records_restored = 0; // journal records replayed by repairs
   };
   std::vector<RecoveryEvent> RecoveryEvents() const {
-    MutexLock lock(mu_);
+    MutexLock lock(metadata_mu_);
     return events_;
   }
   std::vector<NodeId> DeadNodes() const;
@@ -180,17 +180,20 @@ class MasterNode : public net::RpcHandler {
   // brief mu_ before taking metadata_mu_.
   std::vector<IndexSpec> CatalogSnapshot() const;
 
-  // Declares `node` dead and heals every replica set it belonged to back
-  // to max(r, 1) copies on the least-loaded live survivors (in.catch_up).
-  // Appends a RecoveryEvent.
-  void RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost);
+  // Declares `node` dead: out of the placement pool, every set it belongs
+  // to on the repair list, a RecoveryEvent appended.
+  void RecoverDeadNode(NodeId node, double now_s);
+
+  // Level-triggered repair on every mn.tick: revives returning nodes, then
+  // promotes, seeds and drops dead members of each listed set until it is
+  // whole.  No work on a healthy cluster.
+  void Reconcile(sim::Cost& cost);
 
   // Ensures `group` exists on some Index Node; creates it (with the
-  // catalog's indices) on the least-loaded node if new.
+  // catalog's indices) on the least-loaded live nodes if new.
   Result<NodeId> EnsureGroupPlaced(GroupId group,
                                    const std::vector<IndexSpec>& catalog,
                                    sim::Cost& cost) REQUIRES(metadata_mu_);
-  NodeId LeastLoadedNode() const REQUIRES(metadata_mu_);
   // Up to `k` distinct live nodes by ascending load (ties by node id),
   // skipping members of `exclude` — replica placement and replacement.
   std::vector<NodeId> LeastLoadedNodes(size_t k,
@@ -231,15 +234,11 @@ class MasterNode : public net::RpcHandler {
   void MaybeFlushMetadata(sim::Cost& cost);
   sim::Cost RunSplitMaintenanceLocked(const std::vector<IndexSpec>& catalog)
       REQUIRES(metadata_mu_);
-  std::string SnapshotMetadataImage() const;
 
   NodeId id_;
   net::Transport* transport_;
   MasterConfig config_;
-  // First registered index node — the placement fallback when no node is
-  // eligible (atomic: read from metadata-locked paths, which must not take
-  // liveness_mu_; kMasterLiveness ranks below kMasterMetadata).
-  std::atomic<NodeId> first_index_node_{0};
+  const size_t want_copies_;  // copies per replica set: max(r, 1)
   // The routing metadata: everything a cache-miss resolve touches.  Held
   // across the nested in.create_group / migration RPCs.
   mutable Mutex metadata_mu_{LockRank::kMasterMetadata,
@@ -249,6 +248,12 @@ class MasterNode : public net::RpcHandler {
   // replication_factor == 1.
   std::unordered_map<GroupId, std::vector<NodeId>> group_replicas_
       GUARDED_BY(metadata_mu_);
+  // Repair list: every set naming a declared-dead node or short of
+  // max(r, 1) copies -> the node whose RecoveryEvent its repair is charged
+  // to (0: none).  A dead member leaves its set only once the set holds a
+  // live copy; every other member is live and holds its copy.
+  std::map<GroupId, NodeId> repair_ GUARDED_BY(metadata_mu_);
+  std::vector<RecoveryEvent> events_ GUARDED_BY(metadata_mu_);
   // Load view (updated by heartbeats + own placements): groups per node,
   // mirrored into an ordered (load, node) index so placement picks the
   // least-loaded node without an O(n) scan.
@@ -265,12 +270,11 @@ class MasterNode : public net::RpcHandler {
   // arrival-stamped resolve starts when the previous one finishes and is
   // charged the wait.
   sim::ServerQueue resolve_queue_ GUARDED_BY(metadata_mu_){1};
-  // Cold coarse state: catalog, flush machinery, recovery event log.
+  // Cold coarse state: catalog and flush machinery.
   // Never held while metadata_mu_ is held (kMaster ranks below
   // kMasterMetadata), so resolves only brush it for the catalog snapshot.
   mutable Mutex mu_{LockRank::kMaster, "MasterNode::mu_"};
   std::vector<IndexSpec> catalog_ GUARDED_BY(mu_);
-  std::vector<RecoveryEvent> events_ GUARDED_BY(mu_);
   MetadataSink metadata_sink_ GUARDED_BY(mu_);
   sim::IoContext shared_storage_;
   sim::PageStore metadata_store_ GUARDED_BY(mu_);
@@ -287,10 +291,12 @@ class MasterNode : public net::RpcHandler {
                              "MasterNode::liveness_mu_"};
   std::vector<NodeId> index_nodes_ GUARDED_BY(liveness_mu_);
   std::unordered_map<NodeId, double> last_heartbeat_s_ GUARDED_BY(liveness_mu_);
-  // Declared-dead nodes; value = whether their groups were re-homed (a
-  // revived node whose data moved elsewhere must be wiped via in.reset
-  // before it can rejoin the placement pool).
-  std::unordered_map<NodeId, bool> dead_ GUARDED_BY(liveness_mu_);
+  // Declared-dead nodes.  One that heartbeats again is returning (value:
+  // the groups its latest heartbeat named) and stays dead until Reconcile
+  // revives it.
+  std::set<NodeId> dead_ GUARDED_BY(liveness_mu_);
+  std::map<NodeId, std::vector<HeartbeatRequest::GroupStat>> returning_
+      GUARDED_BY(liveness_mu_);
   obs::MetricsRegistry metrics_;
   obs::Counter* handle_calls_;
   obs::Counter* metadata_flushes_;

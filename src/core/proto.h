@@ -361,12 +361,12 @@ struct InstallGroupRequest {
 
 // ---- in.catch_up ----
 // Master -> replica: close the gap between the replica's applied commit
-// sequence and the journal's — the one way a node death is healed, at
-// every replication factor.  Promoting a surviving replica replays only
-// the missing tail (per-replica journal cursors); seeding a brand-new copy
-// creates the group and replays it in full (applied seq 0), or rebuilds it
-// from the base image when the journal was checkpointed.
-// FailedPrecondition when the node has no journal attached.
+// sequence and the journal's — the one way a replica set is repaired.
+// Promoting a survivor or reviving a member replays only the missing tail
+// (per-replica journal cursors); seeding a brand-new copy creates the
+// group and replays it in full (applied seq 0), or rebuilds it from the
+// base image when the journal was checkpointed.  A node without a journal
+// creates the group empty and reports 0 records replayed.
 struct CatchUpRequest {
   GroupId group = 0;
   std::vector<IndexSpec> specs;
@@ -408,7 +408,7 @@ struct ResetNodeRequest {
 
 // ---- master metadata image ----
 // Not an RPC: the image the master flushes to shared storage and a
-// standby restores (MasterNode::SnapshotMetadataImage / RestoreMetadata),
+// standby restores (MasterNode::SnapshotMetadata / RestoreMetadata),
 // on the same codec.  Replica sets and ACG blobs are sorted by group id,
 // so the bytes are a pure function of the placement tables.
 struct MetadataImage {

@@ -279,6 +279,98 @@ TEST(IndexNodeRoleTest, UnknownReplicaRoleRejectedBeforeTheJournal) {
   EXPECT_EQ(ack->seq, journal.Seq(1));
 }
 
+// A copy behind the group's journal: the journal already holds history
+// (records another node appended) when this node creates the group, as
+// for a survivor promoted while its catch-up failed.
+class IndexNodeBehindJournalTest : public ::testing::Test {
+ protected:
+  IndexNodeBehindJournalTest() : node_(13, Config(&journal_)) {
+    journal_.AppendBatch(1, {Upsert(1, 10), Upsert(2, 20)});
+    CreateGroupRequest req;
+    req.group = 1;
+    req.specs = {{"by_size", index::IndexType::kBTree, {"size"}}};
+    EXPECT_TRUE(node_.Handle("in.create_group", Encode(req)).status.ok());
+  }
+
+  static IndexNodeConfig Config(GroupJournal* journal) {
+    IndexNodeConfig cfg;
+    cfg.recovery_journal = journal;
+    return cfg;
+  }
+
+  // Stages one record as the group's primary (a journal appender).
+  void StageAsPrimary(FileUpdate u) {
+    StageUpdatesRequest req;
+    req.group = 1;
+    req.replica_role = kReplicaRolePrimary;
+    req.updates = {std::move(u)};
+    auto resp = node_.Handle("in.stage_updates", Encode(req));
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  }
+
+  double Lag() {
+    return node_.MetricsSnapshot().gauges["in.replica.lag"];
+  }
+
+  GroupJournal journal_;
+  IndexNode node_;
+};
+
+// The append does not mark the copy current, so the next tick's
+// anti-entropy pass still replays the records it missed.
+TEST_F(IndexNodeBehindJournalTest, StageDoesNotMarkTheCopyCurrent) {
+  StageAsPrimary(Upsert(3, 30));
+  EXPECT_EQ(journal_.Seq(1), 3u);
+  EXPECT_EQ(Lag(), 3.0) << "the append stepped over the missed records";
+
+  TickRequest tick;
+  tick.now_s = 1.0;
+  ASSERT_TRUE(node_.Handle("in.tick", Encode(tick)).status.ok());
+  EXPECT_EQ(Lag(), 0.0);
+  SearchRequest search;
+  search.groups = {1};
+  search.predicate.And("size", CmpOp::kGt, AttrValue(int64_t{0}));
+  auto resp = node_.Handle("in.search", Encode(search));
+  ASSERT_TRUE(resp.status.ok());
+  auto found = Decode<SearchResponse>(resp.payload);
+  ASSERT_TRUE(found.ok());
+  std::sort(found->files.begin(), found->files.end());
+  EXPECT_EQ(found->files, (std::vector<FileId>{1, 2, 3}));
+}
+
+// Moving the group off such a copy hands off its whole history, not just
+// the one record staged on it.
+TEST_F(IndexNodeBehindJournalTest, MigrateOutReplaysTheJournalFirst) {
+  StageAsPrimary(Upsert(3, 30));
+  MigrateOutRequest req;
+  req.group = 1;
+  auto resp = node_.Handle("in.migrate_out", Encode(req));
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  auto moved = Decode<MigrateOutResponse>(resp.payload);
+  ASSERT_TRUE(moved.ok());
+  std::vector<FileId> files;
+  for (const FileUpdate& u : moved->records) files.push_back(u.file);
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<FileId>{1, 2, 3}));
+}
+
+// Without a journal, in.catch_up creates the group empty and reports no
+// records replayed: a node that lost its data comes back with an empty
+// copy rather than none.
+TEST_F(IndexNodeTest, CatchUpWithoutAJournalCreatesTheGroupEmpty) {
+  CatchUpRequest req;
+  req.group = 4;
+  req.specs = {{"by_size", index::IndexType::kBTree, {"size"}}};
+  auto resp = Call("in.catch_up", Encode(req));
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  auto decoded = Decode<CatchUpResponse>(resp.payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->records_replayed, 0u);
+  ASSERT_NE(node_.FindGroup(4), nullptr);
+  EXPECT_EQ(node_.FindGroup(4)->NumFiles(), 0u);
+  EXPECT_TRUE(node_.FindGroup(4)->HasIndex("by_size"));
+}
+
 TEST_F(IndexNodeTest, MalformedPayloadRejected) {
   EXPECT_FALSE(Call("in.stage_updates", "junk").status.ok());
   EXPECT_FALSE(Call("in.search", "junk").status.ok());

@@ -261,6 +261,20 @@ TEST_F(MasterNodeTest, HeartbeatUpdatesLoadView) {
   EXPECT_TRUE(Call("mn.heartbeat", Encode(hb)).status.ok());
 }
 
+// With every index node down, placing a new file's group fails
+// UNAVAILABLE naming the group, and no create reaches any node.
+TEST_F(MasterNodeTest, PlacementWithEveryNodeDownIsUnavailable) {
+  for (NodeId id = 10; id < 13; ++id) transport_.SetNodeDown(id, true);
+  ResolveUpdateRequest req;
+  req.files = {1};
+  auto resp = Call("mn.resolve_update", Encode(req));
+  EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(resp.status.ToString().find("group"), std::string::npos)
+      << resp.status.ToString();
+  for (auto& stub : stubs_) EXPECT_EQ(stub.calls["in.create_group"], 0);
+  EXPECT_EQ(master_.NumGroups(), 0u);
+}
+
 // --- resolve queue model --------------------------------------------------
 
 IndexSpec SizeIndex() { return {"by_size", index::IndexType::kBTree, {"size"}}; }

@@ -207,6 +207,34 @@ TEST(RecoveryTest, RevivedNodeIsWipedAndRejoinsPlacementPool) {
       << "revived node never received new placements";
 }
 
+// Every node goes dark at once, state intact, and later comes back.  No
+// live node could take any group meanwhile, so every set still names its
+// old node; each revived node keeps its copies and nothing is lost.
+TEST(RecoveryTest, EveryNodeDownThenRevivedKeepsItsData) {
+  PropellerCluster cluster(RecoveryConfig(true));
+  Predicate p = Seed(cluster, 60);
+  Tick(cluster, 2);
+
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    cluster.KillIndexNode(i);
+  }
+  Tick(cluster, 5);
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    ASSERT_TRUE(cluster.master().IsNodeDead(cluster.index_node(i).id()));
+  }
+
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    cluster.ReviveIndexNode(i);
+  }
+  Tick(cluster, 5);
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    EXPECT_FALSE(cluster.master().IsNodeDead(cluster.index_node(i).id()));
+  }
+  auto r = cluster.client().Search(p, "by_size");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->files.size(), 60u);
+}
+
 TEST(RecoveryTest, StagedButUncommittedUpdatesSurviveNodeLoss) {
   // The journal replicates on the staging path, so even updates that
   // never committed on the lost node are recoverable.

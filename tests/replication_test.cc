@@ -12,9 +12,10 @@
 //      quorum fails naming the group.
 //   3. Promotion — wiping a node permanently turns recovery into replica
 //      promotion + journal catch-up; no acknowledged write is lost and the
-//      dead node leaves every replica set, even when every copy of a group
-//      dies, the master's journal replays fail, and a write or a move
-//      reaches the empty replacement before it has replayed the journal.
+//      dead node leaves every replica set.  A set whose seeds fail is
+//      re-seeded by a later tick; a set with no live copy keeps its dead
+//      members (searches fail or come back partial, never short) until a
+//      later tick seeds it from the journal.
 //   4. Read-your-writes — a lagging secondary answers kStaleReplica for a
 //      floor it has not applied, and anti-entropy catch-up (in.tick)
 //      closes the gap.  A search routed to a promoted copy below the
@@ -382,10 +383,60 @@ TEST(ReplicationTest, WipingAnyNodePromotesReplicasWithoutDataLoss) {
                         FileId{9'000'001}) != final->files.end());
 }
 
-// Both copies of some groups die together while every journal replay the
-// master asks for fails.  No copy can be seeded, so each such group gets
-// an empty replacement that the next anti-entropy tick fills from the
-// journal; nothing stays mapped to a dead node.
+// Node 0 dies wiped while every in.catch_up the master sends fails.  Each
+// of its sets keeps a live copy and drops the dead member, but no seed
+// lands, so those sets hold one copy.  Once the fault clears, a later
+// tick re-seeds every set back to two copies.
+TEST(ReplicationTest, DegradedSetIsReseededByALaterTick) {
+  auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/2));
+  auto parsed = ParseQuery(kQuery, 1'000'000);
+  ASSERT_TRUE(parsed.ok());
+  auto before = cluster->client().Search(parsed->predicate);
+  ASSERT_TRUE(before.ok());
+  const std::set<GroupId> groups = AllGroups(*cluster);
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  net::FaultRule rule;
+  rule.src = PropellerCluster::kMasterId;
+  rule.method = "in.catch_up";
+  rule.fail_prob = 1;
+  plan->AddRule(rule);
+  cluster->transport().SetFaultPlan(plan);
+
+  const NodeId dead_id = cluster->index_node(0).id();
+  ASSERT_GT(cluster->index_node(0).NumGroups(), 0u);
+  cluster->KillIndexNode(0, /*wipe=*/true);
+  for (int ticks = 0; !cluster->master().IsNodeDead(dead_id); ++ticks) {
+    ASSERT_LT(ticks, 6) << "the master never declared node 0 dead";
+    cluster->AdvanceTime(1.0);
+  }
+  size_t degraded = 0;
+  for (GroupId g : groups) {
+    if (cluster->master().ReplicasOfGroup(g).size() < 2) ++degraded;
+  }
+  ASSERT_GT(degraded, 0u) << "no set lost a copy; the scenario is vacuous";
+
+  plan->ClearRules();
+  for (int i = 0; i < 5; ++i) cluster->AdvanceTime(1.0);
+  for (GroupId g : groups) {
+    auto replicas = cluster->master().ReplicasOfGroup(g);
+    ASSERT_EQ(replicas.size(), 2u) << "group " << g;
+    EXPECT_NE(replicas[0], replicas[1]) << "group " << g;
+    for (NodeId n : replicas) EXPECT_NE(n, dead_id) << "group " << g;
+  }
+  auto after = cluster->client().Search(parsed->predicate);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->files, before->files);
+}
+
+// Both copies of some groups die together while every journal replay and
+// every group creation the master asks for fails.  No live copy of those
+// groups exists, so their sets keep naming the dead nodes: a search fails
+// UNAVAILABLE naming one, or comes back partial under
+// allow_partial_search, and is never OK and short.  Once the faults
+// clear, a later tick seeds fresh copies from the journal and drops the
+// dead members: every file from before is found, and so is every write
+// acknowledged while the faults held.
 TEST(ReplicationTest, LosingEveryCopyWhileReplaysFailStillRehomesTheGroup) {
   auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/2));
   auto parsed = ParseQuery(kQuery, 1'000'000);
@@ -397,21 +448,23 @@ TEST(ReplicationTest, LosingEveryCopyWhileReplaysFailStillRehomesTheGroup) {
   const NodeId dead0 = cluster->index_node(0).id();
   const NodeId dead1 = cluster->index_node(1).id();
   const std::set<GroupId> groups = AllGroups(*cluster);
-  std::vector<GroupId> lost;  // groups whose every copy dies
+  std::set<GroupId> lost;  // groups whose every copy dies
   for (GroupId g : groups) {
     auto replicas = cluster->master().ReplicasOfGroup(g);
     std::sort(replicas.begin(), replicas.end());
-    if (replicas == std::vector<NodeId>{dead0, dead1}) lost.push_back(g);
+    if (replicas == std::vector<NodeId>{dead0, dead1}) lost.insert(g);
   }
   ASSERT_FALSE(lost.empty())
       << "no group lives on exactly nodes 0 and 1; the scenario is vacuous";
 
   auto plan = std::make_shared<net::FaultPlan>(1);
-  net::FaultRule rule;
-  rule.src = PropellerCluster::kMasterId;
-  rule.method = "in.catch_up";
-  rule.fail_prob = 1;
-  plan->AddRule(rule);
+  for (const char* method : {"in.catch_up", "in.create_group"}) {
+    net::FaultRule rule;
+    rule.src = PropellerCluster::kMasterId;
+    rule.method = method;
+    rule.fail_prob = 1;
+    plan->AddRule(rule);
+  }
   cluster->transport().SetFaultPlan(plan);
 
   cluster->KillIndexNode(0, /*wipe=*/true);
@@ -423,48 +476,53 @@ TEST(ReplicationTest, LosingEveryCopyWhileReplaysFailStillRehomesTheGroup) {
     cluster->AdvanceTime(1.0);
     ++ticks;
   }
-  // A write reaches each lost group's empty replacement before any in.tick
-  // has replayed its history.  The append must not mark the replacement as
-  // current, or anti-entropy would never restore the earlier records.
-  std::vector<FileId> expected = before->files;
-  FileId next_file = 9'600'000;
-  for (GroupId g : lost) {
-    const auto replicas = cluster->master().ReplicasOfGroup(g);
-    ASSERT_EQ(replicas.size(), 1u) << "group " << g;
-    StageUpdatesRequest sreq;
-    sreq.group = g;
-    sreq.now_s = cluster->now();
-    sreq.replica_role = kReplicaRolePrimary;
-    FileUpdate u;
-    u.file = next_file++;
-    u.attrs.Set("size", AttrValue(int64_t{32} << 20));
-    sreq.updates.push_back(u);
-    expected.push_back(u.file);
-    auto staged = cluster->transport().Call(100, replicas.front(),
-                                            "in.stage_updates", Encode(sreq));
-    ASSERT_TRUE(staged.status.ok()) << staged.status.ToString();
-  }
-  std::sort(expected.begin(), expected.end());
-  // Moving a group off a replacement in the same window must hand off its
-  // whole history, not just the one new record.
-  {
-    const NodeId holder = cluster->master().ReplicasOfGroup(lost.front())[0];
-    MigrateOutRequest out;
-    out.group = lost.front();
-    auto moved = cluster->transport().Call(100, holder, "in.migrate_out",
-                                           Encode(out));
-    ASSERT_TRUE(moved.status.ok()) << moved.status.ToString();
-    auto records = Decode<MigrateOutResponse>(moved.payload);
-    ASSERT_TRUE(records.ok());
-    EXPECT_GT(records->records.size(), 1u);
-    InstallGroupRequest in;
-    in.group = lost.front();
-    in.records = std::move(records->records);
-    ASSERT_TRUE(cluster->transport()
-                    .Call(100, holder, "in.install_group", Encode(in))
-                    .status.ok());
-  }
   for (; ticks < 6; ++ticks) cluster->AdvanceTime(1.0);
+  for (GroupId g : lost) {
+    auto replicas = cluster->master().ReplicasOfGroup(g);
+    std::sort(replicas.begin(), replicas.end());
+    EXPECT_EQ(replicas, (std::vector<NodeId>{dead0, dead1}))
+        << "group " << g << " left its dead members with no live copy";
+  }
+
+  // While the faults hold, the lost groups' data is unreachable and every
+  // search says so.
+  auto strict = cluster->client().Search(parsed->predicate);
+  ASSERT_FALSE(strict.ok()) << "a search missing the lost groups came back OK";
+  EXPECT_EQ(strict.status().code(), StatusCode::kUnavailable);
+  const std::string message = strict.status().ToString();
+  EXPECT_TRUE(message.find("node " + std::to_string(dead0)) !=
+                  std::string::npos ||
+              message.find("node " + std::to_string(dead1)) !=
+                  std::string::npos)
+      << message;
+  ClientConfig degraded_cfg;
+  degraded_cfg.allow_partial_search = true;
+  PropellerClient degraded(300, &cluster->transport(),
+                           PropellerCluster::kMasterId, degraded_cfg);
+  auto partial = degraded.Search(parsed->predicate);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_TRUE(partial->partial);
+  ASSERT_FALSE(partial->node_errors.empty());
+  for (const auto& e : partial->node_errors) {
+    EXPECT_TRUE(e.node == dead0 || e.node == dead1) << "node " << e.node;
+  }
+
+  // A write to a group that kept a live copy is acknowledged meanwhile.
+  std::vector<FileId> expected = before->files;
+  std::sort(expected.begin(), expected.end());
+  FileId written = 0;
+  for (FileId f = 1; f <= kBaseFiles && written == 0; ++f) {
+    if (std::binary_search(expected.begin(), expected.end(), f)) continue;
+    if (lost.count(GroupOfFile(*cluster, f)) == 0u) written = f;
+  }
+  ASSERT_NE(written, 0u);
+  FileUpdate grown;
+  grown.file = written;
+  grown.attrs.Set("size", AttrValue(int64_t{32} << 20));
+  ASSERT_TRUE(cluster->client().BatchUpdate({grown}, cluster->now()).ok());
+  expected.push_back(written);
+  std::sort(expected.begin(), expected.end());
+
   plan->ClearRules();
   for (int i = 0; i < 2; ++i) cluster->AdvanceTime(1.0);
   ASSERT_TRUE(cluster->master().IsNodeDead(dead0));
