@@ -134,7 +134,7 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
   if (it != group_replicas_.end()) return it->second.front();
 
   // Pick the replica set: the r least-loaded distinct live nodes (fewer
-  // when fewer are live — the repair list heals the set up later).
+  // when fewer are live — a later reconcile heals the set up).
   std::vector<NodeId> replicas = LeastLoadedNodes(want_copies_, {});
   if (replicas.empty()) {
     return Status::Unavailable("no live node for group " +
@@ -158,7 +158,6 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
     placed.push_back(node);
   }
   for (NodeId node : placed) BumpNodeLoad(node, 1);
-  if (placed.size() < want_copies_) repair_.emplace(group, 0);
   NodeId primary = placed.front();
   group_replicas_[group] = std::move(placed);
   mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
@@ -589,14 +588,25 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s) {
     dead_.insert(node);
   }
   MutexLock lock(metadata_mu_);
-  for (const auto& [group, replicas] : group_replicas_) {
-    if (std::count(replicas.begin(), replicas.end(), node) != 0) {
-      repair_.emplace(group, node);
-    }
-  }
   auto it = node_load_.find(node);
   if (it != node_load_.end()) load_index_.erase({it->second, node});
   events_.push_back({now_s, node, 0, 0});
+}
+
+std::vector<GroupId> MasterNode::DegradedGroups(
+    const std::set<NodeId>& dead) const {
+  std::vector<GroupId> out;
+  for (const auto& [g, replicas] : group_replicas_) {
+    const bool names_dead =
+        std::any_of(replicas.begin(), replicas.end(),
+                    [&](NodeId n) { return dead.count(n) != 0u; });
+    if (names_dead || (replicas.size() < want_copies_ &&
+                       !LeastLoadedNodes(1, replicas).empty())) {
+      out.push_back(g);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 void MasterNode::Reconcile(sim::Cost& cost) {
@@ -607,11 +617,16 @@ void MasterNode::Reconcile(sim::Cost& cost) {
     dead = dead_;
     returning = returning_;
   }
+  // At r = 1 with no dead node every set is one live copy: nothing to do.
+  if (dead.empty() && want_copies_ == 1) return;
+  if (returning.empty()) {
+    MutexLock lock(metadata_mu_);
+    if (DegradedGroups(dead).empty()) return;
+  }
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
   std::vector<NodeId> revived;
   {
     MutexLock lock(metadata_mu_);
-    if (repair_.empty() && returning.empty()) return;
     // The nested transport calls advance the ambient clock themselves, so
     // this span's extent is the whole pass.
     obs::SpanGuard span("mn.reconcile", 0, id_);
@@ -632,12 +647,11 @@ void MasterNode::Reconcile(sim::Cost& cost) {
       }
       return c;
     };
-    auto catch_up = [&](NodeId target, GroupId g, NodeId charge) {
+    auto catch_up = [&](NodeId target, GroupId g, RecoveryEvent* charge) {
       auto c = call(target, "in.catch_up", Encode(CatchUpRequest{g, catalog}));
       auto resp = Decode<CatchUpResponse>(c.payload);
       if (!c.status.ok() || !resp.ok()) return false;
-      RecoveryEvent* e = event_of(charge);
-      if (e != nullptr) e->records_restored += resp->records_replayed;
+      if (charge != nullptr) charge->records_restored += resp->records_replayed;
       return true;
     };
 
@@ -659,8 +673,9 @@ void MasterNode::Reconcile(sim::Cost& cost) {
           strays.push_back(stat.group);
         }
       }
-      bool ok = std::all_of(member_of.begin(), member_of.end(),
-                            [&](GroupId g) { return catch_up(node, g, node); });
+      bool ok = std::all_of(member_of.begin(), member_of.end(), [&](GroupId g) {
+        return catch_up(node, g, event_of(node));
+      });
       if (member_of.empty() && !strays.empty()) {
         ok = ok &&
              call(node, "in.reset", Encode(ResetNodeRequest{})).status.ok();
@@ -677,15 +692,14 @@ void MasterNode::Reconcile(sim::Cost& cost) {
     }
 
     auto is_dead = [&](NodeId n) { return dead.count(n) != 0u; };
-    for (auto it = repair_.begin(); it != repair_.end();) {
-      const auto [g, charge] = *it;
-      auto set_it = group_replicas_.find(g);
-      if (set_it == group_replicas_.end()) {  // dissolved meanwhile
-        it = repair_.erase(it);
-        continue;
-      }
-      std::vector<NodeId>& replicas = set_it->second;
+    for (GroupId g : DegradedGroups(dead)) {
+      std::vector<NodeId>& replicas = group_replicas_.at(g);
       const std::vector<NodeId> before = replicas;
+      // Repairs are charged to the death of the set's first dead member; a
+      // set short of copies with no dead member left is charged to none.
+      auto first_dead = std::find_if(before.begin(), before.end(), is_dead);
+      RecoveryEvent* charge =
+          first_dead == before.end() ? nullptr : event_of(*first_dead);
       // Promote the first live member over a dead primary.  A failed
       // catch-up still promotes: the copy's next in.tick closes the gap.
       auto live = std::find_if_not(replicas.begin(), replicas.end(), is_dead);
@@ -706,19 +720,18 @@ void MasterNode::Reconcile(sim::Cost& cost) {
         }
       }
       // Dead members leave only once a live copy exists.
+      if (copies == 0) continue;
       for (NodeId n : replicas) {
-        if (copies == 0 || !is_dead(n)) continue;
+        if (!is_dead(n)) continue;
         BumpNodeLoad(n, -1);
         if (RecoveryEvent* e = event_of(n)) ++e->groups_moved;
         groups_recovered_->Add(1);
       }
-      if (copies > 0) std::erase_if(replicas, is_dead);
+      std::erase_if(replicas, is_dead);
       if (replicas != before) {
         mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
         ++metadata_epoch_;  // replica set changed; cached routing stale
       }
-      const bool whole = copies >= want_copies_ && replicas.size() == copies;
-      it = whole ? repair_.erase(it) : std::next(it);
     }
   }
   {
@@ -826,15 +839,6 @@ Status MasterNode::RestoreMetadata(const std::string& payload) {
     group_replicas_[rs.group] = std::move(rs.nodes);
   }
   for (const auto& [g, a] : subgraphs) acg_.RestoreGroup(g, a);
-  // The repair list is level-triggered: rebuild it from the restored sets.
-  repair_.clear();
-  for (const auto& [g, nodes] : group_replicas_) {
-    if (nodes.size() < want_copies_ ||
-        std::any_of(nodes.begin(), nodes.end(),
-                    [&](NodeId n) { return dead.count(n) != 0u; })) {
-      repair_.emplace(g, 0);
-    }
-  }
   // Rebuild the ordered placement index from the recounted loads;
   // declared-dead nodes stay excluded until they heartbeat back.
   load_index_.clear();

@@ -150,7 +150,7 @@ class MasterNode : public net::RpcHandler {
     double at_s = 0;               // cluster time the death was declared
     NodeId node = 0;               // the dead node
     size_t groups_moved = 0;       // sets the dead node has left
-    uint64_t records_restored = 0; // journal records replayed by repairs
+    uint64_t records_restored = 0; // journal records replayed on its account
   };
   std::vector<RecoveryEvent> RecoveryEvents() const {
     MutexLock lock(metadata_mu_);
@@ -180,14 +180,17 @@ class MasterNode : public net::RpcHandler {
   // brief mu_ before taking metadata_mu_.
   std::vector<IndexSpec> CatalogSnapshot() const;
 
-  // Declares `node` dead: out of the placement pool, every set it belongs
-  // to on the repair list, a RecoveryEvent appended.
+  // Declares `node` dead: leaves the placement pool, appends an event.
   void RecoverDeadNode(NodeId node, double now_s);
 
   // Level-triggered repair on every mn.tick: revives returning nodes, then
-  // promotes, seeds and drops dead members of each listed set until it is
-  // whole.  No work on a healthy cluster.
+  // promotes, seeds and drops dead members of every degraded set.  Keeps no
+  // work list; a tick that finds nothing degraded sends no RPC.
   void Reconcile(sim::Cost& cost);
+  // Sorted groups whose set names a node in `dead`, or is short of
+  // max(r, 1) copies while a live non-member could take one.
+  std::vector<GroupId> DegradedGroups(const std::set<NodeId>& dead) const
+      REQUIRES(metadata_mu_);
 
   // Ensures `group` exists on some Index Node; creates it (with the
   // catalog's indices) on the least-loaded live nodes if new.
@@ -245,14 +248,11 @@ class MasterNode : public net::RpcHandler {
                              "MasterNode::metadata_mu_"};
   acg::AcgManager acg_ GUARDED_BY(metadata_mu_);
   // Per-group replica sets; [0] is the primary.  Size 1 everywhere when
-  // replication_factor == 1.
+  // replication_factor == 1.  Invariant: every member of a set is declared
+  // dead, or live and holding its copy; a dead member leaves only once the
+  // set holds a live copy.
   std::unordered_map<GroupId, std::vector<NodeId>> group_replicas_
       GUARDED_BY(metadata_mu_);
-  // Repair list: every set naming a declared-dead node or short of
-  // max(r, 1) copies -> the node whose RecoveryEvent its repair is charged
-  // to (0: none).  A dead member leaves its set only once the set holds a
-  // live copy; every other member is live and holds its copy.
-  std::map<GroupId, NodeId> repair_ GUARDED_BY(metadata_mu_);
   std::vector<RecoveryEvent> events_ GUARDED_BY(metadata_mu_);
   // Load view (updated by heartbeats + own placements): groups per node,
   // mirrored into an ordered (load, node) index so placement picks the

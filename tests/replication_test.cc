@@ -507,21 +507,31 @@ TEST(ReplicationTest, LosingEveryCopyWhileReplaysFailStillRehomesTheGroup) {
     EXPECT_TRUE(e.node == dead0 || e.node == dead1) << "node " << e.node;
   }
 
-  // A write to a group that kept a live copy is acknowledged meanwhile.
+  // Meanwhile a write to a group that kept a live copy is acknowledged,
+  // and a write to a lost group is refused UNAVAILABLE, never acknowledged.
   std::vector<FileId> expected = before->files;
   std::sort(expected.begin(), expected.end());
-  FileId written = 0;
-  for (FileId f = 1; f <= kBaseFiles && written == 0; ++f) {
+  FileId written = 0, refused = 0;
+  for (FileId f = 1; f <= kBaseFiles && (written == 0 || refused == 0); ++f) {
     if (std::binary_search(expected.begin(), expected.end(), f)) continue;
-    if (lost.count(GroupOfFile(*cluster, f)) == 0u) written = f;
+    FileId& slot = lost.count(GroupOfFile(*cluster, f)) == 0u ? written
+                                                               : refused;
+    if (slot == 0) slot = f;
   }
   ASSERT_NE(written, 0u);
-  FileUpdate grown;
-  grown.file = written;
-  grown.attrs.Set("size", AttrValue(int64_t{32} << 20));
-  ASSERT_TRUE(cluster->client().BatchUpdate({grown}, cluster->now()).ok());
+  ASSERT_NE(refused, 0u) << "no small file in a lost group";
+  auto grow = [&](FileId f) {
+    FileUpdate u;
+    u.file = f;
+    u.attrs.Set("size", AttrValue(int64_t{32} << 20));
+    return cluster->client().BatchUpdate({u}, cluster->now());
+  };
+  ASSERT_TRUE(grow(written).ok());
   expected.push_back(written);
   std::sort(expected.begin(), expected.end());
+  Status lost_write = grow(refused).status();
+  EXPECT_EQ(lost_write.code(), StatusCode::kUnavailable)
+      << lost_write.ToString();
 
   plan->ClearRules();
   for (int i = 0; i < 2; ++i) cluster->AdvanceTime(1.0);
@@ -536,11 +546,79 @@ TEST(ReplicationTest, LosingEveryCopyWhileReplaysFailStillRehomesTheGroup) {
       EXPECT_NE(n, dead1) << "group " << g;
     }
   }
+  // The refused write is not required to appear.
   auto after = cluster->client().Search(parsed->predicate);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   std::vector<FileId> found = after->files;
+  std::erase(found, refused);
   std::sort(found.begin(), found.end());
   EXPECT_EQ(found, expected);
+}
+
+// Node 0 dies wiped while every in.catch_up the master sends fails, so its
+// sets drop it but stay one copy short.  Then the sole survivor of one of
+// them dies too, before any re-seed lands.  Once the fault clears, that
+// set is re-seeded from the journal, and the replays are charged to the
+// second death, the one its set still names; node 0's sets no longer name
+// it, so its event is charged nothing.
+TEST(ReplicationTest, SecondDeathOnADegradedSetIsChargedItsReplays) {
+  auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/2));
+  auto parsed = ParseQuery(kQuery, 1'000'000);
+  ASSERT_TRUE(parsed.ok());
+  auto before = cluster->client().Search(parsed->predicate);
+  ASSERT_TRUE(before.ok());
+  const std::set<GroupId> groups = AllGroups(*cluster);
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  net::FaultRule rule;
+  rule.src = PropellerCluster::kMasterId;
+  rule.method = "in.catch_up";
+  rule.fail_prob = 1;
+  plan->AddRule(rule);
+  cluster->transport().SetFaultPlan(plan);
+
+  auto declare_dead = [&](size_t index) {
+    const NodeId id = cluster->index_node(index).id();
+    cluster->KillIndexNode(index, /*wipe=*/true);
+    for (int ticks = 0; !cluster->master().IsNodeDead(id); ++ticks) {
+      ASSERT_LT(ticks, 6) << "the master never declared node " << id << " dead";
+      cluster->AdvanceTime(1.0);
+    }
+  };
+  const NodeId first = cluster->index_node(0).id();
+  declare_dead(0);
+  GroupId degraded = 0;
+  for (GroupId g : groups) {
+    if (cluster->master().ReplicasOfGroup(g).size() == 1) {
+      degraded = g;
+      break;
+    }
+  }
+  ASSERT_NE(degraded, 0u) << "no set lost a copy; the scenario is vacuous";
+  const NodeId second = cluster->master().ReplicasOfGroup(degraded).front();
+  declare_dead(IndexOf(second));
+  EXPECT_EQ(cluster->master().ReplicasOfGroup(degraded),
+            std::vector<NodeId>{second});
+
+  plan->ClearRules();
+  for (int i = 0; i < 3; ++i) cluster->AdvanceTime(1.0);
+  auto replicas = cluster->master().ReplicasOfGroup(degraded);
+  ASSERT_EQ(replicas.size(), 2u);
+  for (NodeId n : replicas) {
+    EXPECT_NE(n, first);
+    EXPECT_NE(n, second);
+  }
+  std::vector<MasterNode::RecoveryEvent> events =
+      cluster->master().RecoveryEvents();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].node, first);
+  EXPECT_EQ(events[0].records_restored, 0u);
+  EXPECT_EQ(events[1].node, second);
+  EXPECT_GT(events[1].records_restored, 0u);
+
+  auto after = cluster->client().Search(parsed->predicate);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->files, before->files);
 }
 
 // --- 4. read-your-writes across a lagging replica ---------------------------
