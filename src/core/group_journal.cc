@@ -11,14 +11,14 @@ sim::Cost GroupJournal::AppendLocked(index::GroupId group,
   std::string rec = std::move(w).Take();
   sim::Cost cost = store_.Append(rec.size() + 8);  // length-prefixed on "disk"
   bytes_ += rec.size() + 8;
-  records_[group].tail.push_back(std::move(rec));
+  logs_[group].tail.push_back(std::move(rec));
   return cost;
 }
 
 sim::Cost GroupJournal::Checkpoint(
     index::GroupId group, const std::vector<index::FileUpdate>& state) {
   MutexLock lock(mu_);
-  GroupLog& log = records_[group];
+  GroupLog& log = logs_[group];
   // The image now covers every appended sequence; cursors behind this
   // point can no longer catch up incrementally.
   log.checkpoint_seq += log.tail.size();
@@ -49,7 +49,7 @@ sim::Cost GroupJournal::Append(index::GroupId group,
   MutexLock lock(mu_);
   sim::Cost cost = AppendLocked(group, update);
   if (seq != nullptr) {
-    const GroupLog& log = records_[group];
+    const GroupLog& log = logs_[group];
     *seq = log.checkpoint_seq + log.tail.size();
   }
   return cost;
@@ -62,7 +62,7 @@ sim::Cost GroupJournal::AppendBatch(
   sim::Cost cost;
   for (const index::FileUpdate& u : updates) cost += AppendLocked(group, u);
   if (seq != nullptr) {
-    const GroupLog& log = records_[group];
+    const GroupLog& log = logs_[group];
     *seq = log.checkpoint_seq + log.tail.size();
   }
   return cost;
@@ -76,8 +76,8 @@ Status GroupJournal::Replay(
   uint64_t record_bytes = 0;
   {
     MutexLock lock(mu_);
-    auto it = records_.find(group);
-    if (it != records_.end()) {
+    auto it = logs_.find(group);
+    if (it != logs_.end()) {
       records.reserve(it->second.checkpoint.size() + it->second.tail.size());
       records.insert(records.end(), it->second.checkpoint.begin(),
                      it->second.checkpoint.end());
@@ -107,8 +107,8 @@ Status GroupJournal::ReplayFrom(
   uint64_t record_bytes = 0;
   {
     MutexLock lock(mu_);
-    auto it = records_.find(group);
-    if (it != records_.end()) {
+    auto it = logs_.find(group);
+    if (it != logs_.end()) {
       const GroupLog& log = it->second;
       if (after_seq < log.checkpoint_seq) {
         return Status::FailedPrecondition(
@@ -138,28 +138,28 @@ Status GroupJournal::ReplayFrom(
 
 uint64_t GroupJournal::Seq(index::GroupId group) const {
   MutexLock lock(mu_);
-  auto it = records_.find(group);
-  if (it == records_.end()) return 0;
+  auto it = logs_.find(group);
+  if (it == logs_.end()) return 0;
   return it->second.checkpoint_seq + it->second.tail.size();
 }
 
 uint64_t GroupJournal::CheckpointSeq(index::GroupId group) const {
   MutexLock lock(mu_);
-  auto it = records_.find(group);
-  return it == records_.end() ? 0 : it->second.checkpoint_seq;
+  auto it = logs_.find(group);
+  return it == logs_.end() ? 0 : it->second.checkpoint_seq;
 }
 
 uint64_t GroupJournal::NumRecords(index::GroupId group) const {
   MutexLock lock(mu_);
-  auto it = records_.find(group);
-  if (it == records_.end()) return 0;
+  auto it = logs_.find(group);
+  if (it == logs_.end()) return 0;
   return it->second.checkpoint.size() + it->second.tail.size();
 }
 
 uint64_t GroupJournal::NumTailRecords(index::GroupId group) const {
   MutexLock lock(mu_);
-  auto it = records_.find(group);
-  return it == records_.end() ? 0 : it->second.tail.size();
+  auto it = logs_.find(group);
+  return it == logs_.end() ? 0 : it->second.tail.size();
 }
 
 uint64_t GroupJournal::TotalBytes() const {

@@ -106,7 +106,7 @@ class GroupJournal {
   sim::IoContext io_;
   sim::PageStore store_;
   mutable Mutex mu_{LockRank::kGroupJournal, "GroupJournal::mu_"};
-  std::map<index::GroupId, GroupLog> records_ GUARDED_BY(mu_);
+  std::map<index::GroupId, GroupLog> logs_ GUARDED_BY(mu_);
   uint64_t bytes_ GUARDED_BY(mu_) = 0;
 };
 

@@ -87,7 +87,8 @@ index::IndexGroupOptions IndexNode::GroupOptions() {
   return options;
 }
 
-Status IndexNode::EnsureGroup(GroupId id, const std::vector<IndexSpec>& specs) {
+Status IndexNode::EnsureGroup(GroupId id, const std::vector<IndexSpec>& specs,
+                              sim::Cost* cost) {
   auto it = groups_.find(id);
   if (it == groups_.end()) {
     it = groups_.try_emplace(id).first;
@@ -95,7 +96,7 @@ Status IndexNode::EnsureGroup(GroupId id, const std::vector<IndexSpec>& specs) {
   }
   for (const IndexSpec& spec : specs) {
     if (it->second->HasIndex(spec.name)) continue;
-    PROPELLER_RETURN_IF_ERROR(it->second->CreateIndex(spec));
+    PROPELLER_RETURN_IF_ERROR(it->second->CreateIndex(spec, cost));
   }
   return Status::Ok();
 }
@@ -118,8 +119,10 @@ net::RpcHandler::Response IndexNode::HandleCreateGroup(const std::string& payloa
   auto req = Decode<CreateGroupRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   WriterMutexLock lock(groups_mu_);
-  Status st = EnsureGroup(req->group, req->specs);
-  return Response{st, {}, sim::Cost(10e-6)};  // metadata-only work
+  // Metadata work, plus building a new index over a populated group.
+  sim::Cost cost(10e-6);
+  Status st = EnsureGroup(req->group, req->specs, &cost);
+  return Response{st, {}, cost};
 }
 
 net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& payload) {
@@ -444,10 +447,10 @@ net::RpcHandler::Response IndexNode::HandleInstallGroup(const std::string& paylo
   auto req = Decode<InstallGroupRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   WriterMutexLock lock(groups_mu_);
-  Status st = EnsureGroup(req->group, req->specs);
+  sim::Cost cost;
+  Status st = EnsureGroup(req->group, req->specs, &cost);
   if (!st.ok()) return Response{st, {}, {}};
   index::IndexGroup* group = Find(req->group);
-  sim::Cost cost;
   if (config_.recovery_journal != nullptr) {
     cost += config_.recovery_journal->AppendBatch(req->group, req->records);
   }
@@ -497,7 +500,7 @@ Status IndexNode::CatchUpGroupLocked(GroupId gid, uint64_t* replayed,
     // image by replaying the whole log into a fresh group.
     std::vector<IndexSpec> specs = group->Specs();
     groups_.erase(gid);
-    PROPELLER_RETURN_IF_ERROR(EnsureGroup(gid, specs));
+    PROPELLER_RETURN_IF_ERROR(EnsureGroup(gid, specs, &cost));
     group = Find(gid);
     st = journal->Replay(gid, apply, &cost);
   } else {
@@ -521,14 +524,14 @@ net::RpcHandler::Response IndexNode::HandleCatchUp(const std::string& payload) {
   auto req = Decode<CatchUpRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   WriterMutexLock lock(groups_mu_);
-  Status st = EnsureGroup(req->group, req->specs);
+  sim::Cost cost;
+  Status st = EnsureGroup(req->group, req->specs, &cost);
   if (!st.ok()) return Response{st, {}, {}};
   CatchUpResponse resp;
   // No journal, nothing to replay: the group stays as is (empty if new).
   if (config_.recovery_journal == nullptr) {
-    return Response{Status::Ok(), Encode(resp), sim::Cost(10e-6)};
+    return Response{Status::Ok(), Encode(resp), sim::Cost(10e-6) + cost};
   }
-  sim::Cost cost;
   st = CatchUpGroupLocked(req->group, &resp.records_replayed, &cost);
   if (!st.ok()) return Response{st, {}, cost};
   {

@@ -129,9 +129,11 @@ class IndexNode : public net::RpcHandler {
 
   // Map lookup; shared hold suffices.
   index::IndexGroup* Find(GroupId id) REQUIRES_SHARED(groups_mu_);
-  // May create the group, so the map lock must be held exclusively.
-  Status EnsureGroup(GroupId id, const std::vector<IndexSpec>& specs)
-      REQUIRES(groups_mu_);
+  // May create the group, so the map lock must be held exclusively.  Adds
+  // to `*cost` what building the missing indexes over the group's
+  // committed files costs (nothing on an empty group).
+  Status EnsureGroup(GroupId id, const std::vector<IndexSpec>& specs,
+                     sim::Cost* cost) REQUIRES(groups_mu_);
   // Group construction knobs derived from this node's config.
   index::IndexGroupOptions GroupOptions();
   // The tick body: commits timed-out groups; with `checkpoint` set, also

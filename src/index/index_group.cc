@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -79,17 +79,83 @@ std::vector<std::string> ExtractKeywords(std::string_view path) {
   return words;
 }
 
+
+namespace {
+
+// Merge policy (segmented mode).  Merge when the committed segment count
+// exceeds this (K: the per-search read-amplification bound)...
+constexpr size_t kMaxSegments = 4;
+// ...adjacent segments whose sizes stay within this ratio form one tier...
+constexpr double kMergeSizeRatio = 4.0;
+// ...and a tier of at least this many adjacent segments merges eagerly.
+constexpr size_t kMergeTierRun = 3;
+
+// Simulated price of one result-cache probe (hash + compare of the
+// predicate fingerprint).  Charged on hits *and* misses, so turning the
+// cache on never under-counts work.
+constexpr double kResultCacheProbeSeconds = 0.2e-6;
+
+// Segmented mode (all CPU-side, deterministic):
+// Scanning one memtable update into the search overlay (one ordered-map
+// insert of a pointer, no copies).
+constexpr double kMemtableScanPerUpdateSeconds = 0.05e-6;
+// One membership probe against a younger segment's shadow set.
+constexpr double kShadowProbeSeconds = 0.05e-6;
+// Folding one staged update during a seal / one row during a merge.
+constexpr double kSealFoldPerUpdateSeconds = 0.1e-6;
+
+// The one per-type key extractor.  Calls `fn(key)` for each key `attrs`
+// posts under `idx`: the attribute's value (B-tree, hash), one value per
+// path word (keyword), or the point of the dimension attributes (K-D).
+// Calls nothing when an attribute is missing or of the wrong kind.
+template <typename Index, typename Fn>
+void ForEachKey(const Index& idx, const AttrSet& attrs, Fn&& fn) {
+  if (IsKdType(idx.spec.type)) {
+    std::vector<double> point;
+    point.reserve(idx.attr_ids.size());
+    for (AttrId a : idx.attr_ids) {
+      const AttrValue* v = attrs.Find(a);
+      if (v == nullptr || !v->is_numeric()) return;  // unindexable
+      point.push_back(v->numeric());
+    }
+    fn(std::move(point));
+    return;
+  }
+  const AttrValue* v = attrs.Find(idx.attr_ids[0]);
+  if (v == nullptr) return;
+  if (idx.spec.type != IndexType::kKeyword) {
+    fn(*v);
+  } else if (v->is_string()) {
+    ForEachKeyword(v->as_string(),
+                   [&](std::string_view word) { fn(AttrValue(word)); });
+  }
+}
+
+// Tops up the group.search span to the search's full simulated cost (the
+// nested commit span, when present, already advanced the ambient clock by
+// its own share) and stamps the result tags.
+void FinishSearchSpan(obs::SpanGuard& span,
+                      const IndexGroup::SearchResult& out) {
+  if (!span.active()) return;
+  double inside = obs::CurrentTrace().now_s - span.start_s();
+  double topup = out.cost.seconds() - inside;
+  if (topup > 0) span.Advance(sim::Cost(topup));
+  span.Tag("access_path", out.access_path);
+  span.Tag("hits", static_cast<uint64_t>(out.files.size()));
+}
+
+}  // namespace
+
 IndexGroup::IndexGroup(GroupId id, sim::IoContext* io,
                        const IndexGroupOptions& options)
     : id_(id),
       io_(io),
       segmented_(options.segmented),
-      max_segments_(std::max<size_t>(1, options.max_segments)),
-      merge_size_ratio_(options.merge_size_ratio < 1.0
-                            ? 1.0
-                            : options.merge_size_ratio),
-      merge_tier_run_(std::max<size_t>(2, options.merge_tier_run)),
-      records_(io->CreateStore()),
+      // The commit barrier's one base segment; segmented mode starts with
+      // none and publishes each from a seal.
+      segments_(segmented_ ? SegmentList{}
+                           : SegmentList{std::make_shared<Segment>(
+                                 RecordStore(io->CreateStore()))}),
       wal_(io->CreateStore()),
       result_cache_enabled_(options.result_cache) {
   if (options.metrics != nullptr) {
@@ -111,32 +177,13 @@ IndexGroup::IndexGroup(GroupId id, sim::IoContext* io,
   }
 }
 
-IndexGroup::NamedIndex IndexGroup::BindIndex(const IndexSpec& spec) {
+IndexGroup::NamedIndex IndexGroup::MakeIndex(const IndexSpec& spec) const {
   NamedIndex idx;
   idx.spec = spec;
   idx.attr_ids.reserve(spec.attrs.size());
   for (const std::string& a : spec.attrs) {
     idx.attr_ids.push_back(AttrNames::Global().Intern(a));
   }
-  return idx;
-}
-
-Status IndexGroup::CreateIndex(const IndexSpec& spec) {
-  WriterMutexLock lock(mu_);
-  if (spec.name.empty()) return Status::InvalidArgument("index name empty");
-  bool exists = std::any_of(
-      indexes_.begin(), indexes_.end(),
-      [&](const NamedIndex& i) { return i.spec.name == spec.name; });
-  if (exists) return Status::AlreadyExists(spec.name);
-  if (IsKdType(spec.type)) {
-    if (spec.attrs.empty()) {
-      return Status::InvalidArgument("kd-tree needs >= 1 dimension attr");
-    }
-  } else if (spec.attrs.size() != 1) {
-    return Status::InvalidArgument("index needs exactly one attribute");
-  }
-
-  NamedIndex idx = BindIndex(spec);
   switch (spec.type) {
     case IndexType::kBTree:
       idx.btree = std::make_unique<BPlusTree>(io_->CreateStore());
@@ -146,30 +193,100 @@ Status IndexGroup::CreateIndex(const IndexSpec& spec) {
       idx.hash = std::make_unique<HashIndex>(io_->CreateStore());
       break;
     case IndexType::kKdTree:
-      idx.kd = std::make_unique<KdTree>(io_->CreateStore(), spec.attrs.size(),
-                                        KdLayout::kSerialized);
-      break;
     case IndexType::kKdTreePaged:
       idx.kd = std::make_unique<KdTree>(io_->CreateStore(), spec.attrs.size(),
-                                        KdLayout::kPaged);
+                                        spec.type == IndexType::kKdTreePaged
+                                            ? KdLayout::kPaged
+                                            : KdLayout::kSerialized);
       break;
   }
-  indexes_.push_back(std::move(idx));
+  return idx;
+}
+
+IndexGroup::NamedIndex IndexGroup::BuildIndex(const IndexSpec& spec,
+                                              const Rows& rows,
+                                              sim::Cost* cost) const {
+  NamedIndex idx = MakeIndex(spec);
+  std::vector<std::pair<AttrValue, FileId>> keys;
+  std::vector<std::pair<std::vector<double>, FileId>> points;
+  if (idx.kd != nullptr) {
+    points.reserve(rows.size());
+  } else {
+    keys.reserve(rows.size());
+  }
+  for (const auto& [file, attrs] : rows) {
+    ForEachKey(idx, attrs, [&](auto&& key) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(key)>, AttrValue>) {
+        keys.emplace_back(std::forward<decltype(key)>(key), file);
+      } else {
+        points.emplace_back(std::move(key), file);
+      }
+    });
+  }
+  if (idx.btree != nullptr) {
+    *cost += idx.btree->BulkLoad(std::move(keys));
+  } else if (idx.hash != nullptr) {
+    *cost += idx.hash->BulkLoad(std::move(keys));
+  } else {
+    *cost += idx.kd->BulkLoad(std::move(points));
+  }
+  return idx;
+}
+
+std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
+    Rows rows, std::unordered_set<FileId> tombstones,
+    const std::vector<IndexSpec>& specs, sim::Cost* cost) const {
+  auto seg = std::make_shared<Segment>(RecordStore(io_->CreateStore()));
+  seg->tombstones = std::move(tombstones);
+  seg->indexes.reserve(specs.size());
+  for (const IndexSpec& spec : specs) {
+    seg->indexes.push_back(BuildIndex(spec, rows, cost));
+  }
+  *cost += seg->records.BulkLoad(std::move(rows));
+  return seg;
+}
+
+Status IndexGroup::CreateIndex(const IndexSpec& spec, sim::Cost* cost) {
+  WriterMutexLock lock(mu_);
+  if (spec.name.empty()) return Status::InvalidArgument("index name empty");
+  bool exists = std::any_of(specs_.begin(), specs_.end(),
+                            [&](const IndexSpec& s) { return s.name == spec.name; });
+  if (exists) return Status::AlreadyExists(spec.name);
+  if (IsKdType(spec.type)) {
+    if (spec.attrs.empty()) {
+      return Status::InvalidArgument("kd-tree needs >= 1 dimension attr");
+    }
+  } else if (spec.attrs.size() != 1) {
+    return Status::InvalidArgument("index needs exactly one attribute");
+  }
+  specs_.push_back(spec);
+  if (segmented_) return Status::Ok();
+
+  // Commit barrier: the base segment gets the index now, bulk-built over
+  // every committed file.  An empty group reads and loads nothing.
+  Segment& base = *segments_.front();
+  if (base.records.NumRecords() == 0) {
+    base.indexes.push_back(MakeIndex(spec));
+    return Status::Ok();
+  }
+  Rows rows;
+  rows.reserve(base.records.NumRecords());
+  sim::Cost build = base.records.ForEach(
+      [&](FileId file, const AttrSet& attrs) { rows.emplace_back(file, attrs); });
+  base.indexes.push_back(BuildIndex(spec, rows, &build));
+  if (cost != nullptr) *cost += build;
   return Status::Ok();
 }
 
 bool IndexGroup::HasIndex(const std::string& name) const {
   ReaderMutexLock lock(mu_);
-  return std::any_of(indexes_.begin(), indexes_.end(),
-                     [&](const NamedIndex& i) { return i.spec.name == name; });
+  return std::any_of(specs_.begin(), specs_.end(),
+                     [&](const IndexSpec& s) { return s.name == name; });
 }
 
 std::vector<IndexSpec> IndexGroup::Specs() const {
   ReaderMutexLock lock(mu_);
-  std::vector<IndexSpec> out;
-  out.reserve(indexes_.size());
-  for (const NamedIndex& i : indexes_) out.push_back(i.spec);
-  return out;
+  return specs_;
 }
 
 sim::Cost IndexGroup::StageUpdate(FileUpdate update, double staged_at_s) {
@@ -205,6 +322,12 @@ sim::Cost IndexGroup::Commit() {
   return cost;
 }
 
+void IndexGroup::PublishLocked() {
+  MutexLock cache_lock(cache_mu_);
+  ++commit_epoch_;
+  if (result_cache_enabled_) result_cache_.clear();
+}
+
 sim::Cost IndexGroup::CommitLocked() {
   // Reset the oldest-pending clock unconditionally — even when pending_ is
   // already empty (a stale stamp left by SimulateCrashLosingMemoryState
@@ -220,118 +343,44 @@ sim::Cost IndexGroup::CommitLocked() {
   pending_.clear();
   has_pending_.store(false, std::memory_order_release);
   cost += wal_.Truncate();
-  // This commit changed committed state: memoized results are now stale.
-  // Safe against concurrent fills — they hold shared mu_, we hold it
-  // exclusively, so none can be in flight.
-  {
-    MutexLock cache_lock(cache_mu_);
-    ++commit_epoch_;
-    if (result_cache_enabled_) result_cache_.clear();
-  }
+  num_files_ = segments_.front()->records.NumRecords();
+  PublishLocked();
   span.Advance(cost);
   return cost;
 }
 
 sim::Cost IndexGroup::Apply(const FileUpdate& update) {
+  Segment& base = *segments_.front();
+  // One index's postings of one record, summed before they join `cost`.
+  auto postings = [&](const NamedIndex& idx, const AttrSet& attrs,
+                      bool insert) {
+    sim::Cost c;
+    ForEachKey(idx, attrs, [&](const auto& key) {
+      c += insert ? idx.Insert(key, update.file) : idx.Remove(key, update.file);
+    });
+    return c;
+  };
   sim::Cost cost;
   if (update.is_delete) {
-    auto erased = records_.Erase(update.file);
+    auto erased = base.records.Erase(update.file);
     cost += erased.cost;
     if (erased.previous) {
-      for (const NamedIndex& idx : indexes_) {
-        cost += RemovePostings(idx, update.file, *erased.previous);
+      for (const NamedIndex& idx : base.indexes) {
+        cost += postings(idx, *erased.previous, /*insert=*/false);
       }
     }
     return cost;
   }
-  auto put = records_.Put(update.file, update.attrs);
+  auto put = base.records.Put(update.file, update.attrs);
   cost += put.cost;
-  for (const NamedIndex& idx : indexes_) {
-    if (put.previous) cost += RemovePostings(idx, update.file, *put.previous);
-    cost += InsertPostings(idx, update.file, update.attrs);
+  for (const NamedIndex& idx : base.indexes) {
+    if (put.previous) cost += postings(idx, *put.previous, /*insert=*/false);
+    cost += postings(idx, update.attrs, /*insert=*/true);
   }
   return cost;
 }
 
-sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
-                                     const AttrSet& attrs) {
-  sim::Cost cost;
-  switch (idx.spec.type) {
-    case IndexType::kBTree: {
-      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-      if (v != nullptr) cost += idx.btree->Remove(*v, file);
-      break;
-    }
-    case IndexType::kHash: {
-      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-      if (v != nullptr) cost += idx.hash->Remove(*v, file);
-      break;
-    }
-    case IndexType::kKeyword: {
-      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-      if (v != nullptr && v->is_string()) {
-        ForEachKeyword(v->as_string(), [&](std::string_view word) {
-          cost += idx.hash->Remove(AttrValue(word), file);
-        });
-      }
-      break;
-    }
-    case IndexType::kKdTree:
-    case IndexType::kKdTreePaged: {
-      std::vector<double> point;
-      point.reserve(idx.spec.attrs.size());
-      for (AttrId a : idx.attr_ids) {
-        const AttrValue* v = attrs.Find(a);
-        if (v == nullptr || !v->is_numeric()) return cost;  // never indexed
-        point.push_back(v->numeric());
-      }
-      cost += idx.kd->Remove(point, file);
-      break;
-    }
-  }
-  return cost;
-}
-
-sim::Cost IndexGroup::InsertPostings(const NamedIndex& idx, FileId file,
-                                     const AttrSet& attrs) {
-  sim::Cost cost;
-  switch (idx.spec.type) {
-    case IndexType::kBTree: {
-      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-      if (v != nullptr) cost += idx.btree->Insert(*v, file);
-      break;
-    }
-    case IndexType::kHash: {
-      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-      if (v != nullptr) cost += idx.hash->Insert(*v, file);
-      break;
-    }
-    case IndexType::kKeyword: {
-      const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-      if (v != nullptr && v->is_string()) {
-        ForEachKeyword(v->as_string(), [&](std::string_view word) {
-          cost += idx.hash->Insert(AttrValue(word), file);
-        });
-      }
-      break;
-    }
-    case IndexType::kKdTree:
-    case IndexType::kKdTreePaged: {
-      std::vector<double> point;
-      point.reserve(idx.spec.attrs.size());
-      for (AttrId a : idx.attr_ids) {
-        const AttrValue* v = attrs.Find(a);
-        if (v == nullptr || !v->is_numeric()) return cost;  // unindexable
-        point.push_back(v->numeric());
-      }
-      cost += idx.kd->Insert(point, file);
-      break;
-    }
-  }
-  return cost;
-}
-
-const IndexGroup::NamedIndex* IndexGroup::ChooseAccessPathFor(
+const IndexGroup::NamedIndex* IndexGroup::ChooseAccessPath(
     const Predicate& pred, const std::vector<NamedIndex>& indexes) {
   const NamedIndex* best = nullptr;
   int best_score = 0;
@@ -380,99 +429,89 @@ const IndexGroup::NamedIndex* IndexGroup::ChooseAccessPathFor(
   return best;
 }
 
-namespace {
-
-// Tops up the group.search span to the search's full simulated cost (the
-// nested commit span, when present, already advanced the ambient clock by
-// its own share) and stamps the result tags.
-void FinishSearchSpan(obs::SpanGuard& span,
-                      const IndexGroup::SearchResult& out) {
-  if (!span.active()) return;
-  double inside = obs::CurrentTrace().now_s - span.start_s();
-  double topup = out.cost.seconds() - inside;
-  if (topup > 0) span.Advance(sim::Cost(topup));
-  span.Tag("access_path", out.access_path);
-  span.Tag("hits", static_cast<uint64_t>(out.files.size()));
-}
-
-// Simulated price of one result-cache probe (hash + compare of the
-// predicate fingerprint).  Charged on hits *and* misses, so turning the
-// cache on never under-counts work.
-constexpr double kResultCacheProbeSeconds = 0.2e-6;
-
-// Segmented mode (all CPU-side, deterministic):
-// Scanning one memtable update into the search overlay (one ordered-map
-// insert of a pointer, no copies).
-constexpr double kMemtableScanPerUpdateSeconds = 0.05e-6;
-// One membership probe against a younger segment's shadow set.
-constexpr double kShadowProbeSeconds = 0.05e-6;
-// Folding one staged update during a seal / one row during a merge.
-constexpr double kSealFoldPerUpdateSeconds = 0.1e-6;
-
-}  // namespace
-
 IndexGroup::SearchResult IndexGroup::Search(const Predicate& pred) {
-  // Segmented mode: snapshot search, never a commit barrier.
-  if (segmented_) return SearchSegmented(pred);
+  SearchResult out;
+  // A drain's nested group.commit span advances the ambient clock by its
+  // own cost; FinishSearchSpan tops up the rest.
+  obs::SpanGuard span("group.search", id_);
+  span.Tag("group", id_);
 
-  // Fast path: nothing staged — run under a shared lock so concurrent
-  // searches of this group proceed in parallel.  The lock-free probe
-  // avoids even the reader acquisition when an update was just staged; the
-  // rechecks under the lock make the decision authoritative (a stage
-  // racing past the atomic still holds exclusive mu_ until its update is
-  // in pending_, so a reader that sees pending_ empty is consistent).
+  if (segmented_) {
+    // Snapshot: refcounted segment list + frozen memtable view, taken
+    // under a brief shared lock.  Everything below runs against immutable
+    // state — a seal or merge publishing concurrently retires nothing this
+    // search still holds.
+    SegmentList segs;
+    std::shared_ptr<const std::vector<FileUpdate>> sealing;
+    std::vector<FileUpdate> pending;
+    {
+      ReaderMutexLock lock(mu_);
+      segs = segments_;
+      sealing = sealing_;
+      pending = pending_;
+    }
+    // The overlay includes the in-flight seal batch (strong consistency:
+    // sealed-but-unpublished updates stay visible).
+    const size_t memtable_updates =
+        (sealing != nullptr ? sealing->size() : 0) + pending.size();
+    out.cost += sim::Cost(kMemtableScanPerUpdateSeconds *
+                          static_cast<double>(memtable_updates));
+    Overlay overlay;
+    if (sealing != nullptr) {
+      for (const FileUpdate& u : *sealing) {
+        overlay[u.file] = u.is_delete ? nullptr : &u.attrs;
+      }
+    }
+    for (const FileUpdate& u : pending) {
+      overlay[u.file] = u.is_delete ? nullptr : &u.attrs;
+    }
+    SearchSegments(pred, overlay, segs, out);
+    FinishSearchSpan(span, out);
+    return out;
+  }
+
+  // Commit barrier, fast path: nothing staged — run under a shared lock so
+  // concurrent searches of this group proceed in parallel.  The lock-free
+  // probe avoids even the reader acquisition when an update was just
+  // staged; the rechecks under the lock make the decision authoritative (a
+  // stage racing past the atomic still holds exclusive mu_ until its
+  // update is in pending_, so a reader that sees pending_ empty is
+  // consistent).
+  bool done = false;
   if (!has_pending_.load(std::memory_order_acquire)) {
     ReaderMutexLock lock(mu_);
     if (pending_.empty() && oldest_pending_staged_s_ < 0.0) {
-      SearchResult out;
-      obs::SpanGuard span("group.search", id_);
-      span.Tag("group", id_);
-      SearchBodyLocked(pred, out);
-      FinishSearchSpan(span, out);
-      return out;
+      SearchSegments(pred, Overlay(), segments_, out);
+      done = true;
     }
   }
-
-  // Slow path: drain staged updates first (strong consistency), which
-  // needs the exclusive lock.  The shared lock was dropped above; the
-  // commit re-checks pending_ under the exclusive lock, so a commit that
-  // raced in between simply leaves nothing to do.
-  WriterMutexLock lock(mu_);
-  SearchResult out;
-  // The commit span inside advances the ambient clock by its own cost; the
-  // remainder of this search's cost is topped up before the span closes.
-  obs::SpanGuard span("group.search", id_);
-  span.Tag("group", id_);
-  // Strong consistency: staged updates must be visible to this search.
-  out.cost += CommitLocked();
-  SearchBodyLocked(pred, out);
+  if (!done) {
+    // Slow path: drain staged updates first (strong consistency), which
+    // needs the exclusive lock.  The shared lock was dropped above; the
+    // commit re-checks pending_ under the exclusive lock, so a commit that
+    // raced in between simply leaves nothing to do.
+    WriterMutexLock lock(mu_);
+    out.cost += CommitLocked();
+    SearchSegments(pred, Overlay(), segments_, out);
+  }
   FinishSearchSpan(span, out);
   return out;
 }
 
 std::vector<FileId> IndexGroup::IndexCandidates(const NamedIndex& idx,
                                                 const Predicate& pred,
-                                                SearchResult& out) {
+                                                sim::Cost& cost) {
   std::vector<FileId> candidates;
   switch (idx.spec.type) {
-    case IndexType::kHash: {
-      out.access_path = "hash:" + idx.spec.name;
-      for (const Term& t : pred.terms) {
-        if (t.attr == idx.spec.attrs[0] && t.op == CmpOp::kEq) {
-          auto r = idx.hash->Lookup(t.value);
-          out.cost += r.cost;
-          candidates = std::move(r.files);
-          break;
-        }
-      }
-      break;
-    }
+    case IndexType::kHash:
     case IndexType::kKeyword: {
-      out.access_path = "keyword:" + idx.spec.name;
+      const CmpOp op = idx.spec.type == IndexType::kHash
+                           ? CmpOp::kEq
+                           : CmpOp::kContainsWord;
       for (const Term& t : pred.terms) {
-        if (t.attr == idx.spec.attrs[0] && t.op == CmpOp::kContainsWord) {
+        if (t.attr == idx.spec.attrs[0] && t.op == op) {
           auto r = idx.hash->Lookup(t.value);
-          out.cost += r.cost;
+          cost += r.cost;
           candidates = std::move(r.files);
           break;
         }
@@ -480,17 +519,14 @@ std::vector<FileId> IndexGroup::IndexCandidates(const NamedIndex& idx,
       break;
     }
     case IndexType::kBTree: {
-      out.access_path = "btree:" + idx.spec.name;
       auto range = RangeForAttr(pred, idx.spec.attrs[0]);
       auto r = idx.btree->Scan(range ? *range : KeyRange::Everything());
-      out.cost += r.cost;
+      cost += r.cost;
       candidates = std::move(r.files);
       break;
     }
     case IndexType::kKdTree:
     case IndexType::kKdTreePaged: {
-      out.access_path = std::string(IndexTypeName(idx.spec.type)) + ":" +
-                        idx.spec.name;
       KdBox box = KdBox::Unbounded(idx.spec.attrs.size());
       for (size_t d = 0; d < idx.spec.attrs.size(); ++d) {
         auto range = RangeForAttr(pred, idx.spec.attrs[d]);
@@ -514,7 +550,7 @@ std::vector<FileId> IndexGroup::IndexCandidates(const NamedIndex& idx,
         }
       }
       auto r = idx.kd->RangeQuery(box);
-      out.cost += r.cost;
+      cost += r.cost;
       candidates = std::move(r.files);
       break;
     }
@@ -522,18 +558,23 @@ std::vector<FileId> IndexGroup::IndexCandidates(const NamedIndex& idx,
   return candidates;
 }
 
-void IndexGroup::SearchBodyLocked(const Predicate& pred,
-                                  SearchResult& out) const {
-  // Result-cache probe: memoized answers stay valid until the next commit
-  // that applies updates (CommitLocked clears the memo under exclusive
-  // mu_, which excludes this shared-locked probe).
+void IndexGroup::SearchSegments(const Predicate& pred, const Overlay& overlay,
+                                const SegmentList& segs,
+                                SearchResult& out) const {
+  // Result cache: only exactly-committed state is memoizable, so the probe
+  // is gated on an empty overlay.  The fill re-checks the epoch — a
+  // publish since the probe must not be overwritten by a search that read
+  // the segments before it.
   std::string fingerprint;
-  if (result_cache_enabled_) {
+  uint64_t probe_epoch = 0;
+  const bool cacheable = result_cache_enabled_ && overlay.empty();
+  if (cacheable) {
     BinaryWriter w;
     pred.Serialize(w);
     fingerprint = std::move(w).Take();
     out.cost += sim::Cost(kResultCacheProbeSeconds);
     MutexLock cache_lock(cache_mu_);
+    probe_epoch = commit_epoch_;
     auto it = result_cache_.find(fingerprint);
     if (it != result_cache_.end()) {
       if (result_cache_hits_ != nullptr) result_cache_hits_->Add(1);
@@ -543,131 +584,98 @@ void IndexGroup::SearchBodyLocked(const Predicate& pred,
     }
     if (result_cache_misses_ != nullptr) result_cache_misses_->Add(1);
   }
-  // Fills the memo on the way out (a no-op when the cache is off).
-  auto fill_cache = [&]() {
-    if (!result_cache_enabled_) return;
-    MutexLock cache_lock(cache_mu_);
-    // Keep the memo bounded: a workload cycling through unbounded distinct
-    // predicates resets it wholesale instead of growing without limit.
-    if (result_cache_.size() >= 1024) result_cache_.clear();
-    result_cache_[std::move(fingerprint)] =
-        CachedResult{out.files, out.access_path};
-  };
 
-  const NamedIndex* idx = ChooseAccessPath(pred);
-  if (idx == nullptr) {
-    // Full scan of the record store.
-    out.access_path = "scan";
+  // Memtable matches first (FileId order — deterministic).
+  if (!overlay.empty()) {
     const BoundPredicate bound(pred);
-    out.cost += records_.ForEach([&](FileId file, const AttrSet& attrs) {
-      if (bound.Matches(attrs)) out.files.push_back(file);
-    });
-    fill_cache();
-    return;
+    for (const auto& [file, attrs] : overlay) {
+      if (attrs != nullptr && bound.Matches(*attrs)) out.files.push_back(file);
+    }
   }
 
-  std::vector<FileId> candidates = IndexCandidates(*idx, pred, out);
-
-  // Verify residual terms against the record store.
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  if (pred.terms.size() <= 1 && !IsKdType(idx->spec.type) &&
-      idx->spec.type != IndexType::kKeyword) {
-    // Single-term queries served exactly by a btree/hash index need no
-    // verification pass.
-    out.files = std::move(candidates);
-    fill_cache();
-    return;
+  // Segments newest -> oldest; a candidate counts only if no younger
+  // state (overlay or younger segment) shadows it.
+  if (segments_read_ != nullptr) {
+    segments_read_->Add(static_cast<uint64_t>(segs.size()));
   }
-  // Charge every candidate's record page in order, then match them all.
-  for (FileId f : candidates) out.cost += records_.ChargeRead(f);
-  records_.AppendMatching(candidates, pred, &out.files);
-  fill_cache();
+  std::string path;  // the newest segment's access path
+  for (size_t si = segs.size(); si-- > 0;) {
+    const Segment& seg = *segs[si];
+    const NamedIndex* idx = ChooseAccessPath(pred, seg.indexes);
+    std::vector<FileId> candidates;
+    // Exact candidates already satisfy pred: no residual match.
+    bool exact = true;
+    if (idx == nullptr) {
+      // Full scan of this segment's records, in FileId order.
+      if (path.empty()) path = "scan";
+      const BoundPredicate bound(pred);
+      out.cost += seg.records.ForEach([&](FileId file, const AttrSet& attrs) {
+        if (bound.Matches(attrs)) candidates.push_back(file);
+      });
+    } else {
+      candidates = IndexCandidates(*idx, pred, out.cost);
+      if (path.empty()) {
+        path = std::string(IndexTypeName(idx->spec.type)) + ":" + idx->spec.name;
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+      // Single-term queries served by a btree/hash index are exact.
+      exact = pred.terms.size() <= 1 && !IsKdType(idx->spec.type) &&
+              idx->spec.type != IndexType::kKeyword;
+    }
+    // Keep the unshadowed candidates in place; a non-exact segment charges
+    // each one's record page right after its shadow probes, then matches
+    // them all in one batch.  Nothing shadows the newest segment under an
+    // empty overlay (always so for the commit barrier).
+    const bool shadowable = !overlay.empty() || si + 1 < segs.size();
+    size_t live = 0;
+    for (FileId f : candidates) {
+      if (shadowable) {
+        if (overlay.count(f) != 0u) continue;  // memtable shadows everything
+        bool shadowed = false;
+        for (size_t sj = si + 1; sj < segs.size() && !shadowed; ++sj) {
+          out.cost += sim::Cost(kShadowProbeSeconds);
+          shadowed = segs[sj]->Contains(f);
+        }
+        if (shadowed) continue;
+      }
+      if (!exact) out.cost += seg.records.ChargeRead(f);
+      candidates[live++] = f;
+    }
+    candidates.resize(live);
+    if (!exact) {
+      seg.records.AppendMatching(candidates, pred, &out.files);
+    } else if (out.files.empty()) {
+      out.files = std::move(candidates);
+    } else {
+      out.files.insert(out.files.end(), candidates.begin(), candidates.end());
+    }
+  }
+  // The commit barrier's one segment reports its own path; segmented mode
+  // labels the read amplification too.
+  out.access_path = segmented_ ? "segments[" + std::to_string(segs.size()) +
+                                     "]:" + (path.empty() ? "none" : path)
+                               : std::move(path);
+
+  if (cacheable) {
+    MutexLock cache_lock(cache_mu_);
+    if (commit_epoch_ == probe_epoch) {
+      // Keep the memo bounded: a workload cycling through unbounded
+      // distinct predicates resets it wholesale instead of growing.
+      if (result_cache_.size() >= 1024) result_cache_.clear();
+      result_cache_[std::move(fingerprint)] =
+          CachedResult{out.files, out.access_path};
+    }
+  }
 }
 
 // --- Segmented mode -------------------------------------------------------
 
-std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
-    std::vector<std::pair<FileId, AttrSet>> rows,
-    std::unordered_set<FileId> tombstones,
-    const std::vector<IndexSpec>& specs, sim::Cost* cost) const {
-  auto seg = std::make_shared<Segment>(RecordStore(io_->CreateStore()));
-  seg->tombstones = std::move(tombstones);
-  seg->indexes.reserve(specs.size());
-  for (const IndexSpec& spec : specs) {
-    NamedIndex idx = BindIndex(spec);
-    switch (spec.type) {
-      case IndexType::kBTree: {
-        idx.btree = std::make_unique<BPlusTree>(io_->CreateStore());
-        std::vector<std::pair<AttrValue, FileId>> entries;
-        entries.reserve(rows.size());
-        for (const auto& [file, attrs] : rows) {
-          const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-          if (v != nullptr) entries.emplace_back(*v, file);
-        }
-        *cost += idx.btree->BulkLoad(std::move(entries));
-        break;
-      }
-      case IndexType::kHash: {
-        idx.hash = std::make_unique<HashIndex>(io_->CreateStore());
-        std::vector<std::pair<AttrValue, FileId>> entries;
-        entries.reserve(rows.size());
-        for (const auto& [file, attrs] : rows) {
-          const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-          if (v != nullptr) entries.emplace_back(*v, file);
-        }
-        *cost += idx.hash->BulkLoad(std::move(entries));
-        break;
-      }
-      case IndexType::kKeyword: {
-        idx.hash = std::make_unique<HashIndex>(io_->CreateStore());
-        std::vector<std::pair<AttrValue, FileId>> entries;
-        for (const auto& [file, attrs] : rows) {
-          const AttrValue* v = attrs.Find(idx.attr_ids[0]);
-          if (v != nullptr && v->is_string()) {
-            ForEachKeyword(v->as_string(), [&](std::string_view word) {
-              entries.emplace_back(AttrValue(word), file);
-            });
-          }
-        }
-        *cost += idx.hash->BulkLoad(std::move(entries));
-        break;
-      }
-      case IndexType::kKdTree:
-      case IndexType::kKdTreePaged: {
-        idx.kd = std::make_unique<KdTree>(io_->CreateStore(),
-                                          spec.attrs.size(),
-                                          spec.type == IndexType::kKdTreePaged
-                                              ? KdLayout::kPaged
-                                              : KdLayout::kSerialized);
-        std::vector<std::pair<std::vector<double>, FileId>> points;
-        points.reserve(rows.size());
-        for (const auto& [file, attrs] : rows) {
-          std::vector<double> point;
-          point.reserve(spec.attrs.size());
-          for (AttrId a : idx.attr_ids) {
-            const AttrValue* v = attrs.Find(a);
-            if (v == nullptr || !v->is_numeric()) break;  // unindexable
-            point.push_back(v->numeric());
-          }
-          if (point.size() == spec.attrs.size()) {
-            points.emplace_back(std::move(point), file);
-          }
-        }
-        *cost += idx.kd->BulkLoad(std::move(points));
-        break;
-      }
-    }
-    seg->indexes.push_back(std::move(idx));
-  }
-  *cost += seg->records.BulkLoad(std::move(rows));
-  return seg;
-}
-
 sim::Cost IndexGroup::SealMemtable() {
   std::shared_ptr<std::vector<FileUpdate>> batch;
   std::vector<IndexSpec> specs;
+  SegmentList segs;
   size_t wal_records = 0;
 
   // Phase 1 (swap, exclusive mu_, cheap): take the memtable.  The batch
@@ -685,8 +693,8 @@ sim::Cost IndexGroup::SealMemtable() {
     // Exactly the first batch->size() WAL records correspond to this
     // batch; stages that land during the build append behind them.
     wal_records = batch->size();
-    specs.reserve(indexes_.size());
-    for (const NamedIndex& idx : indexes_) specs.push_back(idx.spec);
+    specs = specs_;
+    segs = segments_;
   }
 
   obs::SpanGuard span("group.seal", id_);
@@ -698,14 +706,27 @@ sim::Cost IndexGroup::SealMemtable() {
   sim::Cost cost(kSealFoldPerUpdateSeconds * static_cast<double>(batch->size()));
   std::map<FileId, const FileUpdate*> latest;
   for (const FileUpdate& u : *batch) latest[u.file] = &u;
-  std::vector<std::pair<FileId, AttrSet>> rows;
+  Rows rows;
   std::unordered_set<FileId> tombstones;
   rows.reserve(latest.size());
+  // Live-count change, against the segments this seal lands on (seal_mu_
+  // keeps them as they are until the publish).
+  uint64_t born = 0;
+  uint64_t died = 0;
   for (const auto& [file, u] : latest) {
+    bool was_live = false;
+    for (size_t si = segs.size(); si-- > 0;) {
+      if (segs[si]->Contains(file)) {
+        was_live = segs[si]->records.Contains(file);
+        break;
+      }
+    }
     if (u->is_delete) {
       tombstones.insert(file);
+      died += was_live ? 1 : 0;
     } else {
       rows.emplace_back(file, u->attrs);
+      born += was_live ? 0 : 1;
     }
   }
   std::shared_ptr<Segment> seg =
@@ -720,9 +741,8 @@ sim::Cost IndexGroup::SealMemtable() {
     segments_.push_back(std::move(seg));
     sealing_.reset();
     cost += wal_.TruncatePrefix(wal_records);
-    MutexLock cache_lock(cache_mu_);
-    ++commit_epoch_;
-    if (result_cache_enabled_) result_cache_.clear();
+    num_files_ = num_files_ + born - died;
+    PublishLocked();
   }
   if (committed_ != nullptr) committed_->Add(batch->size());
   if (seals_ != nullptr) seals_->Add(1);
@@ -733,20 +753,19 @@ sim::Cost IndexGroup::SealMemtable() {
 sim::Cost IndexGroup::RunMergePolicy() {
   sim::Cost total;
   for (;;) {
-    std::vector<std::shared_ptr<const Segment>> segs;
+    SegmentList segs;
     std::vector<IndexSpec> specs;
     {
       ReaderMutexLock lock(mu_);
       segs = segments_;
-      specs.reserve(indexes_.size());
-      for (const NamedIndex& idx : indexes_) specs.push_back(idx.spec);
+      specs = specs_;
     }
 
     auto seg_bytes = [&](size_t i) -> uint64_t {
       return std::max<uint64_t>(1, segs[i]->ByteSize());
     };
-    // Trigger 1 (tier): the oldest run of >= merge_tier_run_ adjacent
-    // segments whose sizes stay within merge_size_ratio_ of each other.
+    // Trigger 1 (tier): the oldest run of >= kMergeTierRun adjacent
+    // segments whose sizes stay within kMergeSizeRatio of each other.
     size_t begin = 0;
     size_t end = 0;  // merge [begin, end); end == 0 means no trigger
     for (size_t i = 0; i + 1 < segs.size() && end == 0; ++i) {
@@ -757,21 +776,21 @@ sim::Cost IndexGroup::RunMergePolicy() {
         uint64_t nlo = std::min(lo, seg_bytes(j + 1));
         uint64_t nhi = std::max(hi, seg_bytes(j + 1));
         if (static_cast<double>(nhi) >
-            merge_size_ratio_ * static_cast<double>(nlo)) {
+            kMergeSizeRatio * static_cast<double>(nlo)) {
           break;
         }
         ++j;
         lo = nlo;
         hi = nhi;
       }
-      if (j - i + 1 >= merge_tier_run_) {
+      if (j - i + 1 >= kMergeTierRun) {
         begin = i;
         end = j + 1;
       }
     }
     // Trigger 2 (cap): over the read-amplification bound regardless of
     // tiers — merge the cheapest adjacent pair.
-    if (end == 0 && segs.size() > max_segments_) {
+    if (end == 0 && segs.size() > kMaxSegments) {
       uint64_t best = std::numeric_limits<uint64_t>::max();
       for (size_t i = 0; i + 1 < segs.size(); ++i) {
         uint64_t pair = seg_bytes(i) + seg_bytes(i + 1);
@@ -789,10 +808,10 @@ sim::Cost IndexGroup::RunMergePolicy() {
     span.Tag("inputs", static_cast<uint64_t>(end - begin));
 
     // Read the run newest-first (no lock; the shared_ptrs keep the inputs
-    // alive) and fold it newest-wins.
+    // alive) and fold it newest-wins.  The live set does not change.
     sim::Cost cost;
     std::unordered_set<FileId> seen;
-    std::vector<std::pair<FileId, AttrSet>> rows;
+    Rows rows;
     std::unordered_set<FileId> tombstones;
     uint64_t update_count = 0;
     for (size_t si = end; si-- > begin;) {
@@ -829,9 +848,7 @@ sim::Cost IndexGroup::RunMergePolicy() {
                       segments_.begin() + static_cast<long>(end));
       segments_.insert(segments_.begin() + static_cast<long>(begin),
                        std::move(merged));
-      MutexLock cache_lock(cache_mu_);
-      ++commit_epoch_;
-      if (result_cache_enabled_) result_cache_.clear();
+      PublishLocked();
     }
     if (merges_ != nullptr) merges_->Add(1);
     if (merge_latency_ != nullptr) merge_latency_->Observe(cost.seconds());
@@ -840,172 +857,17 @@ sim::Cost IndexGroup::RunMergePolicy() {
   }
 }
 
-IndexGroup::SearchResult IndexGroup::SearchSegmented(
-    const Predicate& pred) const {
-  SearchResult out;
-  obs::SpanGuard span("group.search", id_);
-  span.Tag("group", id_);
-
-  // Snapshot: refcounted segment list + frozen memtable view, taken under
-  // a brief shared lock.  Everything below runs against immutable state —
-  // a seal or merge publishing concurrently retires nothing this search
-  // still holds.
-  std::vector<std::shared_ptr<const Segment>> segs;
-  std::shared_ptr<const std::vector<FileUpdate>> sealing;
-  std::vector<FileUpdate> pending;
-  {
-    ReaderMutexLock lock(mu_);
-    segs = segments_;
-    sealing = sealing_;
-    pending = pending_;
-  }
-
-  // Memtable overlay: newest staged state per file; nullptr marks a
-  // staged delete.  Includes the in-flight seal batch (strong
-  // consistency: sealed-but-unpublished updates stay visible).
-  const size_t memtable_updates =
-      (sealing != nullptr ? sealing->size() : 0) + pending.size();
-  out.cost += sim::Cost(kMemtableScanPerUpdateSeconds *
-                        static_cast<double>(memtable_updates));
-  std::map<FileId, const AttrSet*> overlay;
-  if (sealing != nullptr) {
-    for (const FileUpdate& u : *sealing) {
-      overlay[u.file] = u.is_delete ? nullptr : &u.attrs;
-    }
-  }
-  for (const FileUpdate& u : pending) {
-    overlay[u.file] = u.is_delete ? nullptr : &u.attrs;
-  }
-
-  // Result cache: only the exactly-committed state is memoizable, so the
-  // probe is gated on an empty overlay.  The fill re-checks the epoch —
-  // a seal/merge published mid-search must not be overwritten by a
-  // snapshot taken before it.
-  std::string fingerprint;
-  uint64_t probe_epoch = 0;
-  const bool cache_eligible = result_cache_enabled_ && overlay.empty();
-  if (cache_eligible) {
-    BinaryWriter w;
-    pred.Serialize(w);
-    fingerprint = std::move(w).Take();
-    out.cost += sim::Cost(kResultCacheProbeSeconds);
-    MutexLock cache_lock(cache_mu_);
-    probe_epoch = commit_epoch_;
-    auto it = result_cache_.find(fingerprint);
-    if (it != result_cache_.end()) {
-      if (result_cache_hits_ != nullptr) result_cache_hits_->Add(1);
-      out.files = it->second.files;
-      out.access_path = "result-cache(" + it->second.access_path + ")";
-      FinishSearchSpan(span, out);
-      return out;
-    }
-    if (result_cache_misses_ != nullptr) result_cache_misses_->Add(1);
-  }
-
-  // Memtable matches first (FileId order — deterministic).  The terms are
-  // bound to their ids once, for the overlay and every segment scan.
-  const BoundPredicate bound(pred);
-  for (const auto& [file, attrs] : overlay) {
-    if (attrs != nullptr && bound.Matches(*attrs)) out.files.push_back(file);
-  }
-
-  // Segments newest -> oldest; a candidate counts only if no younger
-  // state (overlay or younger segment) shadows it.
-  if (segments_read_ != nullptr) {
-    segments_read_->Add(static_cast<uint64_t>(segs.size()));
-  }
-  std::string seg_path;
-  for (size_t si = segs.size(); si-- > 0;) {
-    const Segment& seg = *segs[si];
-    const NamedIndex* idx = ChooseAccessPathFor(pred, seg.indexes);
-    std::vector<FileId> candidates;
-    bool exact = false;
-    if (idx == nullptr) {
-      // Full scan of this segment's records: matches are already exact.
-      exact = true;
-      if (seg_path.empty()) seg_path = "scan";
-      out.cost += seg.records.ForEach([&](FileId file, const AttrSet& attrs) {
-        if (bound.Matches(attrs)) candidates.push_back(file);
-      });
-      std::sort(candidates.begin(), candidates.end());
-    } else {
-      SearchResult sub;
-      candidates = IndexCandidates(*idx, pred, sub);
-      out.cost += sub.cost;
-      if (seg_path.empty()) seg_path = sub.access_path;
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      exact = pred.terms.size() <= 1 && !IsKdType(idx->spec.type) &&
-              idx->spec.type != IndexType::kKeyword;
-    }
-    // Keep the unshadowed candidates in place; a non-exact segment charges
-    // each one's record page right after its shadow probes, then matches
-    // them all in one batch.
-    size_t live = 0;
-    for (FileId f : candidates) {
-      if (overlay.count(f) != 0u) continue;  // memtable shadows everything
-      bool shadowed = false;
-      for (size_t sj = si + 1; sj < segs.size() && !shadowed; ++sj) {
-        out.cost += sim::Cost(kShadowProbeSeconds);
-        shadowed = segs[sj]->Contains(f);
-      }
-      if (shadowed) continue;
-      if (!exact) out.cost += seg.records.ChargeRead(f);
-      candidates[live++] = f;
-    }
-    candidates.resize(live);
-    if (exact) {
-      out.files.insert(out.files.end(), candidates.begin(), candidates.end());
-    } else {
-      seg.records.AppendMatching(candidates, pred, &out.files);
-    }
-  }
-  out.access_path = "segments[" + std::to_string(segs.size()) +
-                    "]:" + (seg_path.empty() ? "none" : seg_path);
-
-  if (cache_eligible) {
-    MutexLock cache_lock(cache_mu_);
-    if (commit_epoch_ == probe_epoch) {
-      if (result_cache_.size() >= 1024) result_cache_.clear();
-      result_cache_[std::move(fingerprint)] =
-          CachedResult{out.files, out.access_path};
-    }
-  }
-  FinishSearchSpan(span, out);
-  return out;
-}
-
-uint64_t IndexGroup::NumFiles() const {
-  ReaderMutexLock lock(mu_);
-  if (!segmented_) return records_.NumRecords();
-  return NumFilesSegmentedLocked();
-}
-
-uint64_t IndexGroup::NumFilesSegmentedLocked() const {
-  std::unordered_set<FileId> seen;
-  uint64_t live = 0;
-  for (size_t si = segments_.size(); si-- > 0;) {
-    const Segment& seg = *segments_[si];
-    seg.records.ForEachInMemory([&](FileId file, const AttrSet&) {
-      if (seen.insert(file).second) ++live;
-    });
-    for (FileId f : seg.tombstones) seen.insert(f);
-  }
-  return live;
-}
-
 // --------------------------------------------------------------------------
 
 sim::Cost IndexGroup::MaintainIndexes() {
-  // Segmented mode: segments are immutable and bulk-built balanced, so
-  // there is nothing to maintain.
-  if (segmented_) return {};
   WriterMutexLock lock(mu_);
   sim::Cost cost;
-  for (NamedIndex& idx : indexes_) {
-    if (IsKdType(idx.spec.type) && idx.kd->NeedsRebuild()) {
-      cost += idx.kd->Rebuild();
+  // Only a K-D tree grown by inserts can need a rebuild: a bulk-built one
+  // is balanced and tombstone-free, so a sealed or merged segment is
+  // never touched here.
+  for (const auto& seg : segments_) {
+    for (NamedIndex& idx : seg->indexes) {
+      if (idx.kd != nullptr && idx.kd->NeedsRebuild()) cost += idx.kd->Rebuild();
     }
   }
   return cost;
@@ -1030,28 +892,10 @@ Status IndexGroup::RecoverPendingFromWal() {
 
 uint64_t IndexGroup::ApproxPages() const {
   ReaderMutexLock lock(mu_);
-  auto index_pages = [](const std::vector<NamedIndex>& indexes) {
-    uint64_t pages = 0;
-    for (const NamedIndex& idx : indexes) {
-      switch (idx.spec.type) {
-        case IndexType::kBTree:
-          pages += idx.btree->NumPages();
-          break;
-        case IndexType::kHash:
-        case IndexType::kKeyword:
-          pages += idx.hash->NumPages();
-          break;
-        case IndexType::kKdTree:
-        case IndexType::kKdTreePaged:
-          pages += idx.kd->NumPages();
-          break;
-      }
-    }
-    return pages;
-  };
-  uint64_t pages = records_.NumPages() + index_pages(indexes_);
+  uint64_t pages = 0;
   for (const auto& seg : segments_) {
-    pages += seg->records.NumPages() + index_pages(seg->indexes);
+    pages += seg->records.NumPages();
+    for (const NamedIndex& idx : seg->indexes) pages += idx.NumPages();
   }
   return pages;
 }

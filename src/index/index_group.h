@@ -7,29 +7,34 @@
 // structures").
 //
 // Real-time indexing follows the paper's protocol: updates are appended to
-// a write-ahead log and staged in an in-memory cache; they are committed
-// into the index structures on a timeout or — to keep results strongly
-// consistent — by the next search request touching the group.
+// a write-ahead log and staged in an in-memory cache (the memtable,
+// `pending_`); they are committed on a timeout or — to keep results
+// strongly consistent — by the next search request touching the group.
 //
-// The group runs in one of two modes:
+// Committed state is a list of *segments* under both commit policies.  A
+// segment is a record store, one index structure per spec, and the set of
+// files its batch deleted (tombstones).  One search body serves both
+// policies: it layers the memtable over the segments, newest first — the
+// memtable shadows every segment and a younger segment shadows older ones
+// — and reads each segment through that segment's best index.  Only two
+// things depend on the policy: how a commit publishes, and whether a
+// search drains staged updates first.
 //
-//  * Commit-barrier (default, bit-compatible with earlier revisions):
-//    Search drains staged updates under an exclusive lock before
-//    answering, so one hot group's ingest stalls every read on it.
+//  * Commit barrier (default, the paper's protocol): one mutable base
+//    segment.  A commit applies each staged update to its record store
+//    and indexes in place.  Search drains staged updates under an
+//    exclusive lock before answering, so one hot group's ingest stalls
+//    every read on it, and a search never sees a memtable.
 //
 //  * Segmented (IndexGroupOptions::segmented — write-read decoupling):
-//    committed state lives in a list of *immutable segments* (each a
-//    record store + fully-built index structures + delete tombstones) and
-//    writes accumulate in a mutable memtable (`pending_`).  Search takes a
-//    cheap snapshot — the refcounted segment list plus a frozen memtable
-//    view — under a brief shared lock and then runs entirely against
-//    immutable state: it never blocks on, or waits for, a commit.  Commit
-//    seals the memtable into a new segment in three phases (swap under
-//    exclusive mu_, build with no lock held, publish under exclusive mu_)
-//    and a tiered size-ratio merge policy bounds the number of live
-//    segments — and therefore per-search read amplification — to ≤ K.
-//    Newest state wins: the memtable overlay shadows every segment and a
-//    younger segment shadows older ones (tombstones shadow deletes).
+//    a commit seals the memtable into a new *immutable* segment in three
+//    phases (swap under exclusive mu_, bulk build with no lock held,
+//    publish under exclusive mu_), and a tiered size-ratio merge publishes
+//    immutable replacements that bound the live segment count — and so a
+//    search's read amplification — to kMaxSegments.  Search takes a cheap
+//    snapshot (the refcounted segment list plus a frozen memtable view)
+//    under a brief shared lock and then runs against immutable state: it
+//    never blocks on, or waits for, a commit.
 //
 // Thread safety / locking order: every public method takes the group's own
 // mutex, so one IndexGroup may be staged into, committed, and searched from
@@ -42,10 +47,11 @@
 // consistency): a lock-free `has_pending_` probe plus an
 // under-the-reader-lock recheck decides whether the search can run shared
 // or must upgrade (drop + reacquire exclusive) to drain staged updates
-// first.  In segmented mode searches only ever take the shared lock (for
-// the snapshot); `seal_mu_` serialises the seal/merge pipeline so at most
-// one build is in flight, and the in-flight batch stays visible to
-// searches through `sealing_` (strong consistency without the barrier).
+// first, and the search body runs under that lock.  In segmented mode
+// searches only ever take the shared lock (for the snapshot); `seal_mu_`
+// serialises the seal/merge pipeline so at most one build is in flight,
+// and the in-flight batch stays visible to searches through `sealing_`
+// (strong consistency without the barrier).
 // Distinct groups never share index structures, so cross-group parallelism
 // needs no coordination beyond the (internally locked) shared IoContext.
 // Lock order is strictly:
@@ -53,8 +59,8 @@
 //     IndexNode::groups_mu_ -> IndexGroup::seal_mu_ -> IndexGroup::mu_
 //         -> cache_mu_ -> IoContext::mu_
 //
-// (`cache_mu_` guards the per-group search-result memo; it nests inside
-// mu_ because probes/fills run while holding at least a shared mu_.)
+// (`cache_mu_` guards the per-group search-result memo and the commit
+// epoch; probes and fills take it from the search body.)
 // Never acquire a second group's mutex while holding one, and never call
 // back into IndexGroup from inside a ForEachRecord callback (the callback
 // runs under mu_).  This order is one slice of the cluster-wide rank table
@@ -64,6 +70,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -131,16 +138,9 @@ struct IndexGroupOptions {
   // Per-group search-result memo (read_path_caching); off, the search
   // path never touches the cache and costs are unchanged.
   bool result_cache = false;
-
-  // --- Write-read decoupling (see the file comment) ---
+  // Write-read decoupling: seal and merge immutable segments instead of
+  // the commit barrier (see the file comment).
   bool segmented = false;
-  // Merge when the committed segment count exceeds this (K: the
-  // per-search read-amplification bound).
-  size_t max_segments = 4;
-  // Adjacent segments whose sizes stay within this ratio form one tier...
-  double merge_size_ratio = 4.0;
-  // ...and a tier of at least this many adjacent segments merges eagerly.
-  size_t merge_tier_run = 3;
 };
 
 class IndexGroup {
@@ -156,7 +156,13 @@ class IndexGroup {
 
   GroupId id() const { return id_; }
 
-  Status CreateIndex(const IndexSpec& spec);
+  // Adds a named index.  Commit-barrier mode bulk-builds it over the files
+  // already committed and adds that build's simulated cost to `*cost`
+  // (when given; nothing on an empty group).  Segmented mode leaves the
+  // published segments as they are — they are immutable, and a segment
+  // with no index for a predicate is scanned — and every later seal and
+  // merge builds the index.
+  Status CreateIndex(const IndexSpec& spec, sim::Cost* cost = nullptr);
   bool HasIndex(const std::string& name) const;
   std::vector<IndexSpec> Specs() const;
 
@@ -169,11 +175,11 @@ class IndexGroup {
   // the stamp pointing at updates that no longer exist (or, worse, drop
   // the stamp for updates that do).
   sim::Cost StageUpdate(FileUpdate update, double staged_at_s = -1.0);
-  // Commit-barrier mode: applies all staged updates to the index
-  // structures and truncates the WAL.  Segmented mode: seals the memtable
-  // into a new immutable segment (truncating the sealed WAL prefix) and
-  // runs the merge policy.  A no-op when nothing is staged — and, in both
-  // modes, epoch-neutral: the result cache survives an empty commit.
+  // Commit-barrier mode: applies all staged updates to the base segment
+  // and truncates the WAL.  Segmented mode: seals the memtable into a new
+  // immutable segment (truncating the sealed WAL prefix) and runs the
+  // merge policy.  A no-op when nothing is staged — and, in both modes,
+  // epoch-neutral: the result cache survives an empty commit.
   sim::Cost Commit();
   size_t PendingUpdates() const {
     ReaderMutexLock lock(mu_);
@@ -192,21 +198,23 @@ class IndexGroup {
     sim::Cost cost;
     std::string access_path;  // which index served the query (diagnostics)
   };
-  // Commits pending updates first (strong consistency), then answers.
-  // With nothing staged the search runs under a *shared* lock, so any
-  // number of threads can search one group concurrently.
+  // Sees every staged update: commit-barrier mode commits them first,
+  // segmented mode reads them through the memtable overlay.  With nothing
+  // staged the search runs under a *shared* lock, so any number of
+  // threads can search one group concurrently.
   SearchResult Search(const Predicate& pred);
 
-  // Number of commits that actually applied updates (bumped whenever the
-  // result cache is invalidated; test / introspection hook).  Segmented
-  // mode also bumps it on every seal and merge publish.
+  // Number of publishes that changed committed state (each one clears the
+  // result cache): commits that applied updates, and in segmented mode
+  // every seal and merge.  Test / introspection hook.
   uint64_t CommitEpoch() const {
     MutexLock lock(cache_mu_);
     return commit_epoch_;
   }
 
-  // --- Segmented-mode introspection ---
+  // --- Segment introspection ---
   bool segmented() const { return segmented_; }
+  // Live committed segments: always 1 in commit-barrier mode.
   size_t NumSegments() const {
     ReaderMutexLock lock(mu_);
     return segments_.size();
@@ -239,25 +247,31 @@ class IndexGroup {
   }
 
   // --- Split / migration support ---
-  // Committed live files (excludes staged updates; segmented: newest
-  // segment wins, tombstoned files excluded).  Cost-free statistic.
-  uint64_t NumFiles() const;
+  // Committed live files (excludes staged updates; newest segment wins,
+  // tombstoned files excluded).  O(1), cost-free statistic.
+  uint64_t NumFiles() const {
+    ReaderMutexLock lock(mu_);
+    return num_files_;
+  }
   // All (file, attrs) currently committed; used to move files to a new
   // group during an ACG split.  `fn` runs under the group mutex — it must
-  // not call back into this IndexGroup.  Segmented mode visits the live
-  // (unshadowed, untombstoned) view, newest segment first.
+  // not call back into this IndexGroup.  Visits the live (unshadowed,
+  // untombstoned) view, newest segment first, each in FileId order.
   template <typename Fn>
   sim::Cost ForEachRecord(Fn&& fn) const {
     ReaderMutexLock lock(mu_);
-    if (!segmented_) return records_.ForEach(fn);
     sim::Cost cost;
+    // Files a younger segment already decided; the oldest segment adds
+    // none, so one segment never fills it.
     std::unordered_set<FileId> seen;
     for (size_t si = segments_.size(); si-- > 0;) {
       const Segment& seg = *segments_[si];
       cost += seg.records.ForEach([&](FileId file, const AttrSet& attrs) {
-        if (seen.insert(file).second) fn(file, attrs);
+        if (si == 0 ? seen.count(file) == 0 : seen.insert(file).second) {
+          fn(file, attrs);
+        }
       });
-      for (FileId f : seg.tombstones) seen.insert(f);
+      if (si > 0) seen.insert(seg.tombstones.begin(), seg.tombstones.end());
     }
     return cost;
   }
@@ -265,20 +279,45 @@ class IndexGroup {
   uint64_t ApproxPages() const;
 
  private:
+  // One index structure (the one its spec's type names) in one segment.
   struct NamedIndex {
     IndexSpec spec;
     std::vector<AttrId> attr_ids;  // spec.attrs, bound once at creation
     std::unique_ptr<BPlusTree> btree;
     std::unique_ptr<HashIndex> hash;
     std::unique_ptr<KdTree> kd;
+
+    // Posts or retires one key from ForEachKey: a value (B-tree, hash,
+    // keyword) or a point (K-D).
+    sim::Cost Insert(const AttrValue& key, FileId file) const {
+      return btree != nullptr ? btree->Insert(key, file)
+                              : hash->Insert(key, file);
+    }
+    sim::Cost Insert(const std::vector<double>& point, FileId file) const {
+      return kd->Insert(point, file);
+    }
+    sim::Cost Remove(const AttrValue& key, FileId file) const {
+      return btree != nullptr ? btree->Remove(key, file)
+                              : hash->Remove(key, file);
+    }
+    sim::Cost Remove(const std::vector<double>& point, FileId file) const {
+      return kd->Remove(point, file);
+    }
+    uint64_t NumPages() const {
+      if (btree != nullptr) return btree->NumPages();
+      return hash != nullptr ? hash->NumPages() : kd->NumPages();
+    }
   };
 
-  // One immutable committed unit of the segmented mode: a record store,
-  // fully-built index structures for every spec the group had at seal
-  // time, and the set of files the sealed batch deleted (tombstones
-  // shadow older segments).  Never mutated after publication — searches
-  // hold shared_ptrs, so a merge retiring a segment cannot pull it out
-  // from under a running snapshot.
+  using Rows = std::vector<std::pair<FileId, AttrSet>>;
+
+  // One committed unit: a record store, an index structure for every spec
+  // the group had when the segment was built, and the files its batch
+  // deleted (tombstones shadow older segments).  The commit barrier's one
+  // base segment is mutated in place under exclusive mu_; a segment the
+  // seal pipeline publishes is never mutated again — searches hold
+  // shared_ptrs, so a merge retiring it cannot pull it out from under a
+  // running snapshot.
   struct Segment {
     explicit Segment(RecordStore store) : records(std::move(store)) {}
     uint64_t seq = 0;           // publication order (diagnostics)
@@ -296,6 +335,11 @@ class IndexGroup {
       return records.Bytes() + 8 * tombstones.size();
     }
   };
+  using SegmentList = std::vector<std::shared_ptr<Segment>>;
+
+  // Newest staged state per file, in FileId order; nullptr marks a staged
+  // delete.  Shadows every segment.
+  using Overlay = std::map<FileId, const AttrSet*>;
 
   // Memoized answer for one predicate against the current committed state.
   struct CachedResult {
@@ -308,40 +352,40 @@ class IndexGroup {
   // holders satisfy a shared requirement).
   sim::Cost CommitLocked() REQUIRES(mu_);
   sim::Cost Apply(const FileUpdate& update) REQUIRES(mu_);
-  // A structure-less index for `spec` with its attribute names bound; the
-  // caller adds the structure.
-  static NamedIndex BindIndex(const IndexSpec& spec);
-  sim::Cost RemovePostings(const NamedIndex& idx, FileId file,
-                           const AttrSet& attrs) REQUIRES(mu_);
-  sim::Cost InsertPostings(const NamedIndex& idx, FileId file,
-                           const AttrSet& attrs) REQUIRES(mu_);
+  // Bumps the commit epoch and clears the result cache.  Every change to
+  // committed state ends here, under exclusive mu_.
+  void PublishLocked() REQUIRES(mu_);
+
+  // The one index builder: `spec` with its attribute names bound and its
+  // structure allocated empty (MakeIndex), then bulk-loaded from `rows`
+  // (BuildIndex, cost into `*cost`).
+  NamedIndex MakeIndex(const IndexSpec& spec) const;
+  NamedIndex BuildIndex(const IndexSpec& spec, const Rows& rows,
+                        sim::Cost* cost) const;
+  // Builds one immutable segment from a folded batch: one index per spec,
+  // then the record store.  Runs with no lock held.
+  std::shared_ptr<Segment> BuildSegment(Rows rows,
+                                        std::unordered_set<FileId> tombstones,
+                                        const std::vector<IndexSpec>& specs,
+                                        sim::Cost* cost) const;
+
   // Picks the best index among `indexes` for `pred`; nullptr = full scan.
-  static const NamedIndex* ChooseAccessPathFor(
+  static const NamedIndex* ChooseAccessPath(
       const Predicate& pred, const std::vector<NamedIndex>& indexes);
-  const NamedIndex* ChooseAccessPath(const Predicate& pred) const
-      REQUIRES_SHARED(mu_) {
-    return ChooseAccessPathFor(pred, indexes_);
-  }
-  // Runs the chosen index's lookup: accumulates cost and the access-path
-  // label into `out`, returns the raw candidate list (not yet verified).
+  // Runs the chosen index's lookup, adding its cost to `cost`; returns
+  // the raw candidate list (not yet verified).
   static std::vector<FileId> IndexCandidates(const NamedIndex& idx,
                                              const Predicate& pred,
-                                             SearchResult& out);
-  // The post-commit search body (access-path choice, lookups, residual
-  // verification, result-cache probe/fill); accumulates into `out`.
-  void SearchBodyLocked(const Predicate& pred, SearchResult& out) const
-      REQUIRES_SHARED(mu_);
+                                             sim::Cost& cost);
+  // The one search body: result-cache probe, overlay matches, then each
+  // segment newest first (access path, candidates, shadow filter,
+  // residual match), then the cache fill; accumulates into `out`.  The
+  // caller keeps `segs` unchanged for the call: shared mu_ (commit
+  // barrier) or a snapshot of immutable segments (segmented).
+  void SearchSegments(const Predicate& pred, const Overlay& overlay,
+                      const SegmentList& segs, SearchResult& out) const;
 
-  // --- Segmented mode internals ---
-  // Snapshot search (see the file comment); never blocks on a commit.
-  SearchResult SearchSegmented(const Predicate& pred) const;
-  uint64_t NumFilesSegmentedLocked() const REQUIRES_SHARED(mu_);
-  // Builds one immutable segment from a folded batch: bulk-loads the
-  // record store and one index per spec.  Runs with no lock held.
-  std::shared_ptr<Segment> BuildSegment(
-      std::vector<std::pair<FileId, AttrSet>> rows,
-      std::unordered_set<FileId> tombstones,
-      const std::vector<IndexSpec>& specs, sim::Cost* cost) const;
+  // --- Segmented mode ---
   // Seal phase: swap the memtable out (exclusive mu_), build the segment
   // (no lock), publish it + truncate the sealed WAL prefix (exclusive
   // mu_).  Epoch-neutral no-op when nothing is staged.
@@ -354,9 +398,6 @@ class IndexGroup {
   GroupId id_;
   sim::IoContext* io_;
   const bool segmented_;
-  const size_t max_segments_;
-  const double merge_size_ratio_;
-  const size_t merge_tier_run_;
   // Null when the group is unobserved (standalone tests / micro-benches).
   obs::Counter* wal_appends_ = nullptr;
   obs::Counter* wal_bytes_ = nullptr;
@@ -375,17 +416,18 @@ class IndexGroup {
   mutable Mutex seal_mu_{LockRank::kIndexGroupSeal, "IndexGroup::seal_mu_"};
   // Publication counter for Segment::seq (only the pipeline writes it).
   uint64_t next_segment_seq_ GUARDED_BY(seal_mu_) = 0;
-  // Guards all mutable group state (records, WAL, indexes, pending cache).
+  // Guards all mutable group state (segments, WAL, specs, pending cache).
   // See the locking-order comment at the top of this header.
   mutable SharedMutex mu_{LockRank::kIndexGroup, "IndexGroup::mu_"};
-  RecordStore records_ GUARDED_BY(mu_);
-  WriteAheadLog wal_ GUARDED_BY(mu_);
-  std::vector<NamedIndex> indexes_ GUARDED_BY(mu_);
-  std::vector<FileUpdate> pending_ GUARDED_BY(mu_);
-  // Segmented mode: committed segments, oldest first.  The shared_ptrs
-  // are the snapshot mechanism — a search copies the vector under shared
+  // Committed segments, oldest first.  The shared_ptrs are the segmented
+  // mode's snapshot mechanism — a search copies the vector under shared
   // mu_ and the segments stay alive however long the search runs.
-  std::vector<std::shared_ptr<const Segment>> segments_ GUARDED_BY(mu_);
+  SegmentList segments_ GUARDED_BY(mu_);
+  WriteAheadLog wal_ GUARDED_BY(mu_);
+  std::vector<IndexSpec> specs_ GUARDED_BY(mu_);
+  std::vector<FileUpdate> pending_ GUARDED_BY(mu_);
+  // Live committed files (NumFiles), kept by every publish.
+  uint64_t num_files_ GUARDED_BY(mu_) = 0;
   // The batch an in-flight seal swapped out of `pending_` but has not yet
   // published.  Searches overlay it (with `pending_`) so sealed-but-
   // unpublished updates never disappear from view mid-seal.
@@ -398,9 +440,9 @@ class IndexGroup {
   std::atomic<bool> has_pending_{false};
 
   // --- Per-group search-result cache (read_path_caching) ---
-  // Probes and fills run while holding at least shared mu_; invalidation
-  // (CommitLocked) runs under exclusive mu_, so a fill can never race a
-  // clear — cache_mu_ only serialises concurrent same-group readers.
+  // Probes and fills take cache_mu_ only; a fill is kept only when no
+  // publish bumped commit_epoch_ since its probe, so a search over an
+  // older snapshot never memoizes stale state.
   const bool result_cache_enabled_;
   mutable Mutex cache_mu_{LockRank::kIndexGroupCache, "IndexGroup::cache_mu_"};
   // Keyed by the predicate's serialized fingerprint.

@@ -18,8 +18,8 @@ void RecordStore::AppendMatching(std::span<const FileId> candidates,
   // lookup depends on another, so their cache misses overlap.
   std::vector<const AttrSet*> records(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    auto it = records_.find(candidates[i]);
-    if (it == records_.end()) continue;
+    auto it = rows_.find(candidates[i]);
+    if (it == rows_.end()) continue;
     records[i] = &it->second;
     __builtin_prefetch(it->second.entries().data());
   }
@@ -37,31 +37,31 @@ RecordStore::PutResult RecordStore::Put(FileId file, AttrSet attrs) {
   PutResult out;
   uint64_t page = PageOf(file);
   out.cost = store_.Read(page);
-  auto it = records_.find(file);
-  if (it != records_.end()) {
+  auto it = rows_.find(file);
+  if (it != rows_.end()) {
     out.previous = std::move(it->second);
     bytes_ -= out.previous->ByteSize();
     bytes_ += attrs.ByteSize();
     it->second = std::move(attrs);
   } else {
     bytes_ += attrs.ByteSize();
-    records_.emplace(file, std::move(attrs));
+    rows_.emplace(file, std::move(attrs));
   }
   out.cost += store_.Write(page);
   return out;
 }
 
 sim::Cost RecordStore::BulkLoad(std::vector<std::pair<FileId, AttrSet>> rows) {
-  records_.reserve(rows.size());
+  rows_.reserve(rows.size());
   for (auto& [file, attrs] : rows) {
-    auto it = records_.find(file);
-    if (it != records_.end()) {
+    auto it = rows_.find(file);
+    if (it != rows_.end()) {
       bytes_ -= it->second.ByteSize();
       bytes_ += attrs.ByteSize();
       it->second = std::move(attrs);
     } else {
       bytes_ += attrs.ByteSize();
-      records_.emplace(file, std::move(attrs));
+      rows_.emplace(file, std::move(attrs));
     }
   }
   // One sequential pass writes the whole heap file.
@@ -72,11 +72,11 @@ RecordStore::EraseResult RecordStore::Erase(FileId file) {
   EraseResult out;
   uint64_t page = PageOf(file);
   out.cost = store_.Read(page);
-  auto it = records_.find(file);
-  if (it != records_.end()) {
+  auto it = rows_.find(file);
+  if (it != rows_.end()) {
     out.previous = std::move(it->second);
     bytes_ -= out.previous->ByteSize();
-    records_.erase(it);
+    rows_.erase(it);
     out.cost += store_.Write(page);
   }
   return out;

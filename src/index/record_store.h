@@ -73,10 +73,10 @@ class RecordStore {
   template <typename Fn>
   void ForEachInMemory(Fn&& fn) const {
     std::vector<FileId> files;
-    files.reserve(records_.size());
-    for (const auto& [file, attrs] : records_) files.push_back(file);
+    files.reserve(rows_.size());
+    for (const auto& [file, attrs] : rows_) files.push_back(file);
     std::sort(files.begin(), files.end());
-    for (FileId f : files) fn(f, records_.at(f));
+    for (FileId f : files) fn(f, rows_.at(f));
   }
 
   // Builds the store from a batch in one sequential write instead of
@@ -86,9 +86,9 @@ class RecordStore {
 
   // Membership probe without a simulated page touch: segment shadowing
   // checks charge their own flat per-probe cost at the caller.
-  bool Contains(FileId file) const { return records_.count(file) != 0u; }
+  bool Contains(FileId file) const { return rows_.count(file) != 0u; }
 
-  uint64_t NumRecords() const { return records_.size(); }
+  uint64_t NumRecords() const { return rows_.size(); }
   uint64_t NumPages() const { return 1 + bytes_ / kPageBytes; }
   uint64_t Bytes() const { return bytes_; }
 
@@ -98,7 +98,7 @@ class RecordStore {
   uint64_t PageOf(FileId file) const;
 
   sim::PageStore store_;
-  std::unordered_map<FileId, AttrSet> records_;
+  std::unordered_map<FileId, AttrSet> rows_;
   uint64_t bytes_ = 0;
 };
 

@@ -24,14 +24,14 @@ class WriteAheadLog {
   sim::Cost Append(std::string record) {
     sim::Cost cost = store_.Append(record.size() + 8);
     bytes_ += record.size() + 8;
-    records_.push_back(std::move(record));
+    entries_.push_back(std::move(record));
     return cost;
   }
 
   // Replays every record since the last truncation, oldest first.
   template <typename Fn>
   Status Replay(Fn&& fn) const {
-    for (const std::string& rec : records_) {
+    for (const std::string& rec : entries_) {
       PROPELLER_RETURN_IF_ERROR(fn(rec));
     }
     return Status::Ok();
@@ -39,7 +39,7 @@ class WriteAheadLog {
 
   // Discards replayed/committed records (checkpoint).
   sim::Cost Truncate() {
-    records_.clear();
+    entries_.clear();
     bytes_ = 0;
     return store_.Append(8);  // truncation marker
   }
@@ -48,19 +48,19 @@ class WriteAheadLog {
   // records folded into a sealed segment are durable there, while records
   // appended after the seal snapshot was taken stay replayable.
   sim::Cost TruncatePrefix(size_t n) {
-    n = std::min(n, records_.size());
-    for (size_t i = 0; i < n; ++i) bytes_ -= records_[i].size() + 8;
-    records_.erase(records_.begin(),
-                   records_.begin() + static_cast<long>(n));
+    n = std::min(n, entries_.size());
+    for (size_t i = 0; i < n; ++i) bytes_ -= entries_[i].size() + 8;
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<long>(n));
     return store_.Append(8);  // truncation marker
   }
 
-  size_t NumRecords() const { return records_.size(); }
+  size_t NumRecords() const { return entries_.size(); }
   uint64_t Bytes() const { return bytes_; }
 
  private:
   sim::PageStore store_;
-  std::vector<std::string> records_;
+  std::vector<std::string> entries_;
   uint64_t bytes_ = 0;
 };
 

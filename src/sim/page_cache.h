@@ -149,7 +149,11 @@ class PageCache {
   }
 
   // Adds slot `s` (its page is not in the table) at its first free probe.
-  void Index(uint32_t s) {
+  // Always inlined: every source file that touches pages compiles its own
+  // copy of Touch and the linker keeps one of them, so a file that ran out
+  // of inlining budget must not leave a slower Touch than the others (one
+  // that called Index out of line cost ingest ~15% of its throughput).
+  [[gnu::always_inline]] void Index(uint32_t s) {
     const size_t mask = table_.size() - 1;
     size_t i = Home(slots_[s].id);
     while (table_[i] != kNone) i = (i + 1) & mask;

@@ -63,6 +63,31 @@ TEST_F(ClusterTest, CreateIndexThenUpdateThenSearch) {
   EXPECT_EQ(r->files.back(), 100u);
 }
 
+// An index created after files are committed serves those files: the
+// group bulk-builds it over its committed state.  A new index that started
+// empty would be chosen by the next search and hide every file.
+TEST(ClusterCreateIndexTest, IndexCreatedAfterCommitServesCommittedFiles) {
+  PropellerCluster cluster{ClusterConfig{}};
+  std::vector<FileUpdate> updates;
+  for (FileId f = 1; f <= 50; ++f) {
+    updates.push_back(Upsert(f, static_cast<int64_t>(f * 10), 0, "/data/f"));
+  }
+  ASSERT_TRUE(
+      cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
+  cluster.AdvanceTime(6.0);  // past the 5 s commit timeout
+
+  Predicate p;
+  p.And("size", CmpOp::kGt, AttrValue(int64_t{0}));
+  auto before = cluster.client().Search(p);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->files.size(), 50u);
+
+  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
+  auto after = cluster.client().Search(p);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->files.size(), 50u);
+}
+
 TEST_F(ClusterTest, SearchImmediatelyAfterUpdateIsConsistent) {
   // The heart of the paper: no crawl delay, recall is always 100%.
   ASSERT_TRUE(cluster_.client().CreateIndex(SizeIndex()).ok());

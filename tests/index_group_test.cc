@@ -158,6 +158,36 @@ TEST_F(IndexGroupTest, KdTreeExclusiveBoundsKeepNonIntegerMatches) {
   EXPECT_EQ(g.Search(below).files, (std::vector<FileId>{1, 2}));
 }
 
+// A commit-barrier group bulk-builds a new index over its committed files
+// and reports the build's cost; on an empty group the build costs nothing.
+TEST_F(IndexGroupTest, CreateIndexBuildsOverCommittedFiles) {
+  IndexGroup g(3, &io_);
+  sim::Cost empty_build;
+  ASSERT_TRUE(
+      g.CreateIndex({"by_kw", IndexType::kKeyword, {"path"}}, &empty_build)
+          .ok());
+  EXPECT_EQ(empty_build.seconds(), 0.0);
+  for (FileId f = 1; f <= 3; ++f) {
+    g.StageUpdate(Upsert(f, static_cast<int64_t>(f * 100), 10, "/a/f"));
+  }
+  g.Commit();
+
+  sim::Cost build;
+  ASSERT_TRUE(
+      g.CreateIndex({"by_size", IndexType::kBTree, {"size"}}, &build).ok());
+  EXPECT_GT(build.seconds(), 0.0);
+  Predicate p;
+  p.And("size", CmpOp::kGt, AttrValue(int64_t{0}));
+  auto r = g.Search(p);
+  EXPECT_EQ(r.access_path, "btree:by_size");
+  EXPECT_EQ(r.files, (std::vector<FileId>{1, 2, 3}));
+
+  // The built index keeps taking in-place updates.
+  g.StageUpdate(Upsert(4, 400, 10, "/a/f"));
+  g.StageUpdate(Upsert(1, 0, 10, "/a/f"));
+  EXPECT_EQ(g.Search(p).files, (std::vector<FileId>{2, 3, 4}));
+}
+
 TEST_F(IndexGroupTest, FullScanFallbackWhenNoIndexApplies) {
   IndexGroup g(3, &io_);  // no indices at all
   g.StageUpdate(Upsert(1, 100, 10, "/a"));
@@ -304,39 +334,50 @@ TEST_F(IndexGroupTest, ExtractKeywordsTokenizes) {
 }
 
 // Randomized consistency: interleave stage/commit/search and compare with a
-// brute-force model.
+// brute-force model, in both modes.  The index searches use is created
+// mid-stream, over a group that already holds files.
 TEST(IndexGroupFuzzTest, SearchAlwaysMatchesModel) {
-  sim::IoContext io;
-  IndexGroup g(9, &io);
-  ASSERT_TRUE(g.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
-  Rng rng(321);
-  std::map<FileId, int64_t> model;  // file -> size
+  for (bool segmented : {false, true}) {
+    SCOPED_TRACE(segmented ? "segmented" : "commit barrier");
+    sim::IoContext io;
+    IndexGroupOptions options;
+    options.segmented = segmented;
+    IndexGroup g(9, &io, options);
+    Rng rng(321);
+    std::map<FileId, int64_t> model;  // file -> size
 
-  for (int step = 0; step < 300; ++step) {
-    auto f = static_cast<FileId>(rng.Uniform(40));
-    if (rng.Bernoulli(0.2) && model.count(f) != 0u) {
-      FileUpdate del;
-      del.file = f;
-      del.is_delete = true;
-      g.StageUpdate(std::move(del));
-      model.erase(f);
-    } else {
-      auto size = rng.UniformInt(0, 1000);
-      g.StageUpdate(Upsert(f, size, 0, "/f"));
-      model[f] = size;
-    }
-
-    if (step % 7 == 0) {
-      int64_t threshold = rng.UniformInt(0, 1000);
-      Predicate p;
-      p.And("size", CmpOp::kGt, AttrValue(threshold));
-      auto r = g.Search(p);
-      std::vector<FileId> expect;
-      for (auto [file, size] : model) {
-        if (size > threshold) expect.push_back(file);
+    for (int step = 0; step < 300; ++step) {
+      if (step == 150) {
+        ASSERT_TRUE(
+            g.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
       }
-      std::sort(r.files.begin(), r.files.end());
-      ASSERT_EQ(r.files, expect) << "step " << step;
+      auto f = static_cast<FileId>(rng.Uniform(40));
+      if (rng.Bernoulli(0.2) && model.count(f) != 0u) {
+        FileUpdate del;
+        del.file = f;
+        del.is_delete = true;
+        g.StageUpdate(std::move(del));
+        model.erase(f);
+      } else {
+        auto size = rng.UniformInt(0, 1000);
+        g.StageUpdate(Upsert(f, size, 0, "/f"));
+        model[f] = size;
+      }
+
+      if (step % 7 == 0) {
+        int64_t threshold = rng.UniformInt(0, 1000);
+        Predicate p;
+        p.And("size", CmpOp::kGt, AttrValue(threshold));
+        auto r = g.Search(p);
+        std::vector<FileId> expect;
+        for (auto [file, size] : model) {
+          if (size > threshold) expect.push_back(file);
+        }
+        std::sort(r.files.begin(), r.files.end());
+        ASSERT_EQ(r.files, expect) << "step " << step << " via "
+                                   << r.access_path;
+      }
+      if (step % 50 == 0) g.Commit();
     }
   }
 }

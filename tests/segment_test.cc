@@ -1,8 +1,9 @@
 // Segmented-index suite (IndexGroupOptions::segmented — write-read
 // decoupling): segment lifecycle, shadowing/tombstone semantics, the
-// tiered merge policy's read-amplification bound, WAL recovery of the
-// memtable, and snapshot searches running concurrently with seals and
-// merges (the TSan target of the tsan-segments preset).
+// tiered merge policy's tier and cap triggers and read-amplification
+// bound, WAL recovery of the memtable, and snapshot searches running
+// concurrently with seals and merges (the TSan target of the
+// tsan-segments preset).
 #include "index/index_group.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "sim/io_context.h"
 
 namespace propeller::index {
@@ -42,15 +44,19 @@ FileUpdate Delete(FileId f) {
   return u;
 }
 
-IndexGroupOptions SegmentedOptions(size_t max_segments = 4,
-                                   double size_ratio = 4.0,
-                                   size_t tier_run = 3) {
+IndexGroupOptions SegmentedOptions(obs::MetricsRegistry* metrics = nullptr) {
   IndexGroupOptions o;
   o.segmented = true;
-  o.max_segments = max_segments;
-  o.merge_size_ratio = size_ratio;
-  o.merge_tier_run = tier_run;
+  o.metrics = metrics;
   return o;
+}
+
+// The merge policy's constants (index_group.cc): at most 4 live segments;
+// 3 adjacent segments within a 4x size ratio merge as a tier.
+constexpr size_t kMaxSegments = 4;
+
+uint64_t Merges(obs::MetricsRegistry& metrics) {
+  return metrics.GetCounter("in.merges").value();
 }
 
 Predicate SizeGt(int64_t threshold) {
@@ -143,9 +149,10 @@ TEST_F(SegmentedGroupTest, StagedDeleteShadowsSegments) {
   EXPECT_TRUE(group_.Search(SizeGt(0)).files.empty());
 }
 
+// Equal-sized seals form tiers: every third one merges its run.
 TEST_F(SegmentedGroupTest, MergePolicyBoundsReadAmplification) {
-  const size_t kMaxSegments = 3;
-  IndexGroup g(2, &io_, SegmentedOptions(kMaxSegments));
+  obs::MetricsRegistry metrics;
+  IndexGroup g(2, &io_, SegmentedOptions(&metrics));
   ASSERT_TRUE(g.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
 
   FileId next = 1;
@@ -161,19 +168,49 @@ TEST_F(SegmentedGroupTest, MergePolicyBoundsReadAmplification) {
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), uint64_t{0}),
               static_cast<uint64_t>(5 * (round + 1)));
   }
+  EXPECT_GT(Merges(metrics), 0u);
+  EXPECT_EQ(g.NumFiles(), static_cast<uint64_t>(next - 1));
+  EXPECT_EQ(g.Search(SizeGt(0)).files.size(), static_cast<size_t>(next - 1));
+}
+
+// Seals that shrink 5x each never form a tier, so only the cap bounds
+// them: the fifth seal merges the cheapest adjacent pair, the two newest.
+TEST_F(SegmentedGroupTest, CapMergesCheapestAdjacentPair) {
+  obs::MetricsRegistry metrics;
+  IndexGroup g(4, &io_, SegmentedOptions(&metrics));
+  FileId next = 1;
+  for (int rows : {625, 125, 25, 5, 1}) {
+    for (int i = 0; i < rows; ++i) g.StageUpdate(Upsert(next++, 100, 0, "/f"));
+    g.Commit();
+  }
+  EXPECT_EQ(Merges(metrics), 1u);
+  EXPECT_EQ(g.NumSegments(), kMaxSegments);
+  EXPECT_EQ(g.SegmentUpdateCounts(),
+            (std::vector<uint64_t>{625, 125, 25, 6}));
   EXPECT_EQ(g.NumFiles(), static_cast<uint64_t>(next - 1));
   EXPECT_EQ(g.Search(SizeGt(0)).files.size(), static_cast<size_t>(next - 1));
 }
 
 // Deleting everything and merging down to one segment drops the tombstones
-// (a run starting at the oldest segment has nothing left to shadow).
+// (a run starting at the oldest segment has nothing left to shadow).  Two
+// seals of one-attribute rows and a third of their tombstones are close
+// enough in size to merge as one tier.
 TEST_F(SegmentedGroupTest, FullMergeRetiresTombstones) {
-  IndexGroup g(3, &io_, SegmentedOptions(/*max_segments=*/1));
-  for (FileId f = 1; f <= 10; ++f) g.StageUpdate(Upsert(f, 100, 0, "/f"));
+  obs::MetricsRegistry metrics;
+  IndexGroup g(3, &io_, SegmentedOptions(&metrics));
+  for (FileId first : {1, 11}) {
+    for (FileId f = first; f < first + 10; ++f) {
+      FileUpdate u;
+      u.file = f;
+      u.attrs.Set("size", AttrValue(int64_t{100}));
+      g.StageUpdate(std::move(u));
+    }
+    g.Commit();
+  }
+  for (FileId f = 1; f <= 20; ++f) g.StageUpdate(Delete(f));
   g.Commit();
-  for (FileId f = 1; f <= 10; ++f) g.StageUpdate(Delete(f));
-  g.Commit();
-  EXPECT_LE(g.NumSegments(), 1u);
+  EXPECT_EQ(Merges(metrics), 1u);
+  EXPECT_EQ(g.SegmentUpdateCounts(), (std::vector<uint64_t>{40}));
   EXPECT_EQ(g.NumFiles(), 0u);
   EXPECT_TRUE(g.Search(SizeGt(0)).files.empty());
 }
@@ -229,9 +266,7 @@ TEST_F(SegmentedGroupTest, RecoveryAfterInterleavedSealsConverges) {
 // updates, across interleaved stages, deletes, commits, and merges.
 TEST(SegmentedFuzzTest, SearchMatchesModelAndCommitBarrierTwin) {
   sim::IoContext io;
-  IndexGroup seg(9, &io, SegmentedOptions(/*max_segments=*/2,
-                                          /*size_ratio=*/2.0,
-                                          /*tier_run=*/2));
+  IndexGroup seg(9, &io, SegmentedOptions());
   IndexGroup barrier(10, &io);
   for (IndexGroup* g : {&seg, &barrier}) {
     ASSERT_TRUE(
@@ -255,6 +290,8 @@ TEST(SegmentedFuzzTest, SearchMatchesModelAndCommitBarrierTwin) {
     if (step % 11 == 0) {
       seg.Commit();
       barrier.Commit();
+      ASSERT_EQ(seg.NumFiles(), model.size()) << "segmented, step " << step;
+      ASSERT_EQ(barrier.NumFiles(), model.size()) << "barrier, step " << step;
     }
     if (step % 7 == 0) {
       int64_t threshold = rng.UniformInt(0, 1000);
@@ -279,9 +316,8 @@ TEST(SegmentedFuzzTest, SearchMatchesModelAndCommitBarrierTwin) {
 // tsan-segments preset exists for.
 TEST(SegmentedConcurrencyTest, SearchersStableDuringSealAndMerge) {
   sim::IoContext io;
-  IndexGroup g(11, &io, SegmentedOptions(/*max_segments=*/2,
-                                         /*size_ratio=*/2.0,
-                                         /*tier_run=*/2));
+  obs::MetricsRegistry metrics;
+  IndexGroup g(11, &io, SegmentedOptions(&metrics));
   ASSERT_TRUE(g.CreateIndex({"by_size", IndexType::kBTree, {"size"}}).ok());
 
   // Files 1..kFiles always exist with size == file id; the writer churns
@@ -327,7 +363,8 @@ TEST(SegmentedConcurrencyTest, SearchersStableDuringSealAndMerge) {
   writer.join();
   for (auto& th : searchers) th.join();
   EXPECT_EQ(failures.load(), 0) << "a snapshot saw torn state";
-  EXPECT_LE(g.NumSegments(), 2u);
+  EXPECT_GT(Merges(metrics), 0u);
+  EXPECT_LE(g.NumSegments(), kMaxSegments);
   EXPECT_EQ(g.NumFiles(), static_cast<uint64_t>(kFiles));
 }
 
