@@ -54,8 +54,9 @@ namespace {
 
 // Per-thread stack of currently-held ranked locks.  A fixed-size array
 // keeps the fast path allocation-free; 64 simultaneous ranked locks per
-// thread is far beyond anything the cluster does (the deepest real chain
-// is 4: master -> groups map -> group -> io).
+// thread is far beyond anything the cluster does (the deepest chain the
+// tests drive is 5: master metadata -> groups map -> group seal -> group
+// -> result cache).
 struct HeldLock {
   LockRank rank;
   const char* name;

@@ -9,7 +9,9 @@
 //     field without the lock" and "called a REQUIRES method unlocked" into
 //     compile errors.  Other compilers see plain std::mutex semantics.
 //
-//  2. **Dynamic** — each long-lived mutex declares a LockRank from the
+//  2. **Dynamic** — every mutex names its LockRank when it is constructed
+//     (there is no default constructor, so a rank cannot be forgotten;
+//     scaffolding writes LockRank::kUnranked).  The ranks follow the
 //     documented cluster lock order (DESIGN.md "Lock ranks & static
 //     enforcement").  A debug-only per-thread stack records the ranks a
 //     thread currently holds; acquiring a ranked lock whose rank is not
@@ -46,7 +48,8 @@ namespace propeller {
 
 // One rank per long-lived mutex class, ordered outermost -> innermost.
 // This is the machine-readable copy of the DESIGN.md lock-order table;
-// lock_rank_test asserts the two stay in sync.  Gaps leave room for new
+// lock_rank_test parses that table and checks every row's name and number
+// against this enum, in both directions.  Gaps leave room for new
 // subsystems without renumbering.
 enum class LockRank : int {
   kUnranked = 0,          // exempt from rank checking
@@ -87,7 +90,6 @@ int HeldRankedLocks();
 // with std::condition_variable_any (see CondVar) and std::scoped_lock.
 class CAPABILITY("mutex") Mutex {
  public:
-  Mutex() = default;
   explicit Mutex(LockRank rank, const char* name = nullptr)
       : rank_(rank), name_(name != nullptr ? name : "mutex") {}
   Mutex(const Mutex&) = delete;
@@ -118,8 +120,8 @@ class CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex mu_;
-  LockRank rank_ = LockRank::kUnranked;
-  const char* name_ = "mutex";
+  LockRank rank_;
+  const char* name_;
 };
 
 // Annotated std::shared_mutex.  Shared (reader) acquisitions obey the same
@@ -127,7 +129,6 @@ class CAPABILITY("mutex") Mutex {
 // taken out of order.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
-  SharedMutex() = default;
   explicit SharedMutex(LockRank rank, const char* name = nullptr)
       : rank_(rank), name_(name != nullptr ? name : "shared_mutex") {}
   SharedMutex(const SharedMutex&) = delete;
@@ -163,8 +164,8 @@ class CAPABILITY("shared_mutex") SharedMutex {
 
  private:
   std::shared_mutex mu_;
-  LockRank rank_ = LockRank::kUnranked;
-  const char* name_ = "shared_mutex";
+  LockRank rank_;
+  const char* name_;
 };
 
 // RAII exclusive lock on a Mutex.

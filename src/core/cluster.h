@@ -21,9 +21,12 @@
 namespace propeller::core {
 
 // One field per mechanism: each role's own settings live in its nested
-// config (master, index_node, client) and reach that role unchanged.  The
-// six top-level switches below remain because each builds a shared object
-// or spans several roles at once.
+// config (master, index_node, client) and reach that role unchanged.  Six
+// top-level fields remain.  Five build a shared object or span several
+// roles at once: index_nodes, parallel_execution, recovery_journal,
+// tracing and read_path_caching.  The sixth, admission_control, only sets
+// index_node.admission_control; it stays because the repo benchmark sets
+// it.
 struct ClusterConfig {
   int index_nodes = 8;
   // Per-role settings.  master.heartbeat_interval_s is also the cluster's

@@ -1,50 +1,78 @@
 // Runtime lock-rank deadlock detector (common/mutex.h).
 //
-// Covers: the rank table matching the DESIGN.md lock order, rank-ordered
-// acquisition passing, inversions and equal-rank nesting aborting (death
-// tests), the kUnranked exemption, shared (reader) acquisitions obeying
-// ranks, out-of-order release, and CondVar keeping the rank stack
-// consistent across a wait.
+// Covers: the DESIGN.md rank table matching the LockRank enum, every mutex
+// naming its rank at construction, rank-ordered acquisition passing,
+// inversions and equal-rank nesting aborting (death tests), the kUnranked
+// exemption, shared (reader) acquisitions obeying ranks, out-of-order
+// release, and CondVar keeping the rank stack consistent across a wait.
 #include "common/mutex.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <regex>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace propeller {
 namespace {
 
 bool ChecksEnabled() { return PROPELLER_LOCK_RANK_CHECKS != 0; }
 
-// The documented lock order (DESIGN.md "Lock ranks & static enforcement"),
-// outermost first.  If this test fails, either the enum or the table
-// drifted — fix whichever is wrong, in both places.
+// A rank cannot be forgotten: scaffolding writes LockRank::kUnranked.
+static_assert(!std::is_default_constructible_v<Mutex>);
+static_assert(!std::is_default_constructible_v<SharedMutex>);
+
+// The rank table in DESIGN.md ("Lock ranks & static enforcement"):
+// rank name -> number, in table order.  Rows look like
+// "| `kMaster` (10) | `core::MasterNode::mu_` | ... |".
+std::vector<std::pair<std::string, int>> DesignRankTable() {
+  std::ifstream in(PROPELLER_DESIGN_DOC);
+  EXPECT_TRUE(in) << "cannot open " << PROPELLER_DESIGN_DOC;
+  const std::regex row(R"(^\| `(k\w+)` \((\d+)\) \|)");
+  std::vector<std::pair<std::string, int>> table;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("#", 0) == 0) {
+      in_section = line.find("Lock ranks") != std::string::npos;
+      continue;
+    }
+    std::smatch m;
+    if (in_section && std::regex_search(line, m, row)) {
+      table.emplace_back(m[1].str(), std::stoi(m[2].str()));
+    }
+  }
+  return table;
+}
+
+// Every DESIGN.md row names a real rank with its enum number, rows run
+// outermost (lowest) first, and every ranked enum value has a row.  The
+// enum is enumerated through LockRankName, whose switch -Wswitch keeps
+// exhaustive; values it does not know print as "unknown".
 TEST(LockRankTableTest, MatchesDesignDocOrder) {
-  const LockRank design_order[] = {
-      LockRank::kClientCache,     // core::PropellerClient::cache_mu_
-      LockRank::kMaster,          // core::MasterNode::mu_
-      LockRank::kMasterLiveness,  // core::MasterNode::liveness_mu_
-      LockRank::kMasterMetadata,  // core::MasterNode::metadata_mu_
-      LockRank::kTransportRouting,// net::Transport::mu_
-      LockRank::kFaultPlan,       // net::FaultPlan::mu_
-      LockRank::kIndexNodeAdmission, // core::IndexNode::admission_mu_
-      LockRank::kIndexNodeGroups, // core::IndexNode::groups_mu_
-      LockRank::kIndexNodeReplica,// core::IndexNode::replica_mu_
-      LockRank::kGroupJournal,    // core::GroupJournal::mu_
-      LockRank::kIndexGroupSeal,  // index::IndexGroup::seal_mu_
-      LockRank::kIndexGroup,      // index::IndexGroup::mu_
-      LockRank::kIndexGroupCache, // index::IndexGroup::cache_mu_
-      LockRank::kIoContext,       // sim::IoContext::mu_
-      LockRank::kThreadPool,      // ThreadPool::mu_
-      LockRank::kMetricsRegistry, // obs::MetricsRegistry::mu_
-      LockRank::kTracer,          // obs::Tracer::mu_
-      LockRank::kAttrNames,       // index::AttrNames::mu_
-  };
-  for (size_t i = 1; i < std::size(design_order); ++i) {
-    EXPECT_LT(static_cast<int>(design_order[i - 1]),
-              static_cast<int>(design_order[i]))
-        << "rank order broken between " << LockRankName(design_order[i - 1])
-        << " and " << LockRankName(design_order[i]);
+  const std::vector<std::pair<std::string, int>> table = DesignRankTable();
+  ASSERT_FALSE(table.empty()) << "no rank table in " << PROPELLER_DESIGN_DOC;
+  std::map<int, std::string> by_number;
+  int prev = 0;
+  for (const auto& [name, number] : table) {
+    EXPECT_EQ(LockRankName(static_cast<LockRank>(number)), name)
+        << "DESIGN.md row " << name << " (" << number << ")";
+    EXPECT_GT(number, prev) << "DESIGN.md row " << name
+                            << " is out of rank order";
+    prev = number;
+    by_number[number] = name;
+  }
+  constexpr int kMaxRank = 256;  // far above the highest rank in use
+  for (int n = 1; n < kMaxRank; ++n) {
+    std::string name = LockRankName(static_cast<LockRank>(n));
+    if (name == "unknown") continue;
+    EXPECT_EQ(by_number[n], name)
+        << "LockRank " << name << " (" << n << ") has no DESIGN.md row";
   }
   EXPECT_EQ(static_cast<int>(LockRank::kUnranked), 0);
 }
@@ -65,19 +93,24 @@ TEST(LockRankTableTest, NamesAreStable) {
 }
 
 TEST(LockRankTest, OrderedAcquisitionPasses) {
-  Mutex master(LockRank::kMaster, "master");
+  Mutex metadata(LockRank::kMasterMetadata, "metadata");
   SharedMutex groups(LockRank::kIndexNodeGroups, "groups");
-  Mutex group(LockRank::kIndexGroup, "group");
-  Mutex io(LockRank::kIoContext, "io");
+  Mutex seal(LockRank::kIndexGroupSeal, "seal");
+  SharedMutex group(LockRank::kIndexGroup, "group");
+  Mutex cache(LockRank::kIndexGroupCache, "cache");
   {
-    // The deepest real chain in the cluster: master -> groups map ->
-    // group -> io.
-    MutexLock l1(master);
+    // The deepest chain the test suite drives (a nested placement RPC,
+    // under the master's metadata lock, that reaches a group's seal
+    // pipeline, as in
+    // RecoveryTest.JournalCompactionTruncatesAtSealAndStillConverges):
+    // metadata -> groups map -> seal -> group -> result cache.
+    MutexLock l1(metadata);
     ReaderMutexLock l2(groups);
-    MutexLock l3(group);
-    MutexLock l4(io);
+    MutexLock l3(seal);
+    WriterMutexLock l4(group);
+    MutexLock l5(cache);
     if (ChecksEnabled()) {
-      EXPECT_EQ(lock_rank_internal::HeldRankedLocks(), 4);
+      EXPECT_EQ(lock_rank_internal::HeldRankedLocks(), 5);
     }
   }
   if (ChecksEnabled()) {
@@ -111,7 +144,7 @@ TEST(LockRankTest, OutOfOrderReleaseIsLegal) {
 }
 
 TEST(LockRankTest, UnrankedLocksAreExempt) {
-  Mutex test_only;  // default: kUnranked
+  Mutex test_only(LockRank::kUnranked);
   Mutex group(LockRank::kIndexGroup, "group");
   {
     // Ranked-under-unranked and unranked-under-ranked both pass; the
@@ -188,7 +221,7 @@ TEST(LockRankDeathTest, InversionAborts) {
       "LOCK RANK VIOLATION");
 }
 
-TEST(LockRankDeathTest, ShardUnderClientCacheAborts) {
+TEST(LockRankDeathTest, ClientCacheUnderMasterMetadataAborts) {
   if (!ChecksEnabled()) GTEST_SKIP() << "lock-rank checks compiled out";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The master's metadata mutex sits above the client's cache lock: a

@@ -41,7 +41,7 @@ class AnnotatedCounter {
  private:
   void AddLocked(int delta) REQUIRES(mu_) { value_ += delta; }
 
-  mutable Mutex mu_;
+  mutable Mutex mu_{LockRank::kUnranked};
   int value_ GUARDED_BY(mu_) = 0;
 };
 
@@ -63,7 +63,7 @@ class AnnotatedTable {
   }
 
  private:
-  mutable SharedMutex mu_;
+  mutable SharedMutex mu_{LockRank::kUnranked};
   std::vector<std::pair<int, int>> entries_ GUARDED_BY(mu_);
 };
 
@@ -92,7 +92,7 @@ TEST(ThreadAnnotationsTest, MutexLockIsExclusive) {
 }
 
 TEST(ThreadAnnotationsTest, TryLockFailsWhenHeld) {
-  Mutex mu;
+  Mutex mu(LockRank::kUnranked);
   mu.lock();
   std::thread t([&mu] { EXPECT_FALSE(mu.try_lock()); });
   t.join();
@@ -127,7 +127,7 @@ TEST(ThreadAnnotationsTest, SharedMutexAllowsConcurrentReaders) {
 }
 
 TEST(ThreadAnnotationsTest, CondVarSignalsAcrossThreads) {
-  Mutex mu;
+  Mutex mu(LockRank::kUnranked);
   CondVar cv;
   int stage = 0;  // guarded by mu
   std::thread worker([&] {
@@ -147,8 +147,9 @@ TEST(ThreadAnnotationsTest, CondVarSignalsAcrossThreads) {
 }
 
 TEST(ThreadAnnotationsTest, RankAccessorsReflectConstruction) {
-  Mutex unranked;
+  Mutex unranked(LockRank::kUnranked);
   EXPECT_EQ(unranked.rank(), LockRank::kUnranked);
+  EXPECT_STREQ(unranked.name(), "mutex");
   Mutex named(LockRank::kIndexGroup, "test::mu_");
   EXPECT_EQ(named.rank(), LockRank::kIndexGroup);
   EXPECT_STREQ(named.name(), "test::mu_");

@@ -1,22 +1,22 @@
 // propeller-analyze: dependency-free static analysis over src/.
 //
-// Two passes guard the repo invariants that nothing else checks without
-// Clang installed (token/declaration-level parsing only — this must run
-// everywhere cmake does):
+// One pass, run without Clang installed (token/declaration-level parsing
+// only — this must run everywhere cmake does):
 //
-//   locks        propeller::Mutex/SharedMutex declarations, their LockRank
-//                assignments, the DESIGN.md rank table, and the static
-//                (lexical, one level of call propagation) acquisition
-//                graph: every edge must go strictly rank-upward.
 //   determinism  Ban-list for bit-identical simulation: wall-clock sources
-//                outside the obs/ shims, rand()/std::random_device, and
-//                unordered-container iteration that feeds a BinaryWriter.
+//                outside the obs/ shims, rand()/std::random_device,
+//                unordered-container iteration that feeds a BinaryWriter,
+//                and pool fan-outs outside obs::ForkBranches.
 //
-// Escape hatch: a `// analyze:allow(<pass>)` comment on the offending line
-// or the line above suppresses a finding (use sparingly, with a
+// Lock order needs no pass: the runtime rank detector (common/mutex.h)
+// checks every acquisition the tests drive, and lock_rank_test checks the
+// DESIGN.md rank table against the LockRank enum.
+//
+// Escape hatch: a `// analyze:allow(determinism)` comment on the offending
+// line or the line above suppresses a finding (use sparingly, with a
 // justification comment).
 //
-// The wire format needs no pass: each message's Fields() list in
+// The wire format needs no pass either: each message's Fields() list in
 // src/core/proto.h drives its encoder and decoder, and wire_schema_test
 // checks the rendered layout against tests/wire_schema.golden.
 #pragma once
@@ -32,9 +32,8 @@ namespace propeller::analyze {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string pass;  // "locks" | "determinism"
+  std::string pass;  // "determinism"
   std::string message;
-  bool fatal = true;  // notes are printed but do not fail the run
 };
 
 // One loaded translation unit/header.  `code` is `text` with comment and
@@ -64,7 +63,6 @@ std::vector<std::string> ListSources(const std::string& dir);
 struct MemberStmt {
   std::string stmt;  // statement text (stripped code), braces included
   std::string name;  // best-effort declared identifier ("" if none)
-  size_t off = 0;    // offset of the statement start in `code`
 };
 
 struct ClassInfo {
@@ -73,7 +71,6 @@ struct ClassInfo {
 };
 
 struct FunctionDef {
-  std::string name;        // unqualified ("Serialize", "HandleTick", ...)
   std::string class_name;  // from "X::name" or the enclosing class; "" = free
   size_t body_begin = 0;   // offset just inside '{'
   size_t body_end = 0;     // offset of the matching '}'
@@ -86,7 +83,7 @@ struct FileModel {
 
 FileModel BuildModel(const SourceFile& f);
 
-// ---- small token helpers (shared by the passes) -----------------------
+// ---- small token helpers ----------------------------------------------
 
 bool IsIdentChar(char c);
 // The identifier ending exactly at `end` (exclusive), "" if none.
@@ -96,20 +93,9 @@ bool WordAt(const std::string& code, size_t pos, const std::string& word);
 // Offset of the matching close for the open bracket at `open`.
 size_t MatchBracket(const std::string& code, size_t open);
 
-// ---- passes ------------------------------------------------------------
+// ---- the pass ----------------------------------------------------------
 
-struct Options {
-  std::string src_dir = "src";
-  std::string design;        // DESIGN.md (empty = skip table cross-check)
-  std::string lock_test;     // lock_rank_test.cc (empty = skip coverage note)
-  bool verbose = false;
-};
-
-void RunLockOrderPass(const Options& opt, const std::vector<SourceFile>& files,
-                      std::vector<Finding>* findings);
-
-void RunDeterminismPass(const Options& opt,
-                        const std::vector<SourceFile>& files,
+void RunDeterminismPass(const std::vector<SourceFile>& files,
                         std::vector<Finding>* findings);
 
 }  // namespace propeller::analyze

@@ -51,10 +51,8 @@ bool NeedsCallContext(const std::string& word) {
 
 }  // namespace
 
-void RunDeterminismPass(const Options& opt,
-                        const std::vector<SourceFile>& files,
+void RunDeterminismPass(const std::vector<SourceFile>& files,
                         std::vector<Finding>* findings) {
-  (void)opt;
   // Pass 1: collect unordered members per class and unordered-returning
   // accessor names, across all files (members are often used from the
   // .cc while declared in the .h).
@@ -141,8 +139,7 @@ void RunDeterminismPass(const Options& opt,
              "banned " + std::string(is_clock ? "wall-clock" : "randomness") +
                  " source '" + word +
                  "' — simulation code must use sim time / seeded engines "
-                 "(annotate analyze:allow(determinism) if deliberate)",
-             true});
+                 "(annotate analyze:allow(determinism) if deliberate)"});
       }
       i = e;
     }
@@ -165,8 +162,7 @@ void RunDeterminismPass(const Options& opt,
             {f.path, f.LineOf(i), "determinism",
              "SubmitBatch( outside src/common and src/obs — fan out through "
              "obs::ForkBranches, which starts every branch from the fan-out "
-             "instant so traces do not depend on thread order",
-             true});
+             "instant so traces do not depend on thread order"});
       }
     }
 
@@ -284,8 +280,7 @@ void RunDeterminismPass(const Options& opt,
                "iteration over unordered container (" + cause +
                    ") feeds serialized output — iteration order is "
                    "unspecified; sort the keys first (see "
-                   "Acg::SortedVertices)",
-               true});
+                   "Acg::SortedVertices)"});
         }
         i = close;
       }

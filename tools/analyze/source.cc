@@ -369,7 +369,6 @@ FileModel BuildModel(const SourceFile& f) {
         if (!stmt.empty()) {
           MemberStmt m;
           m.stmt = stmt;
-          m.off = top.boundary;
           // Declared name: identifier before `=`, `{`, `(`, or the `;`.
           size_t cut = stmt.find_first_of("={(");
           m.name = IdentBefore(stmt, cut == std::string::npos ? stmt.size() : cut);
@@ -457,10 +456,7 @@ FileModel BuildModel(const SourceFile& f) {
           if (open != std::string::npos && close != std::string::npos) {
             std::string chain = ChainBefore(head, open);
             size_t sep = chain.rfind("::");
-            if (sep == std::string::npos) {
-              fd.name = chain;
-            } else {
-              fd.name = chain.substr(sep + 2);
+            if (sep != std::string::npos) {
               std::string qual = chain.substr(0, sep);
               size_t qsep = qual.rfind("::");
               fd.class_name =
