@@ -18,6 +18,7 @@
 #include "index/hash_index.h"
 #include "index/index_group.h"
 #include "index/kdtree.h"
+#include "index/record_store.h"
 #include "sim/io_context.h"
 #include "sim/server_queue.h"
 
@@ -54,6 +55,73 @@ void BM_BTreeScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeScan)->Arg(10'000)->Arg(100'000);
+
+// A group-sized tree, as one index group's B-tree answers one search
+// term: 1000 postings spread evenly over `domain` keys, inserted in
+// shuffled order, scanned over a 10-key range.  domain:1000 gives one
+// posting per key (10 per scan); domain:50 is duplicate-heavy, 20
+// postings per key (200 per scan).
+void BM_BTreeScanGroup(benchmark::State& state) {
+  const int64_t domain = state.range(0);
+  sim::IoContext io;
+  index::BPlusTree tree(io.CreateStore());
+  Rng rng(1);
+  std::vector<int64_t> keys(1000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i) % domain;
+  for (size_t i = keys.size() - 1; i > 0; --i) std::swap(keys[i], keys[rng.Uniform(i + 1)]);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    tree.Insert(index::AttrValue(keys[i]), static_cast<index::FileId>(i + 1));
+  }
+  index::KeyRange range;
+  range.lo = index::AttrValue(domain / 2);
+  range.hi = index::AttrValue(domain / 2 + 9);
+  size_t postings = 0;
+  for (auto _ : state) {
+    auto r = tree.Scan(range);
+    postings = r.files.size();
+    benchmark::DoNotOptimize(r.files);
+  }
+  state.counters["postings"] = static_cast<double>(postings);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BTreeScanGroup)->ArgName("domain")->Arg(1000)->Arg(50);
+
+// Candidate verification in one group: 14 candidates, all present,
+// checked against a 2-term predicate in a store of 1000 four-attribute
+// records with sparse FileIds.  64 candidate lists are used in turn.
+void BM_RecordStoreAppendMatching(benchmark::State& state) {
+  sim::IoContext io;
+  index::RecordStore store(io.CreateStore());
+  Rng rng(1);
+  std::vector<index::FileId> files;
+  while (files.size() < 1000) {
+    const index::FileId f = 1 + (rng.Next() >> 40);
+    index::AttrSet a;
+    a.Set("size", index::AttrValue(static_cast<int64_t>(rng.Uniform(1 << 20))));
+    a.Set("mtime", index::AttrValue(static_cast<int64_t>(rng.Uniform(1'000'000))));
+    a.Set("uid", index::AttrValue(static_cast<int64_t>(rng.Uniform(4))));
+    a.Set("path", index::AttrValue("/home/user/project/src/module-" +
+                                   std::to_string(f) + ".cc"));
+    if (!store.Put(f, std::move(a)).previous) files.push_back(f);
+  }
+  std::vector<std::vector<index::FileId>> lists(64);
+  for (auto& list : lists) {
+    for (int c = 0; c < 14; ++c) list.push_back(files[rng.Uniform(files.size())]);
+  }
+  index::Predicate pred;
+  pred.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{1} << 18))
+      .And("mtime", index::CmpOp::kLt, index::AttrValue(int64_t{750'000}));
+  std::vector<index::FileId> out;
+  size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    store.AppendMatching(lists[i], pred, &out);
+    benchmark::DoNotOptimize(out.data());
+    i = (i + 1) & (lists.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordStoreAppendMatching);
 
 void BM_HashLookup(benchmark::State& state) {
   sim::IoContext io;

@@ -178,7 +178,7 @@ Result<ParsedQuery> ParseQuery(const std::string& query, int64_t now_s) {
   size_t qmark = query.find("/?");
   if (qmark != std::string::npos) {
     out.directory = query.substr(0, qmark);
-    if (out.directory.empty()) out.directory = "/";
+    if (out.directory.empty()) out.directory.assign(1, '/');
     expr = query.substr(qmark + 2);
   }
 

@@ -20,7 +20,7 @@ index::AttrSet FileStat::ToAttrSet() const {
 
 Namespace::Namespace() : root_(std::make_unique<Node>()) {
   root_->stat.is_dir = true;
-  root_->stat.path = "/";
+  root_->stat.path.assign(1, '/');
 }
 
 std::vector<std::string_view> Namespace::SplitPath(std::string_view path) {

@@ -15,12 +15,18 @@ struct BPlusTree::Node {
 
   // Internal: keys.size() + 1 == children.size(); child i holds keys in
   // [keys[i-1], keys[i]) (duplicates of a separator go right).
-  // Leaf: keys[i] has posting list postings[i]; children empty.
+  // Leaf: the postings of every key sit in one run, `files`, in key order:
+  // keys[i]'s postings are files[RunBegin(i), ends[i]), in insertion order.
+  // `ends` ascends strictly (no key keeps an empty run) and its last entry
+  // is files.size().  children is empty.
   std::vector<AttrValue> keys;
   std::vector<std::unique_ptr<Node>> children;
-  std::vector<std::vector<FileId>> postings;
+  std::vector<uint32_t> ends;
+  std::vector<FileId> files;
   Node* next_leaf = nullptr;
   Node* prev_leaf = nullptr;
+
+  uint32_t RunBegin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
 };
 
 namespace {
@@ -63,13 +69,12 @@ sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
   Node* leaf = path.back();
   auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
   size_t pos = static_cast<size_t>(it - leaf->keys.begin());
-  if (it != leaf->keys.end() && *it == key) {
-    leaf->postings[pos].push_back(file);
-  } else {
+  if (it == leaf->keys.end() || !(*it == key)) {
     leaf->keys.insert(it, key);
-    leaf->postings.insert(leaf->postings.begin() + static_cast<long>(pos),
-                          std::vector<FileId>{file});
+    leaf->ends.insert(leaf->ends.begin() + static_cast<long>(pos), leaf->RunBegin(pos));
   }
+  leaf->files.insert(leaf->files.begin() + leaf->ends[pos], file);
+  for (size_t i = pos; i < leaf->ends.size(); ++i) ++leaf->ends[i];
   ++num_postings_;
   cost += store_.Write(leaf->page);
 
@@ -83,13 +88,17 @@ sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
     if (child->leaf) {
       size_t mid = child->keys.size() / 2;
       separator = child->keys[mid];
+      // Cut on the key boundary: keys [mid, end) and their runs move right.
+      const uint32_t cut = child->RunBegin(mid);
       right->keys.assign(child->keys.begin() + static_cast<long>(mid),
                          child->keys.end());
-      right->postings.assign(
-          std::make_move_iterator(child->postings.begin() + static_cast<long>(mid)),
-          std::make_move_iterator(child->postings.end()));
+      right->files.assign(child->files.begin() + cut, child->files.end());
+      for (size_t k = mid; k < child->ends.size(); ++k) {
+        right->ends.push_back(child->ends[k] - cut);
+      }
       child->keys.resize(mid);
-      child->postings.resize(mid);
+      child->ends.resize(mid);
+      child->files.resize(cut);
       right->next_leaf = child->next_leaf;
       if (right->next_leaf != nullptr) right->next_leaf->prev_leaf = right.get();
       right->prev_leaf = child;
@@ -158,12 +167,12 @@ sim::Cost BPlusTree::BulkLoad(std::vector<std::pair<AttrValue, FileId>> entries)
     ++num_nodes_;
     while (i < entries.size() && leaf->keys.size() < order_) {
       leaf->keys.push_back(entries[i].first);
-      auto& plist = leaf->postings.emplace_back();
       while (i < entries.size() && entries[i].first == leaf->keys.back()) {
-        plist.push_back(entries[i].second);
+        leaf->files.push_back(entries[i].second);
         ++num_postings_;
         ++i;
       }
+      leaf->ends.push_back(static_cast<uint32_t>(leaf->files.size()));
     }
     leaf->prev_leaf = prev;
     if (prev != nullptr) prev->next_leaf = leaf.get();
@@ -216,14 +225,15 @@ sim::Cost BPlusTree::Remove(const AttrValue& key, FileId file) {
   auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
   if (it == leaf->keys.end() || !(*it == key)) return cost;  // absent
   size_t pos = static_cast<size_t>(it - leaf->keys.begin());
-  auto& plist = leaf->postings[pos];
-  auto fit = std::find(plist.begin(), plist.end(), file);
-  if (fit == plist.end()) return cost;  // posting absent
-  plist.erase(fit);
+  const auto run_end = leaf->files.begin() + leaf->ends[pos];
+  auto fit = std::find(leaf->files.begin() + leaf->RunBegin(pos), run_end, file);
+  if (fit == run_end) return cost;  // posting absent
+  leaf->files.erase(fit);
   --num_postings_;
-  if (plist.empty()) {
+  for (size_t i = pos; i < leaf->ends.size(); ++i) --leaf->ends[i];
+  if (leaf->ends[pos] == leaf->RunBegin(pos)) {
     leaf->keys.erase(it);
-    leaf->postings.erase(leaf->postings.begin() + static_cast<long>(pos));
+    leaf->ends.erase(leaf->ends.begin() + static_cast<long>(pos));
   }
   cost += store_.Write(leaf->page);
 
@@ -270,14 +280,13 @@ BPlusTree::ScanResult BPlusTree::Scan(const KeyRange& range) const {
     n = n->children[ci].get();
   }
 
-  auto past_end = [&range](const AttrValue& k) {
-    if (!range.hi) return false;
-    int c = k.Compare(*range.hi);
-    return c > 0 || (c == 0 && !range.hi_inclusive);
-  };
   // Keys are unique and ascend along the leaf chain, and every later leaf
-  // holds only keys above `lo`: binary-search the start in this leaf, then
-  // test each key against the upper bound alone.
+  // holds only keys above `lo`.  In each leaf, keys [i, stop) are in range:
+  // `i` is binary-searched from `lo` in the first leaf and 0 after it, and
+  // `stop` is the first key past `hi`.  Their postings are one slice of the
+  // leaf's run.  The walk reads leaves until one holds a key past `hi`, as
+  // a key-by-key walk would; in an empty range (lo above hi) that key may
+  // lie below `i`.
   size_t i = 0;
   if (range.lo) {
     const std::vector<AttrValue>& keys = n->keys;
@@ -286,17 +295,22 @@ BPlusTree::ScanResult BPlusTree::Scan(const KeyRange& range) const {
              ? std::lower_bound(keys.begin(), keys.end(), *range.lo)
              : std::upper_bound(keys.begin(), keys.end(), *range.lo)) -
         keys.begin());
-    // In an empty range (lo above hi) a key below lo may already lie past
-    // hi, where a key-by-key walk stops: step back onto it.
-    if (i > 0 && past_end(keys[i - 1])) --i;
   }
   for (Node* leaf = n; leaf != nullptr; leaf = leaf->next_leaf, i = 0) {
     out.cost += store_.Read(leaf->page);
-    for (; i < leaf->keys.size(); ++i) {
-      if (past_end(leaf->keys[i])) return out;
-      out.files.insert(out.files.end(), leaf->postings[i].begin(),
-                       leaf->postings[i].end());
+    const std::vector<AttrValue>& keys = leaf->keys;
+    size_t stop = keys.size();
+    if (range.hi) {
+      stop = static_cast<size_t>(
+          (range.hi_inclusive ? std::upper_bound(keys.begin(), keys.end(), *range.hi)
+                              : std::lower_bound(keys.begin(), keys.end(), *range.hi)) -
+          keys.begin());
     }
+    if (stop > i) {
+      out.files.insert(out.files.end(), leaf->files.begin() + leaf->RunBegin(i),
+                       leaf->files.begin() + leaf->ends[stop - 1]);
+    }
+    if (stop < keys.size()) return out;
   }
   return out;
 }
@@ -351,8 +365,8 @@ bool BPlusTree::CheckInvariants(std::string* error) const {
           st.error = "leaves at differing depths";
           return false;
         }
-        if (n->keys.size() != n->postings.size()) {
-          st.error = "leaf keys/postings size mismatch";
+        if (n->keys.size() != n->ends.size()) {
+          st.error = "leaf keys/run ends size mismatch";
           return false;
         }
         if (n->prev_leaf != st.prev_leaf) {
@@ -360,13 +374,19 @@ bool BPlusTree::CheckInvariants(std::string* error) const {
           return false;
         }
         st.prev_leaf = n;
-        for (const auto& p : n->postings) {
-          if (p.empty()) {
-            st.error = "empty posting list retained";
+        uint32_t begin = 0;
+        for (uint32_t end : n->ends) {
+          if (end <= begin) {
+            st.error = "empty posting run retained";
             return false;
           }
-          st.postings += p.size();
+          begin = end;
         }
+        if (begin != n->files.size()) {
+          st.error = "leaf runs do not cover its files";
+          return false;
+        }
+        st.postings += n->files.size();
         return true;
       }
       if (n->children.size() != n->keys.size() + 1) {

@@ -7,6 +7,10 @@
 // height, working-set size, and cache warmth — the effects behind Fig. 2
 // and Fig. 8 in the paper.
 //
+// Each leaf keeps its postings flat: one FileId array holding every key's
+// run back to back, plus an end offset per key, so a range scan appends
+// one contiguous slice per leaf instead of one heap block per key.
+//
 // Deletion notes: postings are removed exactly; empty leaves are unlinked
 // and empty ancestors collapse, but partially-filled nodes are not
 // rebalanced (the strategy used by several production B-trees; bounded
@@ -51,7 +55,8 @@ class BPlusTree {
     std::vector<FileId> files;
     sim::Cost cost;
   };
-  // All postings whose key falls in `range`, in key order.
+  // All postings whose key falls in `range`: in key order, and within a
+  // key in insertion order (BulkLoad inserts a key's files ascending).
   ScanResult Scan(const KeyRange& range) const;
 
   uint64_t NumPostings() const { return num_postings_; }

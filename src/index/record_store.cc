@@ -1,5 +1,7 @@
 #include "index/record_store.h"
 
+#include <bit>
+
 namespace propeller::index {
 
 RecordStore::RecordStore(sim::PageStore store) : store_(store) {}
@@ -18,10 +20,10 @@ void RecordStore::AppendMatching(std::span<const FileId> candidates,
   // lookup depends on another, so their cache misses overlap.
   std::vector<const AttrSet*> records(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    auto it = rows_.find(candidates[i]);
-    if (it == rows_.end()) continue;
-    records[i] = &it->second;
-    __builtin_prefetch(it->second.entries().data());
+    const AttrSet* attrs = Find(candidates[i]);
+    if (attrs == nullptr) continue;
+    records[i] = attrs;
+    __builtin_prefetch(attrs->entries().data());
   }
   // Pass 2: match, in candidate order, with the terms bound to their ids
   // once for the whole list.
@@ -33,36 +35,66 @@ void RecordStore::AppendMatching(std::span<const FileId> candidates,
   }
 }
 
+std::optional<AttrSet> RecordStore::Replace(FileId file, AttrSet attrs) {
+  if (file == kFreeSlot) return std::exchange(max_id_row_, std::move(attrs));
+  if ((size_ + 1) * 2 > slots_.size()) Rehash(std::max<size_t>(16, slots_.size() * 2));
+  Slot& slot = slots_[Probe(file)];
+  if (slot.file == file) return std::exchange(slot.attrs, std::move(attrs));
+  slot.file = file;
+  slot.attrs = std::move(attrs);
+  ++size_;
+  return std::nullopt;
+}
+
+std::optional<AttrSet> RecordStore::Remove(FileId file) {
+  if (file == kFreeSlot) return std::exchange(max_id_row_, std::nullopt);
+  if (slots_.empty()) return std::nullopt;
+  size_t hole = Probe(file);
+  if (slots_[hole].file != file) return std::nullopt;
+  std::optional<AttrSet> previous = std::move(slots_[hole].attrs);
+  // Shift later entries of the probe run back so that no lookup crosses
+  // the hole.
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = (hole + 1) & mask; slots_[i].file != kFreeSlot; i = (i + 1) & mask) {
+    // The entry at i may fill the hole unless its home lies cyclically in
+    // (hole, i].
+    const size_t home = Home(slots_[i].file);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = std::move(slots_[i]);
+      hole = i;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  return previous;
+}
+
+void RecordStore::Rehash(size_t buckets) {
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(buckets));
+  shift_ = 64 - std::countr_zero(buckets);
+  for (Slot& slot : old) {
+    if (slot.file != kFreeSlot) slots_[Probe(slot.file)] = std::move(slot);
+  }
+}
+
 RecordStore::PutResult RecordStore::Put(FileId file, AttrSet attrs) {
   PutResult out;
   uint64_t page = PageOf(file);
   out.cost = store_.Read(page);
-  auto it = rows_.find(file);
-  if (it != rows_.end()) {
-    out.previous = std::move(it->second);
-    bytes_ -= out.previous->ByteSize();
-    bytes_ += attrs.ByteSize();
-    it->second = std::move(attrs);
-  } else {
-    bytes_ += attrs.ByteSize();
-    rows_.emplace(file, std::move(attrs));
-  }
+  bytes_ += attrs.ByteSize();
+  out.previous = Replace(file, std::move(attrs));
+  if (out.previous) bytes_ -= out.previous->ByteSize();
   out.cost += store_.Write(page);
   return out;
 }
 
 sim::Cost RecordStore::BulkLoad(std::vector<std::pair<FileId, AttrSet>> rows) {
-  rows_.reserve(rows.size());
+  if (rows.size() * 2 > slots_.size()) {
+    Rehash(std::max<size_t>(16, std::bit_ceil(rows.size() * 2)));
+  }
   for (auto& [file, attrs] : rows) {
-    auto it = rows_.find(file);
-    if (it != rows_.end()) {
-      bytes_ -= it->second.ByteSize();
-      bytes_ += attrs.ByteSize();
-      it->second = std::move(attrs);
-    } else {
-      bytes_ += attrs.ByteSize();
-      rows_.emplace(file, std::move(attrs));
-    }
+    bytes_ += attrs.ByteSize();
+    if (auto previous = Replace(file, std::move(attrs))) bytes_ -= previous->ByteSize();
   }
   // One sequential pass writes the whole heap file.
   return store_.SequentialLoad(NumPages());
@@ -72,11 +104,9 @@ RecordStore::EraseResult RecordStore::Erase(FileId file) {
   EraseResult out;
   uint64_t page = PageOf(file);
   out.cost = store_.Read(page);
-  auto it = rows_.find(file);
-  if (it != rows_.end()) {
-    out.previous = std::move(it->second);
+  out.previous = Remove(file);
+  if (out.previous) {
     bytes_ -= out.previous->ByteSize();
-    rows_.erase(it);
     out.cost += store_.Write(page);
   }
   return out;

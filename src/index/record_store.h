@@ -4,13 +4,17 @@
 // candidates an index returned, and (b) supplying a file's previous
 // attribute values so index updates can remove stale postings.  Modelled
 // as a paged heap file addressed by FileId hash.
+//
+// In memory the records live in one open-addressing table of
+// {FileId, AttrSet} slots (linear probing, power-of-two size, load <= 1/2,
+// backward-shift deletion), so a lookup loads one slot and then the
+// record's attribute list.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,11 +76,15 @@ class RecordStore {
   // as ForEach.
   template <typename Fn>
   void ForEachInMemory(Fn&& fn) const {
-    std::vector<FileId> files;
-    files.reserve(rows_.size());
-    for (const auto& [file, attrs] : rows_) files.push_back(file);
-    std::sort(files.begin(), files.end());
-    for (FileId f : files) fn(f, rows_.at(f));
+    std::vector<const Slot*> rows;
+    rows.reserve(size_);
+    for (const Slot& slot : slots_) {
+      if (slot.file != kFreeSlot) rows.push_back(&slot);
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const Slot* a, const Slot* b) { return a->file < b->file; });
+    for (const Slot* slot : rows) fn(slot->file, slot->attrs);
+    if (max_id_row_) fn(kFreeSlot, *max_id_row_);
   }
 
   // Builds the store from a batch in one sequential write instead of
@@ -86,19 +94,56 @@ class RecordStore {
 
   // Membership probe without a simulated page touch: segment shadowing
   // checks charge their own flat per-probe cost at the caller.
-  bool Contains(FileId file) const { return rows_.count(file) != 0u; }
+  bool Contains(FileId file) const { return Find(file) != nullptr; }
 
-  uint64_t NumRecords() const { return rows_.size(); }
+  uint64_t NumRecords() const { return size_ + (max_id_row_ ? 1 : 0); }
   uint64_t NumPages() const { return 1 + bytes_ / kPageBytes; }
   uint64_t Bytes() const { return bytes_; }
 
  private:
   static constexpr uint64_t kPageBytes = 4096;
+  // Marks a free slot.  The record of this FileId lives in `max_id_row_`.
+  static constexpr FileId kFreeSlot = UINT64_MAX;
+
+  struct Slot {
+    FileId file = kFreeSlot;
+    AttrSet attrs;
+  };
 
   uint64_t PageOf(FileId file) const;
 
+  // The slot `file` hashes to (Fibonacci hashing on the table's size).
+  size_t Home(FileId file) const {
+    return static_cast<size_t>((file * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  // The slot holding `file`, or the free slot that ends its probe run.
+  // Needs a non-empty table.
+  size_t Probe(FileId file) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Home(file);
+    while (slots_[i].file != file && slots_[i].file != kFreeSlot) i = (i + 1) & mask;
+    return i;
+  }
+  // `file`'s record, or nullptr.
+  const AttrSet* Find(FileId file) const {
+    if (file == kFreeSlot) return max_id_row_ ? &*max_id_row_ : nullptr;
+    if (slots_.empty()) return nullptr;
+    const Slot& slot = slots_[Probe(file)];
+    return slot.file == file ? &slot.attrs : nullptr;
+  }
+  // Inserts or replaces `file`'s record; returns the one it replaced.
+  std::optional<AttrSet> Replace(FileId file, AttrSet attrs);
+  // Removes `file`'s record; returns it.
+  std::optional<AttrSet> Remove(FileId file);
+  // Resizes the table to `buckets` (a power of two, at least twice the
+  // records) and re-homes every record.
+  void Rehash(size_t buckets);
+
   sim::PageStore store_;
-  std::unordered_map<FileId, AttrSet> rows_;
+  std::vector<Slot> slots_;
+  size_t size_ = 0;    // records in `slots_`
+  int shift_ = 64;     // 64 - log2(slots_.size())
+  std::optional<AttrSet> max_id_row_;
   uint64_t bytes_ = 0;
 };
 

@@ -61,7 +61,8 @@ void AppendSnapshot(std::ostringstream& os, const MetricsSnapshot& snap,
        << JsonEscape(name) << "\": " << v;
     first = false;
   }
-  os << (first ? "" : "\n" + Indent(level + 1)) << "},\n";
+  if (!first) os << '\n' << Indent(level + 1);
+  os << "},\n";
   os << Indent(level + 1) << "\"gauges\": {";
   first = true;
   for (const auto& [name, v] : snap.gauges) {
@@ -69,7 +70,8 @@ void AppendSnapshot(std::ostringstream& os, const MetricsSnapshot& snap,
        << JsonEscape(name) << "\": " << JsonDouble(v);
     first = false;
   }
-  os << (first ? "" : "\n" + Indent(level + 1)) << "},\n";
+  if (!first) os << '\n' << Indent(level + 1);
+  os << "},\n";
   os << Indent(level + 1) << "\"histograms\": {";
   first = true;
   for (const auto& [name, h] : snap.histograms) {
@@ -78,7 +80,8 @@ void AppendSnapshot(std::ostringstream& os, const MetricsSnapshot& snap,
     AppendHistogram(os, h, level + 2);
     first = false;
   }
-  os << (first ? "" : "\n" + Indent(level + 1)) << "}\n";
+  if (!first) os << '\n' << Indent(level + 1);
+  os << "}\n";
   os << Indent(level) << "}";
 }
 

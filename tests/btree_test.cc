@@ -181,6 +181,69 @@ TEST_F(BTreeTest, ScanTouchesTheSamePagesAsAKeyByKeyWalk) {
   EXPECT_EQ(pages_hash, 14'623'608'998'753'568'032u);
 }
 
+// Leaf splits and removals move long posting runs.  Order-4 leaves first
+// take 300 postings on each of four keys, inserted round-robin; then new
+// keys between them split those leaves, and for every five postings
+// inserted one is removed from the middle of some run.  After each step the tree must
+// hold its invariants and list, for the whole range and for every key
+// pair, the model's postings in order: keys ascending, each key's files
+// in insertion order.
+TEST_F(BTreeTest, LongRunsSurviveSplitsAndMidRunRemovals) {
+  BPlusTree t(io_.CreateStore(), /*order=*/4);
+  std::multimap<int64_t, FileId> model;
+  auto insert = [&](int64_t key, FileId file) {
+    t.Insert(AttrValue(key), file);
+    model.emplace(key, file);
+  };
+  auto check = [&](const char* step) {
+    std::string err;
+    ASSERT_TRUE(t.CheckInvariants(&err)) << step << ": " << err;
+    ASSERT_EQ(t.NumPostings(), model.size()) << step;
+    std::vector<FileId> all;
+    for (const auto& [key, file] : model) all.push_back(file);
+    ASSERT_EQ(t.Scan(KeyRange::Everything()).files, all) << step;
+    for (int64_t lo = 0; lo <= 40; lo += 3) {
+      KeyRange range;
+      range.lo = AttrValue(lo);
+      range.hi = AttrValue(lo + 7);
+      std::vector<FileId> expect;
+      for (auto it = model.lower_bound(lo); it != model.end() && it->first <= lo + 7; ++it) {
+        expect.push_back(it->second);
+      }
+      ASSERT_EQ(t.Scan(range).files, expect) << step << " [" << lo << "," << lo + 7 << "]";
+    }
+  };
+
+  FileId next = 1;
+  for (int round = 0; round < 300; ++round) {
+    for (int64_t key : {0, 10, 20, 30}) insert(key, next++);
+  }
+  check("long runs");
+  Rng rng(19);
+  for (int64_t key : {5, 15, 25, 35, 1, 11, 21, 31, 2, 12, 22, 32, 3, 13, 23, 33}) {
+    for (int k = 0; k < 40; ++k) insert(key, next++);
+    // Remove one posting from the middle of a random run.
+    for (int r = 0; r < 8; ++r) {
+      auto it = model.begin();
+      std::advance(it, static_cast<long>(rng.Uniform(model.size())));
+      t.Remove(AttrValue(it->first), it->second);
+      model.erase(it);
+    }
+    check("split");
+  }
+  EXPECT_GT(t.Height(), 2u);
+  // Drain every other key, so whole runs leave and leaves empty.
+  for (auto it = model.begin(); it != model.end();) {
+    if (it->first % 2 == 1) {
+      t.Remove(AttrValue(it->first), it->second);
+      it = model.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  check("drain");
+}
+
 struct FuzzParam {
   uint32_t order;
   int ops;
@@ -192,7 +255,10 @@ class BTreeFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 
 // Property test: a random interleaving of inserts/removes must (a) keep
 // structural invariants and (b) agree with a reference multimap on every
-// range scan.
+// range scan, in order.  The multimap keeps equal keys in insertion order
+// and the removal below drops a key's first matching posting, as the tree
+// does, so a scan must list keys ascending and each key's files in the
+// order they were inserted.
 TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
   const FuzzParam p = GetParam();
   sim::IoContext io;
@@ -252,8 +318,6 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
       if (it->first == b && !range.hi_inclusive) continue;
       expect.push_back(it->second);
     }
-    std::sort(got.files.begin(), got.files.end());
-    std::sort(expect.begin(), expect.end());
     ASSERT_EQ(got.files, expect) << "range [" << a << "," << b << "]";
   }
 }
@@ -264,7 +328,10 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{8, 3000, 13, 200}, FuzzParam{16, 3000, 14, 64},
                       FuzzParam{64, 5000, 15, 1000},
                       FuzzParam{5, 2500, 16, 17},   // odd order, tiny keyspace
-                      FuzzParam{128, 4000, 17, 100000}));
+                      FuzzParam{128, 4000, 17, 100000},
+                      // 6 keys, hundreds of postings each: removals land
+                      // mid-run, and every leaf holds long runs.
+                      FuzzParam{4, 6000, 18, 6}));
 
 }  // namespace
 }  // namespace propeller::index

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
@@ -325,6 +326,106 @@ TEST(RecordStoreTest, ChargeReadThenAppendMatchingInCandidateOrder) {
   const sim::PageCacheStats after = io.CacheStats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
+}
+
+// Seeded Put/Erase churn against a std::map reference.  Three phases
+// (grow past 1024 records, shrink below 200, grow again) take the table
+// through several growths and many erasures that shift probe runs back.
+// FileIds mix a dense block, sparse ids and the largest FileId.  After
+// every op the returned previous record, Contains, NumRecords and Bytes
+// must agree with the reference; every 500 ops so must ForEachInMemory
+// (FileId order) and AppendMatching over present, absent and repeated
+// candidates.
+TEST(RecordStoreTest, MatchesReferenceMapAcrossGrowthAndErase) {
+  sim::IoContext io;
+  RecordStore rs(io.CreateStore());
+  std::map<FileId, AttrSet> ref;
+  Rng rng(23);
+  auto draw_file = [&]() -> FileId {
+    switch (rng.Uniform(8)) {
+      case 0:
+        return rng.Next();  // sparse
+      case 1:
+        return rng.Bernoulli(0.1) ? ~FileId{0} : ~FileId{0} - rng.Uniform(4);
+      default:
+        return 1 + rng.Uniform(3000);  // dense
+    }
+  };
+  auto version = [](const AttrSet& a) { return a.FindInt("v").value_or(-1); };
+  uint64_t bytes = 0;
+  int64_t next_version = 0;
+  Predicate odd_small;
+  odd_small.And("odd", CmpOp::kEq, AttrValue(int64_t{1}))
+      .And("v", CmpOp::kLt, AttrValue(int64_t{30'000}));
+
+  const struct {
+    int ops;
+    double put;
+  } phases[] = {{6000, 0.8}, {6000, 0.2}, {6000, 0.8}};
+  int op = 0;
+  std::vector<size_t> phase_end_records;
+  for (const auto& phase : phases) {
+    for (int i = 0; i < phase.ops; ++i, ++op) {
+      FileId file = draw_file();
+      if (!ref.empty() && rng.Bernoulli(0.5)) {
+        auto it = ref.begin();
+        std::advance(it, static_cast<long>(rng.Uniform(ref.size())));
+        file = it->first;  // an existing record half the time
+      }
+      auto old = ref.find(file);
+      const int64_t want_prev = old == ref.end() ? -1 : version(old->second);
+      if (rng.Bernoulli(phase.put)) {
+        AttrSet a;
+        const int64_t v = next_version++;
+        a.Set("v", AttrValue(v));
+        a.Set("odd", AttrValue(static_cast<int64_t>(file % 2)));
+        if (v % 3 == 0) a.Set("path", AttrValue("/data/file-" + std::to_string(v)));
+        bytes += a.ByteSize();
+        if (old != ref.end()) bytes -= old->second.ByteSize();
+        auto put = rs.Put(file, a);
+        ref[file] = std::move(a);
+        ASSERT_EQ(put.previous ? version(*put.previous) : -1, want_prev) << "op " << op;
+      } else {
+        auto erased = rs.Erase(file);
+        if (old != ref.end()) {
+          bytes -= old->second.ByteSize();
+          ref.erase(old);
+        }
+        ASSERT_EQ(erased.previous ? version(*erased.previous) : -1, want_prev)
+            << "op " << op;
+      }
+      ASSERT_EQ(rs.Contains(file), ref.count(file) != 0) << "op " << op;
+      ASSERT_EQ(rs.NumRecords(), ref.size()) << "op " << op;
+      ASSERT_EQ(rs.Bytes(), bytes) << "op " << op;
+
+      if (op % 500 != 0) continue;
+      std::vector<std::pair<FileId, int64_t>> got;
+      rs.ForEachInMemory(
+          [&](FileId f, const AttrSet& a) { got.emplace_back(f, version(a)); });
+      std::vector<std::pair<FileId, int64_t>> want;
+      for (const auto& [f, a] : ref) want.emplace_back(f, version(a));
+      ASSERT_EQ(got, want) << "op " << op;
+
+      std::vector<FileId> candidates;
+      for (int c = 0; c < 64; ++c) candidates.push_back(draw_file());
+      for (const auto& [f, a] : ref) {
+        if (rng.Bernoulli(0.05)) candidates.push_back(f);
+      }
+      std::vector<FileId> matched = {0};
+      rs.AppendMatching(candidates, odd_small, &matched);
+      std::vector<FileId> expect = {0};
+      for (FileId f : candidates) {
+        auto it = ref.find(f);
+        if (it != ref.end() && odd_small.Matches(it->second)) expect.push_back(f);
+      }
+      ASSERT_EQ(matched, expect) << "op " << op;
+    }
+    phase_end_records.push_back(ref.size());
+  }
+  // Grown past 1024 records (a 4096-slot table), shrunk, regrown.
+  EXPECT_GT(phase_end_records[0], 1024u);
+  EXPECT_LT(phase_end_records[1], 200u);
+  EXPECT_GT(phase_end_records[2], 1024u);
 }
 
 // ---------- WAL ----------

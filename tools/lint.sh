@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo lint pipeline: propeller-analyze, clang-tidy, the Clang
-# thread-safety build, and the sanitizer preset matrix.
+# thread-safety build, the GCC -Werror build, and the sanitizer preset
+# matrix.
 #
 # Usage:
 #   tools/lint.sh                 # static stages: analyze tidy tsa
@@ -8,8 +9,9 @@
 #   tools/lint.sh analyze         # repo-invariant static analysis only
 #   tools/lint.sh tidy            # clang-tidy only
 #   tools/lint.sh tsa             # -Werror=thread-safety build only
+#   tools/lint.sh werror          # GCC -Werror builds (tree + benchmark)
 #   tools/lint.sh asan|ubsan|tsan # one sanitizer build+test (via presets)
-#   tools/lint.sh all             # analyze tidy tsa asan ubsan tsan
+#   tools/lint.sh all             # analyze tidy tsa werror asan ubsan tsan
 #
 # Exit status is non-zero when any selected stage fails.  Stages that need
 # a toolchain this machine lacks (clang, clang-tidy) are SKIPPED with a
@@ -97,6 +99,33 @@ stage_tsa() {
   fi
 }
 
+stage_werror() {
+  # Every GCC warning fails: the tree in its default RelWithDebInfo
+  # configuration (the tier-1 build) and the repo benchmark in its own
+  # Release configuration (what benchmark/run.sh builds).  The two
+  # optimisation levels inline differently, so each can warn where the
+  # other does not.
+  if ! command -v g++ >/dev/null 2>&1; then
+    note "FAIL: stage 'werror' needs g++"
+    FAILED=1
+    return
+  fi
+  note "GCC -Werror build (tree, then benchmark/)"
+  local build=build-lint-werror
+  if ! cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_COMPILER=g++ -DCMAKE_CXX_FLAGS=-Werror >/dev/null ||
+     ! cmake --build "$build" -j "$(nproc)"; then
+    note "FAIL: -Werror build of the tree"
+    FAILED=1
+  fi
+  if ! cmake -B "$build/benchmark" -S benchmark -DCMAKE_CXX_COMPILER=g++ \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null ||
+     ! cmake --build "$build/benchmark" -j "$(nproc)"; then
+    note "FAIL: -Werror build of benchmark/"
+    FAILED=1
+  fi
+}
+
 stage_sanitizer() {
   # $1 = configure, build and test preset (asan / ubsan / tsan).
   local preset=$1
@@ -124,18 +153,20 @@ analyze  repo-invariant static analysis (determinism ban-list) —
          needs only a C++20 compiler, never skipped
 tidy     clang-tidy over src/ (.clang-tidy, warnings-as-errors)
 tsa      Clang -Werror=thread-safety build
+werror   GCC -Werror builds of the tree (RelWithDebInfo) and of
+         benchmark/ (Release)
 asan     AddressSanitizer preset build + ctest
 ubsan    UndefinedBehaviorSanitizer preset build + ctest
 tsan     ThreadSanitizer build + ctest over the fault, obs, segments,
          replication, load, master, attr and parallel labels
-all      analyze tidy tsa asan ubsan tsan
+all      analyze tidy tsa werror asan ubsan tsan
 EOF
   exit 0
 fi
 if [[ ${#STAGES[@]} -eq 0 ]]; then
   STAGES=(analyze tidy tsa)
 elif [[ ${#STAGES[@]} -eq 1 && ${STAGES[0]} == all ]]; then
-  STAGES=(analyze tidy tsa asan ubsan tsan)
+  STAGES=(analyze tidy tsa werror asan ubsan tsan)
 fi
 
 for stage in "${STAGES[@]}"; do
@@ -143,11 +174,12 @@ for stage in "${STAGES[@]}"; do
     analyze) stage_analyze ;;
     tidy) stage_tidy ;;
     tsa) stage_tsa ;;
+    werror) stage_werror ;;
     asan) stage_sanitizer asan ;;
     ubsan) stage_sanitizer ubsan ;;
     tsan) stage_sanitizer tsan ;;
     *)
-      note "unknown stage '$stage' (expected: tidy tsa asan ubsan tsan all)"
+      note "unknown stage '$stage' (expected: analyze tidy tsa werror asan ubsan tsan all)"
       exit 2
       ;;
   esac
